@@ -12,24 +12,29 @@
 
 use std::sync::Arc;
 
-use zz_bench::{banner, fixed, parallel_map, row, CIRCUIT_SEED};
+use zz_bench::{banner, fixed, row, CIRCUIT_SEED};
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_core::calib;
 use zz_sched::zzx::Requirement;
 use zz_service::{
     CompileOptions, CompileRequest, CompileResponse, Compiled, PulseMethod, Session, Target,
 };
-use zz_sim::executor::{fidelity_under_zz, ZzErrorModel};
+use zz_sim::executor::ZzErrorModel;
+use zz_sim::program::PlanProgram;
 
+/// Mean fidelity over the paper's disorder ensemble, with one uniform
+/// cross-region residual factor instead of the plan's per-pulse table.
 fn evaluate(compiled: &Compiled, target: &Target, residual: f64) -> f64 {
     let topo = &compiled.topology;
     // The same disorder ensemble every fig* binary averages over.
     let seeds = zz_service::EvalSpec::paper_default().crosstalk_seeds;
+    let ideal = PlanProgram::ideal(&compiled.plan).run();
     let mut total = 0.0;
     for &seed in &seeds {
         let model = ZzErrorModel::sampled(topo, target.lambda_mean(), target.lambda_std(), seed)
             .with_residual(residual);
-        total += fidelity_under_zz(&compiled.plan, topo, &model, &compiled.durations);
+        let noisy = PlanProgram::compile(&compiled.plan, topo, &model, &compiled.durations).run();
+        total += ideal.fidelity(&noisy);
     }
     total / seeds.len() as f64
 }
@@ -115,10 +120,10 @@ fn main() {
         })
         .collect();
 
-    let threads = zz_core::batch::default_threads();
-    let fidelities = parallel_map(responses.len(), threads, |i| {
-        evaluate(&responses[i].compiled, session.target(), residual)
-    });
+    let fidelities: Vec<f64> = responses
+        .iter()
+        .map(|r| evaluate(&r.compiled, session.target(), residual))
+        .collect();
     // Recover each sweep's rows by slicing the flat response/fidelity
     // lists in the same order the requests were submitted.
     let print_sweep = |responses: &[&CompileResponse], fidelities: &[f64]| {

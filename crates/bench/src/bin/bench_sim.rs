@@ -11,7 +11,8 @@
 //! To keep the recorded trajectory comparable across runners, the
 //! asserted Monte-Carlo speedup is measured **single-threaded** — pure
 //! algorithmic gain, independent of the machine's core count. The
-//! all-cores time is reported separately (`engine_parallel_ms`).
+//! all-cores time is reported separately (`engine_parallel_ms`, next to
+//! the `available_parallelism` it ran on).
 //!
 //! Alongside the end-to-end times, the snapshot records per-kernel
 //! microbenchmarks of the batched engine (`zz_sim::batch::BatchedState`
@@ -35,16 +36,37 @@ use zz_linalg::c64;
 use zz_sched::{zzx::ZzxConfig, zzx_schedule, GateDurations, SchedulePlan};
 use zz_sim::batch::BatchedState;
 use zz_sim::density::Decoherence;
-use zz_sim::executor::{
-    fidelity_with_decoherence, fidelity_with_decoherence_threads, ZzErrorModel,
-};
-use zz_sim::program::{PlanProgram, DEFAULT_BATCH_LANES};
+use zz_sim::executor::ZzErrorModel;
+use zz_sim::program::{PlanProgram, TrajectoryProgram, DEFAULT_BATCH_LANES};
 use zz_topology::Topology;
 
 fn qaoa9_plan(topo: &Topology) -> SchedulePlan {
     let circuit = generate(BenchmarkKind::Qaoa, 9, 7);
     let native = compile_to_native(&route(&circuit, topo));
     zzx_schedule(topo, &native, &ZzxConfig::paper_default(topo))
+}
+
+/// The engine's mean Monte-Carlo fidelity on `threads` workers, paying
+/// the whole per-evaluation cost: the ideal reference run, the trajectory
+/// program's compilation and the trajectory fan.
+#[allow(clippy::too_many_arguments)]
+fn engine_fidelity(
+    plan: &SchedulePlan,
+    topo: &Topology,
+    model: &ZzErrorModel,
+    deco: &Decoherence,
+    d: &GateDurations,
+    trajectories: usize,
+    seed: u64,
+    threads: usize,
+) -> f64 {
+    let ideal = PlanProgram::ideal(plan).run();
+    TrajectoryProgram::compile(plan, topo, model, deco, d).mean_fidelity(
+        &ideal,
+        trajectories,
+        seed,
+        threads,
+    )
 }
 
 fn ms(start: Instant) -> f64 {
@@ -130,9 +152,11 @@ fn main() {
         plan.layer_count()
     );
 
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+
     // Warm-up both engines once (page in code, fill allocator pools).
     let _ = reference::fidelity_with_decoherence(&plan, &topo, &model, &deco, &d, 4, SEED);
-    let _ = fidelity_with_decoherence(&plan, &topo, &model, &deco, &d, 4, SEED);
+    let _ = engine_fidelity(&plan, &topo, &model, &deco, &d, 4, SEED, cores);
 
     // Monte-Carlo fan: the acceptance workload. The asserted speedup is
     // single-threaded vs single-threaded; the parallel time is extra.
@@ -141,15 +165,14 @@ fn main() {
         reference::fidelity_with_decoherence(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED);
     let mc_legacy_ms = ms(t);
     let t = Instant::now();
-    let f_engine =
-        fidelity_with_decoherence_threads(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED, 1);
+    let f_engine = engine_fidelity(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED, 1);
     let mc_engine_ms = ms(t);
     let t = Instant::now();
-    let f_parallel = fidelity_with_decoherence(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED);
+    let f_parallel = engine_fidelity(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED, cores);
     let mc_parallel_ms = ms(t);
     let mc_speedup = mc_legacy_ms / mc_engine_ms;
     println!(
-        "monte-carlo: legacy {mc_legacy_ms:.1} ms (F={f_legacy:.4})  engine(1 thread) {mc_engine_ms:.1} ms (F={f_engine:.4})  engine(all cores) {mc_parallel_ms:.1} ms  speedup {mc_speedup:.2}x"
+        "monte-carlo: legacy {mc_legacy_ms:.1} ms (F={f_legacy:.4})  engine(1 thread) {mc_engine_ms:.1} ms (F={f_engine:.4})  engine(all {cores} cores) {mc_parallel_ms:.1} ms  speedup {mc_speedup:.2}x"
     );
 
     // Deterministic disorder sweep: the Figure 20–22 evaluation shape —
@@ -221,7 +244,7 @@ fn main() {
     );
     assert!(
         mc_speedup >= 10.0,
-        "acceptance bar: >= 10x single-threaded on fidelity_with_decoherence, got {mc_speedup:.2}x"
+        "acceptance bar: >= 10x single-threaded on the Monte-Carlo fidelity, got {mc_speedup:.2}x"
     );
 
     let kernel_json: Vec<String> = kernels
@@ -234,7 +257,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 3,\n  \"workload\": {{\"benchmark\": \"qaoa-9\", \"device\": \"{}\", \"layers\": {}, \"trajectories\": {TRAJECTORIES}, \"batch_lanes\": {DEFAULT_BATCH_LANES}}},\n  \"monte_carlo\": {{\"legacy_ms\": {mc_legacy_ms:.3}, \"engine_ms\": {mc_engine_ms:.3}, \"engine_parallel_ms\": {mc_parallel_ms:.3}, \"speedup\": {mc_speedup:.3}, \"fidelity_legacy\": {f_legacy:.6}, \"fidelity_engine\": {f_engine:.6}}},\n  \"disorder_sweep\": {{\"reps\": {ZZ_REPS}, \"samples\": {}, \"legacy_ms\": {zz_legacy_ms:.3}, \"engine_ms\": {zz_engine_ms:.3}, \"speedup\": {zz_speedup:.3}}},\n  \"kernels\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": 3,\n  \"workload\": {{\"benchmark\": \"qaoa-9\", \"device\": \"{}\", \"layers\": {}, \"trajectories\": {TRAJECTORIES}, \"batch_lanes\": {DEFAULT_BATCH_LANES}}},\n  \"monte_carlo\": {{\"legacy_ms\": {mc_legacy_ms:.3}, \"engine_ms\": {mc_engine_ms:.3}, \"engine_parallel_ms\": {mc_parallel_ms:.3}, \"available_parallelism\": {cores}, \"speedup\": {mc_speedup:.3}, \"fidelity_legacy\": {f_legacy:.6}, \"fidelity_engine\": {f_engine:.6}}},\n  \"disorder_sweep\": {{\"reps\": {ZZ_REPS}, \"samples\": {}, \"legacy_ms\": {zz_legacy_ms:.3}, \"engine_ms\": {zz_engine_ms:.3}, \"speedup\": {zz_speedup:.3}}},\n  \"kernels\": [\n    {}\n  ]\n}}\n",
         topo.name(),
         plan.layer_count(),
         seeds.len(),

@@ -60,11 +60,6 @@ pub fn lambda_sweep_mhz() -> Vec<f64> {
     (0..=10).map(|k| k as f64 * 0.2).collect()
 }
 
-/// Runs closures in parallel on up to `threads` OS threads, preserving
-/// input order in the output (re-export of the batch engine's pool —
-/// [`zz_core::batch::parallel_map`]).
-pub use zz_core::batch::parallel_map;
-
 /// A small representative suite — three benchmark instances × the four
 /// pulse/scheduler configurations, sized for the 3×3 evaluation grid —
 /// shared by `examples/warm_cache.rs` and the `bench_pipeline` CI probe
@@ -202,12 +197,6 @@ pub fn suite_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(100, 8, |i| i * i);
-        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-    }
 
     #[test]
     fn sweep_covers_zero_to_two_mhz() {

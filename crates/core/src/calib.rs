@@ -68,8 +68,9 @@ pub fn measure_residuals_at(method: PulseMethod, lambda: f64) -> ResidualTable {
 ///
 /// Each pulse method's table is measured at most once per cache (and the
 /// process-wide [`CalibCache::global`] instance therefore measures at most
-/// once per process), no matter how many threads ask concurrently — the
-/// batch engine's workers ([`crate::batch`]) all share the global instance.
+/// once per process), no matter how many threads ask concurrently — every
+/// session worker compiling against the default target shares the global
+/// instance.
 /// [`calibration_runs`](CalibCache::calibration_runs) exposes how many
 /// measurements actually ran, so tests and reports can verify sharing.
 #[derive(Debug, Default)]

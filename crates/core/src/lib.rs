@@ -1,7 +1,7 @@
 //! The pulse and scheduling co-optimization framework (the paper's
 //! contribution, assembled from the workspace substrates).
 //!
-//! A [`CoOptimizer`] pairs a pulse-optimization method (`Gaussian`,
+//! A [`PassManager`] pairs a pulse-optimization method (`Gaussian`,
 //! `OptCtrl`, `Pert`, `DCG`) with a scheduling policy (`ParSched`,
 //! `ZZXSched`) and compiles logical circuits end to end:
 //!
@@ -15,58 +15,51 @@
 //! after which [`evaluate`] scores the compiled circuit under the ZZ (and
 //! optionally decoherence) error model of [`zz_sim`].
 //!
-//! Those stages are first-class: [`pipeline`] models them as typed
-//! passes (`Logical → Routed → Native → Scheduled → Compiled`) run by a
-//! [`PassManager`] with per-pass instrumentation ([`PipelineTrace`]) and
-//! stage-granular caching; `CoOptimizer` is a thin facade over it.
-//!
-//! For suite-scale traffic, [`batch`] compiles many jobs concurrently on a
-//! worker pool with a shared calibration cache ([`calib::CalibCache`]) and
-//! a routing/native-translation memo, producing bit-identical results to
-//! sequential [`CoOptimizer::compile`] calls. Backed by an on-disk
-//! [`zz_persist::ArtifactStore`], those caches additionally persist across
+//! [`pipeline`] models those stages as typed passes
+//! (`Logical → Routed → Native → Scheduled → Compiled`) with per-pass
+//! instrumentation ([`PipelineTrace`]) and stage-granular caching: a
+//! routing memo shared across runs, a shared calibration cache
+//! ([`calib::CalibCache`]) and, backed by an on-disk
+//! [`zz_persist::ArtifactStore`], artifacts that persist across
 //! processes ([`persist`] holds the codec glue), so a warm start skips
-//! calibration and routing entirely.
+//! calibration and routing entirely. The service layer (`zz_service`)
+//! wraps one manager per request behind its `Session` front door.
 //!
 //! # Example
 //!
 //! ```
-//! use zz_core::{CoOptimizer, PulseMethod, SchedulerKind};
+//! use std::sync::Arc;
+//! use zz_core::{PassManager, PulseMethod, SchedulerKind};
 //! use zz_circuit::bench::{generate, BenchmarkKind};
 //! use zz_topology::Topology;
 //!
-//! let topo = Topology::grid(3, 4);
-//! let circuit = generate(BenchmarkKind::Qaoa, 6, 1);
+//! let circuit = Arc::new(generate(BenchmarkKind::Qaoa, 6, 1));
+//! let compile = |method, scheduler| {
+//!     PassManager::builder()
+//!         .topology(Topology::grid(3, 4))
+//!         .pulse_method(method)
+//!         .scheduler(scheduler)
+//!         .build()
+//!         .run(Arc::clone(&circuit))
+//! };
 //!
-//! let baseline = CoOptimizer::builder()
-//!     .topology(topo.clone())
-//!     .pulse_method(PulseMethod::Gaussian)
-//!     .scheduler(SchedulerKind::ParSched)
-//!     .build();
-//! let ours = CoOptimizer::builder()
-//!     .topology(topo)
-//!     .pulse_method(PulseMethod::Pert)
-//!     .scheduler(SchedulerKind::ZzxSched)
-//!     .build();
-//!
-//! let a = baseline.compile(&circuit)?;
-//! let b = ours.compile(&circuit)?;
-//! assert!(b.plan.mean_nc() <= a.plan.mean_nc());
+//! let baseline = compile(PulseMethod::Gaussian, SchedulerKind::ParSched)?.compiled;
+//! let ours = compile(PulseMethod::Pert, SchedulerKind::ZzxSched)?.compiled;
+//! assert!(ours.plan.mean_nc() <= baseline.plan.mean_nc());
 //! # Ok::<(), zz_core::CoOptError>(())
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod calib;
 pub mod evaluate;
-mod optimizer;
 pub mod options;
 pub mod persist;
 pub mod pipeline;
 
-pub use batch::{BatchCompiler, BatchCompilerBuilder, BatchJob, BatchReport, DiskStatus};
-pub use optimizer::{CoOptError, CoOptimizer, CoOptimizerBuilder, Compiled, SchedulerKind};
 pub use options::CompileOptions;
-pub use pipeline::{PassManager, PassManagerBuilder, PipelineOutcome, PipelineTrace, Stage};
+pub use pipeline::{
+    CoOptError, Compiled, PassManager, PassManagerBuilder, PipelineOutcome, PipelineTrace,
+    SchedulerKind, Stage,
+};
 pub use zz_pulse::library::PulseMethod;

@@ -1,19 +1,12 @@
-//! [`CompileOptions`]: the one request-configuration struct shared by
-//! every compile entry point.
-//!
-//! Before this module existed, the same five knobs — pulse method,
-//! scheduler, the α weight and top-k budget of Algorithm 1, and the
-//! suppression requirement `R` — were duplicated field-for-field across
-//! [`CoOptimizerBuilder`](crate::CoOptimizerBuilder),
-//! [`BatchJob`](crate::BatchJob) and the pass-manager builder, each with
-//! its own override semantics. Now all of them (and the service layer's
-//! `CompileRequest`) carry one [`CompileOptions`] value.
+//! [`CompileOptions`]: the one request-configuration struct of a compile
+//! request — pulse method, scheduler, the α weight and top-k budget of
+//! Algorithm 1, and the suppression requirement `R`. The service layer's
+//! `CompileRequest` and wire envelope carry it.
 //!
 //! The α/k/requirement knobs are *optional*: `None` means "use the
 //! engine default" ([`DEFAULT_ALPHA`], [`DEFAULT_K`], and the
-//! topology-derived paper requirement respectively). This is what lets a
-//! batch job inherit its compiler's sweep-wide setting while a single
-//! job overrides just one knob.
+//! topology-derived paper requirement respectively), so a request
+//! overrides just the knobs it names.
 
 use zz_pulse::library::PulseMethod;
 use zz_sched::zzx::Requirement;
@@ -26,10 +19,8 @@ pub const DEFAULT_ALPHA: f64 = 0.5;
 /// The default top-k path-relaxing budget of Algorithm 1.
 pub const DEFAULT_K: usize = 3;
 
-/// The pulse/scheduling configuration of one compile request, shared by
-/// [`CoOptimizerBuilder`](crate::CoOptimizerBuilder),
-/// [`BatchJob`](crate::BatchJob) and the service layer's
-/// `CompileRequest`.
+/// The pulse/scheduling configuration of one compile request (carried by
+/// the service layer's `CompileRequest`).
 ///
 /// # Example
 ///
@@ -47,15 +38,13 @@ pub struct CompileOptions {
     pub method: PulseMethod,
     /// The scheduling policy.
     pub scheduler: SchedulerKind,
-    /// The NQ-vs-NC weight α of Algorithm 1; `None` = the caller's base
-    /// setting (ultimately [`DEFAULT_ALPHA`]).
+    /// The NQ-vs-NC weight α of Algorithm 1; `None` = [`DEFAULT_ALPHA`].
     pub alpha: Option<f64>,
-    /// The top-k path-relaxing budget of Algorithm 1; `None` = the
-    /// caller's base setting (ultimately [`DEFAULT_K`]).
+    /// The top-k path-relaxing budget of Algorithm 1; `None` =
+    /// [`DEFAULT_K`].
     pub k: Option<usize>,
-    /// The suppression requirement `R`; `None` = the caller's base
-    /// setting (ultimately the paper requirement derived from the
-    /// device).
+    /// The suppression requirement `R`; `None` = the paper requirement
+    /// derived from the device.
     pub requirement: Option<Requirement>,
 }
 
@@ -110,30 +99,14 @@ impl CompileOptions {
         self
     }
 
-    /// The effective α over a caller-supplied base setting.
-    pub fn alpha_or(&self, base: f64) -> f64 {
-        self.alpha.unwrap_or(base)
-    }
-
-    /// The effective top-k budget over a caller-supplied base setting.
-    pub fn k_or(&self, base: usize) -> usize {
-        self.k.unwrap_or(base)
-    }
-
-    /// The effective requirement over a caller-supplied base setting
-    /// (`None` = derive the paper requirement from the device).
-    pub fn requirement_or(&self, base: Option<Requirement>) -> Option<Requirement> {
-        self.requirement.or(base)
-    }
-
-    /// The effective α with no base setting ([`DEFAULT_ALPHA`]).
+    /// The effective α: the override, or [`DEFAULT_ALPHA`].
     pub fn alpha_or_default(&self) -> f64 {
-        self.alpha_or(DEFAULT_ALPHA)
+        self.alpha.unwrap_or(DEFAULT_ALPHA)
     }
 
-    /// The effective top-k budget with no base setting ([`DEFAULT_K`]).
+    /// The effective top-k budget: the override, or [`DEFAULT_K`].
     pub fn k_or_default(&self) -> usize {
-        self.k_or(DEFAULT_K)
+        self.k.unwrap_or(DEFAULT_K)
     }
 
     /// The default label for a request with these options
@@ -150,18 +123,13 @@ mod tests {
     #[test]
     fn overrides_win_over_bases() {
         let opts = CompileOptions::default().with_alpha(2.0);
-        assert_eq!(opts.alpha_or(0.5), 2.0);
-        assert_eq!(opts.k_or(7), 7, "unset knobs defer to the base");
+        assert_eq!(opts.alpha_or_default(), 2.0, "set knobs ignore the default");
+        assert_eq!(opts.k_or_default(), DEFAULT_K, "unset knobs defer to it");
         let req = Requirement {
             nq_limit: 1,
             nc_limit: 1,
         };
-        assert_eq!(opts.requirement_or(Some(req)), Some(req));
-        assert_eq!(
-            opts.with_requirement(req).requirement_or(None),
-            Some(req),
-            "set knobs ignore the base"
-        );
+        assert_eq!(opts.with_requirement(req).requirement, Some(req));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`Compiled`] and [`SchedulerKind`]) plus the key functions that bind
 //! artifacts to the *meaning* of a compilation request:
 //!
-//! * a **native artifact** is keyed by [`crate::batch::shape_key`]
+//! * a **native artifact** is keyed by [`crate::pipeline::shape_key`]
 //!   (circuit digest × device shape) — routing depends on nothing else;
 //! * a **compiled artifact** additionally mixes in every scheduling
 //!   parameter ([`compiled_artifact_key`]) — pulse method, scheduler,
@@ -218,7 +218,7 @@ pub fn compiled_artifact_key(
 /// The on-disk key of a routed `native/` artifact: the shape key stamped
 /// with [`PIPELINE_REVISION`], so a routing-algorithm change invalidates
 /// cached translations (the in-memory memo keeps using the bare
-/// [`crate::batch::shape_key`] — it never outlives the process).
+/// [`crate::pipeline::shape_key`] — it never outlives the process).
 pub fn native_artifact_key(shape: u64) -> u64 {
     fnv1a_mix(shape, PIPELINE_REVISION as u64)
 }
@@ -226,25 +226,31 @@ pub fn native_artifact_key(shape: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CoOptimizer;
+    use crate::PassManager;
+    use std::sync::Arc;
     use zz_circuit::bench::{generate, BenchmarkKind};
     use zz_persist::roundtrip;
 
+    /// QFT-4 (seed 7) compiled on the 2×2 grid.
+    fn compile(method: PulseMethod, scheduler: SchedulerKind) -> Compiled {
+        PassManager::builder()
+            .topology(Topology::grid(2, 2))
+            .pulse_method(method)
+            .scheduler(scheduler)
+            .build()
+            .run(Arc::new(generate(BenchmarkKind::Qft, 4, 7)))
+            .expect("fits")
+            .compiled
+    }
+
     #[test]
     fn compiled_roundtrips_bit_identically() {
-        let circuit = generate(BenchmarkKind::Qft, 4, 7);
         for (method, scheduler) in [
             (PulseMethod::Gaussian, SchedulerKind::ParSched),
             (PulseMethod::Pert, SchedulerKind::ZzxSched),
             (PulseMethod::Dcg, SchedulerKind::ZzxSched),
         ] {
-            let compiled = CoOptimizer::builder()
-                .topology(Topology::grid(2, 2))
-                .pulse_method(method)
-                .scheduler(scheduler)
-                .build()
-                .compile(&circuit)
-                .expect("fits");
+            let compiled = compile(method, scheduler);
             let back = roundtrip(&compiled).expect("roundtrip");
             assert_eq!(compiled, back, "{method}+{scheduler}");
         }
@@ -254,11 +260,7 @@ mod tests {
     fn compiled_artifact_verifies_its_request() {
         let circuit = generate(BenchmarkKind::Qft, 4, 7);
         let topo = Topology::grid(2, 2);
-        let compiled = CoOptimizer::builder()
-            .topology(topo.clone())
-            .build()
-            .compile(&circuit)
-            .expect("fits");
+        let compiled = compile(PulseMethod::Pert, SchedulerKind::ZzxSched);
         let artifact = CompiledArtifact {
             circuit: circuit.clone(),
             scheduler: SchedulerKind::ZzxSched,
@@ -317,12 +319,7 @@ mod tests {
         // A Compiled whose layer metrics cover fewer couplings than its
         // topology must be rejected at decode time (the error model would
         // index out of bounds otherwise).
-        let circuit = generate(BenchmarkKind::Qft, 4, 7);
-        let mut compiled = CoOptimizer::builder()
-            .topology(Topology::grid(2, 2))
-            .build()
-            .compile(&circuit)
-            .expect("fits");
+        let mut compiled = compile(PulseMethod::Pert, SchedulerKind::ZzxSched);
         for layer in &mut compiled.plan.layers {
             layer.metrics.suppressed.truncate(1);
         }

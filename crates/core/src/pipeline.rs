@@ -1,6 +1,5 @@
-//! The pass-based compilation pipeline: typed stages, pluggable
-//! schedulers and pulse methods, stage-granular caching and
-//! instrumentation.
+//! The pass-based compilation pipeline: the request and result types,
+//! typed stages, stage-granular caching and instrumentation.
 //!
 //! The paper's co-optimization is inherently staged — route onto the
 //! device, lower to the native gate set, schedule under a ZZ-suppression
@@ -13,10 +12,9 @@
 //!   instrumentation uses to record input/output sizes.
 //! * **A [`Pass`] consumes one artifact and produces the next.** The
 //!   fixed passes ([`ValidatePass`], [`RoutePass`], [`LowerPass`]) are
-//!   plain structs; the *variant* stages are trait objects — a
-//!   [`SchedulerPass`] ([`ParSchedPass`], [`ZzxSchedPass`]) and a
-//!   [`PulsePass`] ([`CalibratedPulse`]) — so alternative schedulers or
-//!   pulse libraries slot in without touching the driver.
+//!   plain structs; the scheduling stage is a [`SchedulerPass`] trait
+//!   object ([`ParSchedPass`] or [`ZzxSchedPass`], chosen by
+//!   [`SchedulerKind`]), and the pulse stage is [`CalibratedPulse`].
 //! * **A [`PassManager`] runs the sequence**, timing every pass and
 //!   recording its cache disposition into a [`PipelineTrace`], and
 //!   manages the stage-granular caches: an in-memory [`RouteMemo`]
@@ -25,11 +23,11 @@
 //!   changes α/k therefore replays the cached route+lower stages and
 //!   re-runs only scheduling onward (`tests/pipeline.rs` asserts this).
 //!
-//! [`CoOptimizer::compile`](crate::CoOptimizer::compile) and the batch
-//! engine ([`crate::batch`]) are thin layers over this module; their
+//! The service layer's `Session` builds one manager per request; its
 //! output is bit-identical to the pre-pipeline implementation
 //! (`tests/pipeline.rs` pins the equivalence for every
-//! `(PulseMethod, SchedulerKind)` combination).
+//! `(PulseMethod, SchedulerKind)` combination, and `tests/golden_keys.rs`
+//! pins the exact bytes).
 //!
 //! # Example
 //!
@@ -70,7 +68,100 @@ use zz_topology::Topology;
 
 use crate::calib::CalibCache;
 use crate::persist::{compiled_artifact_key, native_artifact_key, CompiledArtifact};
-use crate::{CoOptError, Compiled, SchedulerKind};
+
+// ---------------------------------------------------------------------
+// Requests and results
+// ---------------------------------------------------------------------
+
+/// The scheduling policy half of the co-optimization.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum SchedulerKind {
+    /// Maximal-parallelism ASAP (the baseline of current compilers).
+    ParSched,
+    /// The ZZ-aware scheduler of Algorithm 2.
+    ZzxSched,
+}
+
+/// The figure label ("ParSched"/"ZZXSched").
+impl fmt::Display for SchedulerKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            SchedulerKind::ParSched => "ParSched",
+            SchedulerKind::ZzxSched => "ZZXSched",
+        })
+    }
+}
+
+/// Errors returned by [`PassManager::run`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CoOptError {
+    /// The circuit needs more qubits than the device provides.
+    CircuitTooLarge {
+        /// Qubits required by the circuit.
+        needed: usize,
+        /// Qubits available on the device.
+        available: usize,
+    },
+    /// Routing found no coupling path between two physical qubits.
+    ///
+    /// [`Topology`] validates connectivity at construction, so this cannot
+    /// occur for in-tree devices — it surfaces a violated invariant (e.g. a
+    /// corrupted coupling graph) as a typed error instead of panicking a
+    /// service worker.
+    RouteUnreachable {
+        /// The physical qubit the two-qubit gate starts from.
+        from: usize,
+        /// The physical qubit that could not be reached.
+        to: usize,
+    },
+}
+
+impl fmt::Display for CoOptError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CoOptError::CircuitTooLarge { needed, available } => write!(
+                f,
+                "circuit needs {needed} qubits but the device has {available}"
+            ),
+            CoOptError::RouteUnreachable { from, to } => write!(
+                f,
+                "no coupling path between physical qubits {from} and {to} \
+                 (disconnected device graph)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CoOptError {}
+
+/// A compiled circuit: the schedule plus everything needed to execute or
+/// simulate it.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Compiled {
+    /// The scheduled layers.
+    pub plan: SchedulePlan,
+    /// The device the plan was scheduled for.
+    pub topology: Topology,
+    /// Pulse durations implied by the pulse method.
+    pub durations: GateDurations,
+    /// The pulse method the gates are calibrated for.
+    pub method: PulseMethod,
+    /// The measured cross-region residual factors of that method's pulses.
+    pub residuals: ResidualTable,
+}
+
+impl Compiled {
+    /// Scalar summary of the method's suppression strength (mean of the
+    /// `X90` and identity residual factors).
+    pub fn residual_factor(&self) -> f64 {
+        (self.residuals.x90 + self.residuals.id) / 2.0
+    }
+
+    /// Total execution time (ns).
+    pub fn execution_time(&self) -> f64 {
+        self.plan.duration(&self.durations)
+    }
+}
 
 // ---------------------------------------------------------------------
 // Stages and instrumentation
@@ -87,7 +178,7 @@ pub enum Stage {
     Lower,
     /// Layer scheduling (the [`SchedulerPass`]).
     Schedule,
-    /// Pulse attachment: durations + residual lookup (the [`PulsePass`]).
+    /// Pulse attachment: durations + residual lookup ([`CalibratedPulse`]).
     Pulse,
 }
 
@@ -292,10 +383,8 @@ impl StageArtifact for Routed {
 /// Stage artifact: the routed circuit lowered to the native gate set.
 #[derive(Clone, Debug)]
 pub struct Native {
-    /// The logical source circuit the translation came from (`None` when
-    /// the pipeline was entered at the native stage, as
-    /// [`PassManager::run_native`] does).
-    pub source: Option<Arc<Circuit>>,
+    /// The logical source circuit the translation came from.
+    pub source: Arc<Circuit>,
     /// The native-gate circuit (shared: the [`RouteMemo`] hands the same
     /// translation to every job with this circuit × device shape).
     pub circuit: Arc<NativeCircuit>,
@@ -375,25 +464,9 @@ pub trait Pass {
     fn run(&self, input: Self::Input, cx: &PassCx<'_>) -> Result<Self::Output, CoOptError>;
 }
 
-/// Validation pass: rejects circuits that do not fit the device. Both
-/// [`CoOptimizer::compile`](crate::CoOptimizer::compile) and
-/// [`CoOptimizer::compile_native`](crate::CoOptimizer::compile_native)
-/// surface its error (the pre-pipeline `compile_native` panicked
-/// instead).
+/// Validation pass: rejects circuits that do not fit the device.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ValidatePass;
-
-impl ValidatePass {
-    fn check(needed: usize, topo: &Topology) -> Result<(), CoOptError> {
-        if needed > topo.qubit_count() {
-            return Err(CoOptError::CircuitTooLarge {
-                needed,
-                available: topo.qubit_count(),
-            });
-        }
-        Ok(())
-    }
-}
 
 impl Pass for ValidatePass {
     type Input = Logical;
@@ -408,7 +481,11 @@ impl Pass for ValidatePass {
     }
 
     fn run(&self, input: Logical, cx: &PassCx<'_>) -> Result<Logical, CoOptError> {
-        ValidatePass::check(input.circuit.qubit_count(), cx.topology)?;
+        let needed = input.circuit.qubit_count();
+        let available = cx.topology.qubit_count();
+        if needed > available {
+            return Err(CoOptError::CircuitTooLarge { needed, available });
+        }
         Ok(input)
     }
 }
@@ -474,20 +551,20 @@ impl Pass for LowerPass {
     fn run(&self, input: Routed, _cx: &PassCx<'_>) -> Result<Native, CoOptError> {
         let native = compile_to_native(&input.circuit);
         Ok(Native {
-            source: Some(input.source),
+            source: input.source,
             circuit: Arc::new(native),
         })
     }
 }
 
 // ---------------------------------------------------------------------
-// The variant stages: scheduler and pulse trait objects
+// The scheduling and pulse stages
 // ---------------------------------------------------------------------
 
 /// The scheduling policy stage: turns a native circuit into layered
 /// [`SchedulePlan`]s. Implemented by [`ParSchedPass`] and
-/// [`ZzxSchedPass`]; alternative schedulers (e.g. cycle-aware variants)
-/// plug in through [`PassManagerBuilder::scheduler_pass`].
+/// [`ZzxSchedPass`]; [`scheduler_pass_for`] picks one per
+/// [`SchedulerKind`].
 pub trait SchedulerPass: fmt::Debug + Send + Sync {
     /// The pass's display name.
     fn name(&self) -> &'static str;
@@ -539,79 +616,25 @@ impl SchedulerPass for ZzxSchedPass {
     }
 }
 
-/// The pulse stage: maps a pulse method to its gate durations and its
-/// measured cross-region residual table. Implemented by
-/// [`CalibratedPulse`]; alternative pulse libraries (e.g.
-/// crosstalk-cancellation gate variants) plug in through
-/// [`PassManagerBuilder::pulse_pass`].
-pub trait PulsePass: fmt::Debug + Send + Sync {
-    /// The pass's display name.
-    fn name(&self) -> &'static str;
-
-    /// The pulse method the compiled plan is calibrated for.
-    fn method(&self) -> PulseMethod;
-
-    /// Gate durations implied by the method's pulses.
-    fn durations(&self) -> GateDurations;
-
-    /// The method's residual table, plus how it was obtained (measured,
-    /// already in memory, or loaded from disk).
-    fn residuals(&self, cx: &PassCx<'_>) -> (ResidualTable, CacheDisposition);
-}
-
-/// The standard pulse stage: durations from the method (DCG pulses are
-/// longer), residuals from the calibration cache — consulting the on-disk
-/// store before paying for a pulse-level measurement.
+/// The pulse stage: durations from the method (DCG pulses are longer),
+/// residuals from the calibration cache — consulting the on-disk store
+/// before paying for a pulse-level measurement.
 #[derive(Clone, Copy, Debug)]
 pub struct CalibratedPulse {
     /// The pulse method to calibrate for.
     pub method: PulseMethod,
 }
 
-impl PulsePass for CalibratedPulse {
-    fn name(&self) -> &'static str {
+impl CalibratedPulse {
+    /// The pass's display name.
+    pub fn name(&self) -> &'static str {
         "calibrated-pulse"
     }
 
-    fn method(&self) -> PulseMethod {
-        self.method
-    }
-
-    fn durations(&self) -> GateDurations {
-        durations_for(self.method)
-    }
-
-    fn residuals(&self, cx: &PassCx<'_>) -> (ResidualTable, CacheDisposition) {
+    /// The method's residual table, plus how it was obtained (measured,
+    /// already in memory, or loaded from disk).
+    pub fn residuals(&self, cx: &PassCx<'_>) -> (ResidualTable, CacheDisposition) {
         cx.calib.residuals_traced(self.method, cx.store)
-    }
-}
-
-/// A pulse stage with a pre-measured residual table — the engine behind
-/// [`CoOptimizer::compile_native_with_residuals`](crate::CoOptimizer::compile_native_with_residuals),
-/// where the caller owns the calibration state.
-#[derive(Clone, Copy, Debug)]
-pub struct FixedResiduals {
-    /// The pulse method the table belongs to.
-    pub method: PulseMethod,
-    /// The table to attach verbatim.
-    pub residuals: ResidualTable,
-}
-
-impl PulsePass for FixedResiduals {
-    fn name(&self) -> &'static str {
-        "fixed-residuals"
-    }
-
-    fn method(&self) -> PulseMethod {
-        self.method
-    }
-
-    fn durations(&self) -> GateDurations {
-        durations_for(self.method)
-    }
-
-    fn residuals(&self, _cx: &PassCx<'_>) -> (ResidualTable, CacheDisposition) {
-        (self.residuals, CacheDisposition::NotCached)
     }
 }
 
@@ -629,7 +652,7 @@ pub fn durations_for(method: PulseMethod) -> GateDurations {
 // ---------------------------------------------------------------------
 
 /// In-memory memo of route+lower results, shared across jobs (and across
-/// [`PassManager`]s — the batch engine hands one memo to every job's
+/// [`PassManager`]s — a service session hands one memo to every request's
 /// manager). Keyed by [`shape_key`]; each slot records the exact circuit
 /// and topology it serves, so a 64-bit digest collision degrades to a
 /// second slot instead of silently serving the wrong circuit.
@@ -751,11 +774,9 @@ pub fn shape_key(circuit: &Circuit, topo: &Topology) -> u64 {
 // The pass manager
 // ---------------------------------------------------------------------
 
-/// The full request a [`PassManager`] was configured from, when it was
-/// built from the standard enums — the information needed to key and
-/// verify the whole-[`Compiled`] disk artifact. Managers built from
-/// custom trait-object passes have no spec and skip that cache (the
-/// route/lower stage cache still applies: it is scheduler-independent).
+/// The full request a [`PassManager`] was configured from — the
+/// information needed to key and verify the whole-[`Compiled`] disk
+/// artifact.
 #[derive(Clone, Copy, Debug)]
 struct RequestSpec {
     method: PulseMethod,
@@ -782,17 +803,15 @@ pub struct PipelineOutcome {
 pub struct PassManager {
     topology: Topology,
     scheduler: Box<dyn SchedulerPass>,
-    pulse: Box<dyn PulsePass>,
     store: Option<Arc<ArtifactStore>>,
     calib: Option<Arc<CalibCache>>,
     memo: Arc<RouteMemo>,
-    request: Option<RequestSpec>,
+    request: RequestSpec,
     metrics: Option<Arc<Registry>>,
 }
 
 impl PassManager {
-    /// Starts building a pass manager (defaults match
-    /// [`CoOptimizer::builder`](crate::CoOptimizer::builder): 3×4 grid,
+    /// Starts building a pass manager (defaults: the paper's 3×4 grid,
     /// `Pert`, `ZZXSched`, `α = 0.5`, `k = 3`, paper requirement, no
     /// store, process-wide calibration).
     pub fn builder() -> PassManagerBuilder {
@@ -879,8 +898,9 @@ impl PassManager {
         // compiled plan embeds the residual table, so a recalibrated or
         // drift-invalidated device must miss here and recompile — only
         // the calibration-independent route/native artifacts stay warm.
+        let spec = &self.request;
         let mut compiled_key = 0;
-        if let (Some(store), Some(spec)) = (self.store.as_deref(), &self.request) {
+        if let Some(store) = self.store.as_deref() {
             compiled_key = self.calib().salt_compiled_key(compiled_artifact_key(
                 shape_key(&logical.circuit, &self.topology),
                 spec.method,
@@ -920,7 +940,7 @@ impl PassManager {
         let native = self.route_and_lower(logical, &mut trace)?;
         let compiled = self.schedule_and_pulse(&native.circuit, &mut trace);
 
-        if let (Some(store), Some(spec)) = (self.store.as_deref(), &self.request) {
+        if let Some(store) = self.store.as_deref() {
             let artifact = CompiledArtifact {
                 circuit: (*source).clone(),
                 scheduler: spec.scheduler,
@@ -932,35 +952,6 @@ impl PassManager {
             store.put(ArtifactKind::Compiled, compiled_key, &artifact);
         }
 
-        trace.total_wall = total.elapsed();
-        self.publish_trace(&trace);
-        Ok(PipelineOutcome { compiled, trace })
-    }
-
-    /// Schedules an already-native circuit (the schedule-only entry
-    /// point: routing and lowering are skipped, no disk caching, and the
-    /// circuit is borrowed — no copies on this hot path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoOptError::CircuitTooLarge`] from the validation pass
-    /// if the native circuit has more qubits than the device.
-    pub fn run_native(&self, native: &NativeCircuit) -> Result<PipelineOutcome, CoOptError> {
-        let total = Instant::now();
-        let mut trace = PipelineTrace::new();
-
-        let t0 = Instant::now();
-        ValidatePass::check(native.qubit_count(), &self.topology)?;
-        trace.passes.push(PassTrace {
-            stage: Stage::Validate,
-            name: "validate",
-            wall: t0.elapsed(),
-            cache: CacheDisposition::NotCached,
-            input_items: native.ops().len(),
-            output_items: native.ops().len(),
-        });
-
-        let compiled = self.schedule_and_pulse(native, &mut trace);
         trace.total_wall = total.elapsed();
         self.publish_trace(&trace);
         Ok(PipelineOutcome { compiled, trace })
@@ -1026,7 +1017,7 @@ impl PassManager {
                 native.ops().len(),
             ));
             return Ok(Native {
-                source: Some(logical.circuit),
+                source: logical.circuit,
                 circuit: native,
             });
         }
@@ -1092,7 +1083,7 @@ impl PassManager {
         });
         trace.passes.extend(passes);
         Ok(Native {
-            source: Some(logical.circuit),
+            source: logical.circuit,
             circuit: native,
         })
     }
@@ -1115,17 +1106,20 @@ impl PassManager {
 
         let in_items = scheduled.items();
         let t0 = Instant::now();
-        let (residuals, cache) = self.pulse.residuals(&self.cx());
+        let pulse = CalibratedPulse {
+            method: self.request.method,
+        };
+        let (residuals, cache) = pulse.residuals(&self.cx());
         let compiled = Compiled {
             plan: scheduled.plan,
             topology: self.topology.clone(),
-            durations: self.pulse.durations(),
-            method: self.pulse.method(),
+            durations: durations_for(pulse.method),
+            method: pulse.method,
             residuals,
         };
         trace.passes.push(PassTrace {
             stage: Stage::Pulse,
-            name: self.pulse.name(),
+            name: pulse.name(),
             wall: t0.elapsed(),
             cache,
             input_items: in_items,
@@ -1178,8 +1172,6 @@ pub struct PassManagerBuilder {
     alpha: f64,
     k: usize,
     requirement: Option<Requirement>,
-    scheduler_pass: Option<Box<dyn SchedulerPass>>,
-    pulse_pass: Option<Box<dyn PulsePass>>,
     store: Option<Arc<ArtifactStore>>,
     calib: Option<Arc<CalibCache>>,
     memo: Option<Arc<RouteMemo>>,
@@ -1195,8 +1187,6 @@ impl Default for PassManagerBuilder {
             alpha: 0.5,
             k: 3,
             requirement: None,
-            scheduler_pass: None,
-            pulse_pass: None,
             store: None,
             calib: None,
             memo: None,
@@ -1243,23 +1233,6 @@ impl PassManagerBuilder {
         self
     }
 
-    /// Replaces the scheduling stage with a custom [`SchedulerPass`].
-    /// Disables the whole-plan disk cache for this manager (a custom
-    /// pass's output cannot be keyed by the standard request
-    /// parameters); the route/lower stage cache still applies.
-    pub fn scheduler_pass(mut self, pass: Box<dyn SchedulerPass>) -> Self {
-        self.scheduler_pass = Some(pass);
-        self
-    }
-
-    /// Replaces the pulse stage with a custom [`PulsePass`]. Disables the
-    /// whole-plan disk cache, like
-    /// [`scheduler_pass`](Self::scheduler_pass).
-    pub fn pulse_pass(mut self, pass: Box<dyn PulsePass>) -> Self {
-        self.pulse_pass = Some(pass);
-        self
-    }
-
     /// Backs the route/lower and whole-plan stages with an on-disk
     /// [`ArtifactStore`] (default: in-memory caching only).
     pub fn store(mut self, store: Arc<ArtifactStore>) -> Self {
@@ -1274,8 +1247,8 @@ impl PassManagerBuilder {
         self
     }
 
-    /// Shares a routing memo across managers (the batch engine hands one
-    /// memo to every job's manager; default: a fresh private memo).
+    /// Shares a routing memo across managers (a service session hands one
+    /// memo to every request's manager; default: a fresh private memo).
     pub fn route_memo(mut self, memo: Arc<RouteMemo>) -> Self {
         self.memo = Some(memo);
         self
@@ -1291,35 +1264,26 @@ impl PassManagerBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> PassManager {
-        // A manager configured purely from the standard enums carries a
-        // request spec, which keys (and verifies) the whole-plan disk
-        // artifact. Custom trait-object passes opt out of that cache.
-        let request = match (&self.scheduler_pass, &self.pulse_pass) {
-            (None, None) => Some(RequestSpec {
+        PassManager {
+            topology: self.topology,
+            scheduler: scheduler_pass_for(
+                self.scheduler_kind,
+                self.alpha,
+                self.k,
+                self.requirement,
+            ),
+            store: self.store,
+            calib: self.calib,
+            memo: self.memo.unwrap_or_default(),
+            // The full request keys (and verifies) the whole-plan disk
+            // artifact.
+            request: RequestSpec {
                 method: self.method,
                 scheduler: self.scheduler_kind,
                 alpha: self.alpha,
                 k: self.k,
                 requirement: self.requirement,
-            }),
-            _ => None,
-        };
-        let scheduler = self.scheduler_pass.unwrap_or_else(|| {
-            scheduler_pass_for(self.scheduler_kind, self.alpha, self.k, self.requirement)
-        });
-        let pulse = self.pulse_pass.unwrap_or_else(|| {
-            Box::new(CalibratedPulse {
-                method: self.method,
-            })
-        });
-        PassManager {
-            topology: self.topology,
-            scheduler,
-            pulse,
-            store: self.store,
-            calib: self.calib,
-            memo: self.memo.unwrap_or_default(),
-            request,
+            },
             metrics: self.metrics,
         }
     }
@@ -1346,7 +1310,7 @@ pub fn scheduler_pass_for(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zz_circuit::{route, Gate};
+    use zz_circuit::Gate;
 
     fn small_circuit() -> Arc<Circuit> {
         let mut c = Circuit::new(4);
@@ -1446,64 +1410,81 @@ mod tests {
     fn validation_rejects_oversized_circuits_in_both_entry_points() {
         let manager = manager();
         let big = Arc::new(Circuit::new(9));
-        assert_eq!(
-            manager.run(Arc::clone(&big)).err(),
-            Some(CoOptError::CircuitTooLarge {
-                needed: 9,
-                available: 4
-            })
+        let too_large = Some(CoOptError::CircuitTooLarge {
+            needed: 9,
+            available: 4,
+        });
+        assert_eq!(manager.run(Arc::clone(&big)).err(), too_large);
+        let mut trace = PipelineTrace::default();
+        let logical = Logical { circuit: big };
+        let applied = manager.apply(
+            &ValidatePass,
+            logical,
+            CacheDisposition::NotCached,
+            &mut trace,
         );
-        let native = compile_to_native(&Circuit::new(9));
-        assert_eq!(
-            manager.run_native(&native).err(),
-            Some(CoOptError::CircuitTooLarge {
-                needed: 9,
-                available: 4
-            })
-        );
+        assert_eq!(applied.err(), too_large);
+        assert!(trace.passes.is_empty(), "a failed pass records nothing");
     }
 
     #[test]
-    fn run_native_schedules_without_routing() {
-        let manager = manager();
-        let native = compile_to_native(&route(&small_circuit(), manager.topology()));
-        let outcome = manager.run_native(&native).expect("fits");
-        let stages: Vec<Stage> = outcome.trace.passes.iter().map(|p| p.stage).collect();
-        assert_eq!(stages, [Stage::Validate, Stage::Schedule, Stage::Pulse]);
-    }
-
-    #[test]
-    fn custom_scheduler_pass_plugs_in() {
-        /// A degenerate scheduler: every native op in its own layer.
-        #[derive(Debug)]
-        struct OnePerLayer;
-        impl SchedulerPass for OnePerLayer {
-            fn name(&self) -> &'static str {
-                "one-per-layer"
-            }
-            fn schedule(&self, topo: &Topology, native: &NativeCircuit) -> SchedulePlan {
-                // Reuse ParSched on one-op slices to stay well-formed.
-                let mut layers = Vec::new();
-                for &op in native.ops() {
-                    let mut single = NativeCircuit::new(native.qubit_count());
-                    single.push(op);
-                    layers.extend(par_schedule(topo, &single).layers);
-                }
-                SchedulePlan::from_parts(topo.qubit_count(), layers, Vec::new())
-            }
-        }
+    fn distinct_shapes_are_keyed_apart() {
         let topo = Topology::grid(2, 2);
-        let native = compile_to_native(&route(&small_circuit(), &topo));
-        let expected = OnePerLayer.schedule(&topo, &native);
-        let outcome = PassManager::builder()
-            .topology(topo)
-            .scheduler_pass(Box::new(OnePerLayer))
+        let a = small_circuit();
+        let mut b = (*small_circuit()).clone();
+        b.push(Gate::X, &[1]);
+        assert_ne!(shape_key(&a, &topo), shape_key(&b, &topo));
+        assert_ne!(shape_key(&a, &topo), shape_key(&a, &Topology::grid(2, 3)));
+    }
+
+    #[test]
+    fn dcg_method_uses_dcg_durations() {
+        let mut c = Circuit::new(2);
+        c.push(Gate::H, &[0]);
+        let compiled = PassManager::builder()
+            .topology(Topology::line(2))
+            .pulse_method(PulseMethod::Dcg)
             .build()
-            .run(small_circuit())
-            .expect("fits");
-        assert_eq!(outcome.compiled.plan, expected);
-        let schedule = outcome.trace.pass(Stage::Schedule).expect("ran");
-        assert_eq!(schedule.name, "one-per-layer");
+            .run(Arc::new(c))
+            .expect("fits")
+            .compiled;
+        assert_eq!(compiled.durations, GateDurations::dcg());
+        assert!(compiled.execution_time() > 0.0);
+    }
+
+    #[test]
+    fn zzx_compiles_with_identities_parsched_without() {
+        let mut c = Circuit::new(6);
+        c.push(Gate::H, &[0]).push(Gate::Cnot, &[0, 1]);
+        let c = Arc::new(c);
+        let compile = |scheduler| {
+            PassManager::builder()
+                .topology(Topology::grid(2, 3))
+                .scheduler(scheduler)
+                .build()
+                .run(Arc::clone(&c))
+                .expect("fits")
+                .compiled
+        };
+        assert!(compile(SchedulerKind::ZzxSched).plan.identity_count() > 0);
+        assert_eq!(compile(SchedulerKind::ParSched).plan.identity_count(), 0);
+    }
+
+    #[test]
+    fn residual_factor_is_attached() {
+        let mut c = Circuit::new(2);
+        c.push(Gate::X, &[0]);
+        let compiled = PassManager::builder()
+            .topology(Topology::line(2))
+            .pulse_method(PulseMethod::Gaussian)
+            .build()
+            .run(Arc::new(c))
+            .expect("fits")
+            .compiled;
+        assert!(
+            compiled.residuals.x90 > 0.5,
+            "Gaussian X90 must not suppress"
+        );
     }
 
     #[test]

@@ -14,11 +14,10 @@
 use std::sync::Arc;
 
 use zz_circuit::Circuit;
-use zz_core::batch::DiskStatus;
 use zz_core::{CoOptError, CompileOptions, Compiled};
 use zz_obs::{saturating_micros, MetricsSnapshot, RequestId};
 use zz_persist::{Decode, DecodeError, Decoder, Encode, Encoder};
-use zz_service::{CompileRequest, CompileResponse, Error, EvalSpec};
+use zz_service::{CompileRequest, CompileResponse, DiskStatus, Error, EvalSpec};
 
 /// Version stamp of the envelope schema — the *meaning* of the fields
 /// below. Bump when fields are added, removed or reinterpreted; the

@@ -143,7 +143,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One FNV-1a mixing step over a 64-bit word. Every cache-key derivation
-/// in the workspace (`Circuit::content_digest`, `zz_core::batch::shape_key`,
+/// in the workspace (`Circuit::content_digest`, `zz_core::pipeline::shape_key`,
 /// `zz_core::persist::compiled_artifact_key`) folds words through this one
 /// function, so the key families can never drift apart.
 pub fn fnv1a_mix(h: u64, w: u64) -> u64 {

@@ -1,10 +1,10 @@
 //! `zz_persist` — versioned artifact codec + on-disk compilation cache.
 //!
-//! The batch engine ([`zz_core::batch`]) memoizes routing and calibration
-//! *within one process*; this crate makes those artifacts durable so a new
-//! process — a rerun figure binary, a test, a restarted service — warm-
-//! starts from disk instead of re-running Hamiltonian simulations and
-//! routing. Two layers:
+//! The compile pipeline (`zz_core::pipeline`) memoizes routing and
+//! calibration *within one process*; this crate makes those artifacts
+//! durable so a new process — a rerun figure binary, a test, a restarted
+//! service — warm-starts from disk instead of re-running Hamiltonian
+//! simulations and routing. Two layers:
 //!
 //! * **[`codec`]** — a self-describing binary format (magic bytes, schema
 //!   version, FNV-checksummed payload) with [`Encode`]/[`Decode`]
@@ -18,10 +18,8 @@
 //!   directory degrades to in-memory behavior.
 //!
 //! `zz_core` wires the store through `CalibCache` (snapshot export/import)
-//! and `BatchCompiler` (persistent routing memo + compiled plans); see
-//! `ARCHITECTURE.md` for the cache hierarchy.
-//!
-//! [`zz_core::batch`]: ../zz_core/batch/index.html
+//! and `PassManager` (persistent routed translations + compiled plans);
+//! see `ARCHITECTURE.md` for the cache hierarchy.
 
 #![warn(missing_docs)]
 

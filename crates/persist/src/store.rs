@@ -4,7 +4,7 @@
 //! Layout: one file per artifact at
 //! `<root>/<kind>/<key as 16 hex digits>.zza`, where `key` comes from the
 //! workspace's digest machinery (`Circuit::content_digest`,
-//! `zz_core::batch::shape_key`, …) and each file is a versioned,
+//! `zz_core::pipeline::shape_key`, …) and each file is a versioned,
 //! checksummed container ([`crate::codec`]).
 //!
 //! Failure policy — a cache must never be louder than the work it saves:

@@ -1,11 +1,7 @@
 //! `zz_pool` — the workspace's one worker-pool primitive.
 //!
-//! Before this crate, the same two idioms were implemented three times:
-//! `zz_core::batch` and `zz_sim::pool` each carried their own
-//! order-preserving scoped fan-out (the dependency arrow between those
-//! crates prevents sharing), and `zz_service` carried its own long-lived
-//! task queue. All three now live here, at the bottom of the dependency
-//! graph:
+//! Two idioms live here, at the bottom of the dependency graph, so every
+//! crate above can share them:
 //!
 //! * [`parallel_map`] — run `f(0..count)` on up to `threads` scoped OS
 //!   threads, output in input order. Results are **bit-identical for any
@@ -18,10 +14,8 @@
 //! * [`default_threads`] — the pool width used when callers don't pick
 //!   one (every available core).
 //!
-//! `zz_core::batch` re-exports [`parallel_map`]/[`default_threads`] so
-//! existing call sites keep their paths; `zz_sim`'s trajectory fan-out,
-//! the batch engine, the service session workers and the `zz_net` load
-//! harness all schedule through this crate.
+//! `zz_sim`'s trajectory fan-out and the service session workers both
+//! schedule through this crate.
 
 #![warn(missing_docs)]
 
@@ -152,6 +146,12 @@ impl Drop for TaskPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        let out = parallel_map(100, 8, |i| i * i);
+        assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+    }
 
     #[test]
     fn parallel_map_preserves_order_at_any_width() {

@@ -11,7 +11,6 @@
 
 use std::fmt;
 
-use zz_core::evaluate::SuiteError;
 use zz_core::CoOptError;
 
 /// Any failure of the service layer, labelled with the job it belongs to.
@@ -53,10 +52,10 @@ pub enum Error {
         /// What went wrong.
         detail: String,
     },
-    /// Fidelity evaluation failed (degenerate eval spec, or a failed
-    /// compile surfaced by a suite evaluation).
+    /// Fidelity evaluation was refused: a degenerate eval spec, or a
+    /// device above the evaluation ceiling.
     Eval {
-        /// The label of the failing job (or a suite description).
+        /// The label of the failing job.
         job: String,
         /// What went wrong.
         detail: String,
@@ -97,18 +96,6 @@ impl Error {
                 job: job.into(),
                 detail: source.to_string(),
             },
-        }
-    }
-
-    /// Wraps a legacy suite-evaluation failure set.
-    pub fn from_suite(error: &SuiteError) -> Self {
-        Error::Eval {
-            job: error
-                .failures
-                .first()
-                .map(|(label, _)| label.clone())
-                .unwrap_or_else(|| "suite".into()),
-            detail: error.to_string(),
         }
     }
 }
@@ -165,26 +152,6 @@ mod tests {
                 assert!(detail.contains("qubits 3 and 7"), "{detail}");
             }
             other => panic!("expected Route, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn suite_failures_wrap_into_eval_with_the_first_label() {
-        let suite = SuiteError {
-            failures: vec![(
-                "qft-13".into(),
-                CoOptError::CircuitTooLarge {
-                    needed: 13,
-                    available: 12,
-                },
-            )],
-        };
-        match Error::from_suite(&suite) {
-            Error::Eval { job, detail } => {
-                assert_eq!(job, "qft-13");
-                assert!(detail.contains("13 qubits"), "{detail}");
-            }
-            other => panic!("expected Eval, got {other:?}"),
         }
     }
 

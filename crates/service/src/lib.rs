@@ -1,10 +1,10 @@
 //! `zz_service` — the session-based front door of the co-optimization
 //! stack.
 //!
-//! The engine crates under this one ([`zz_core`]'s pass pipeline, batch
-//! engine and calibration, `zz_persist`'s artifact store, `zz_sim`'s
-//! executors) each expose their own slice of device state. This crate
-//! bundles them behind two types:
+//! The engine crates under this one ([`zz_core`]'s pass pipeline and
+//! calibration, `zz_persist`'s artifact store, `zz_sim`'s programs) each
+//! expose their own slice of device state. This crate bundles them behind
+//! two types:
 //!
 //! * **[`Target`]** — one value describing the machine: topology, ZZ
 //!   noise characterization, calibration source and optional on-disk
@@ -20,11 +20,9 @@
 //!   trace, cache dispositions and optional evaluated fidelity.
 //!
 //! Every failure is a typed [`Error`] with the job label attached — no
-//! public path panics on user input. The legacy facades
-//! (`zz_core::CoOptimizer`, `zz_core::BatchCompiler`, the
-//! `zz_core::evaluate` suite helpers) remain as thin adapters whose
-//! output is pinned bit-identical to a session's by the
-//! `tests/service.rs` equivalence matrix.
+//! public path panics on user input. A session is the one compile path:
+//! each request runs a `zz_core` pass manager wired to the session's
+//! caches, and `tests/golden_keys.rs` pins its output bit for bit.
 //!
 //! # Example
 //!
@@ -68,12 +66,12 @@ mod target;
 
 pub use error::Error;
 pub use session::{
-    CompileRequest, CompileResponse, EvalSpec, JobHandle, PlanMetricStats, ServiceReport, Session,
+    CompileRequest, CompileResponse, DiskStatus, EvalSpec, JobHandle, PlanMetricStats,
+    ServiceReport, Session, StageStats,
 };
 pub use target::{Target, TargetBuilder};
 
 // The request-configuration types a service caller needs, re-exported so
 // one `use zz_service::…` line covers the whole front door.
-pub use zz_core::batch::{DiskStatus, StageStats};
 pub use zz_core::{CompileOptions, Compiled, PipelineTrace, PulseMethod, SchedulerKind};
 pub use zz_obs::{MetricsSnapshot, Registry, RequestId};

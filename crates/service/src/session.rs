@@ -20,7 +20,6 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use zz_circuit::Circuit;
-use zz_core::batch::{default_threads, DiskStatus, StageStats};
 use zz_core::evaluate::{fidelity_of, EvalConfig, MAX_EVAL_QUBITS};
 use zz_core::pipeline::{shape_key, CacheDisposition, PassManager, RouteMemo, Stage};
 use zz_core::{CompileOptions, Compiled, PipelineTrace};
@@ -28,7 +27,7 @@ use zz_obs::{
     saturating_micros, Counter, Event, EventLog, Gauge, Histogram, IdSource, Registry, RequestId,
 };
 use zz_persist::{fnv1a, fnv1a_mix, Encode, Encoder};
-use zz_pool::TaskPool;
+use zz_pool::{default_threads, TaskPool};
 use zz_sim::density::Decoherence;
 use zz_topology::Topology;
 
@@ -70,10 +69,28 @@ impl EvalSpec {
 
     /// Adds decoherence (`T1 = T2 = t` µs) with the given trajectory
     /// count (trajectories are used only above the exact
-    /// density-matrix register size).
+    /// density-matrix register size). Never panics: a session rejects
+    /// non-positive or NaN times and a zero trajectory count as
+    /// [`Error::Eval`].
     pub fn with_decoherence_us(mut self, t: f64, trajectories: usize) -> Self {
-        self.decoherence = Some((Decoherence::equal_us(t), trajectories, 97));
+        let t = t * 1000.0;
+        self.decoherence = Some((Decoherence { t1: t, t2: t }, trajectories, 97));
         self
+    }
+
+    /// Why this spec cannot be evaluated, if it cannot: no seeds to
+    /// average over, unphysical decoherence times, or no trajectories.
+    fn check(&self) -> Result<(), String> {
+        if self.crosstalk_seeds.is_empty() {
+            return Err("eval spec has no crosstalk seeds to average over".into());
+        }
+        if let Some((deco, trajectories, _)) = &self.decoherence {
+            deco.check()?;
+            if *trajectories == 0 {
+                return Err("eval spec decoherence trajectories must be at least 1, got 0".into());
+            }
+        }
+        Ok(())
     }
 
     fn to_config(&self, target: &Target) -> EvalConfig {
@@ -94,8 +111,7 @@ pub struct CompileRequest {
     /// The logical circuit (shared, so sweeps reference one circuit
     /// without copying it).
     pub circuit: Arc<Circuit>,
-    /// The pulse/scheduling configuration — the same [`CompileOptions`]
-    /// struct the legacy builders carry.
+    /// The pulse/scheduling configuration.
     pub options: CompileOptions,
     /// Per-request device override; `None` compiles onto the session
     /// target's topology.
@@ -164,6 +180,35 @@ impl CompileRequest {
         self.eval = Some(eval);
         self
     }
+}
+
+/// Whether the on-disk store served a request's compiled plan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DiskStatus {
+    /// No store is configured, or the request failed before the lookup.
+    NotConsulted,
+    /// The fully compiled plan was loaded from disk (no routing,
+    /// scheduling or calibration ran for this request).
+    Hit,
+    /// The store had no usable artifact for this request; it compiled
+    /// from scratch and published its result for the next process.
+    Miss,
+}
+
+/// One row of [`ServiceReport::stage_stats`]: a pipeline stage's
+/// aggregate execution counts and wall time across a drained batch.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StageStats {
+    /// The pipeline stage.
+    pub stage: Stage,
+    /// Requests whose pass for this stage actually ran.
+    pub executed: usize,
+    /// Requests served from a stage cache (route memo, disk artifact, or
+    /// an already-measured calibration slot).
+    pub cache_hits: usize,
+    /// Total wall time spent in this stage across the batch (for cache
+    /// hits: the lookup time).
+    pub wall: Duration,
 }
 
 /// The result of one [`CompileRequest`].
@@ -662,12 +707,10 @@ impl SessionCore {
         let fidelity = match &request.eval {
             None => None,
             Some(spec) => {
-                if spec.crosstalk_seeds.is_empty() {
-                    return Err(Error::Eval {
-                        job: request.label.clone(),
-                        detail: "eval spec has no crosstalk seeds to average over".into(),
-                    });
-                }
+                spec.check().map_err(|detail| Error::Eval {
+                    job: request.label.clone(),
+                    detail,
+                })?;
                 // Compilation scales to any device; density-matrix
                 // evaluation is exponential and stays capped. The check
                 // sits here — at evaluation time, not validation — so
@@ -1039,8 +1082,8 @@ impl Session {
             .filter(|o| o.as_ref().is_ok_and(|r| r.disk == DiskStatus::Miss))
             .count();
 
-        // Publish every measured residual table so the next process
-        // starts warm (mirrors the batch engine's policy).
+        // Publish every measured residual table — including ones measured
+        // outside this batch — so the next process starts warm.
         if let Some(store) = self.core.target.store() {
             self.core.target.calib().save_to(store);
         }

@@ -1,15 +1,10 @@
 //! [`Target`]: everything the service knows about one device, in one
 //! value.
 //!
-//! Before the service layer, device state was wired ad hoc at every
-//! entry point: the topology through `CoOptimizerBuilder::topology` (or
-//! `evaluate::device_for`), the crosstalk strength through `EvalConfig`,
-//! calibration through whichever `CalibCache` a caller happened to hold,
-//! and persistence through `BatchCompilerBuilder::store`. A [`Target`]
-//! bundles all four — topology, noise characterization, calibration
-//! source and on-disk artifact store — so a [`crate::Session`] (and
-//! every request it serves) draws from one coherent description of the
-//! machine.
+//! A [`Target`] bundles the four pieces of device state — topology, noise
+//! characterization, calibration source and on-disk artifact store — so
+//! a [`crate::Session`] (and every request it serves) draws from one
+//! coherent description of the machine.
 
 use std::sync::Arc;
 
@@ -42,7 +37,7 @@ use crate::error::Error;
 /// let target = Target::paper_default();
 /// assert_eq!(target.topology().qubit_count(), 12); // the 3×4 grid
 ///
-/// let small = Target::for_qubits(6)?; // absorbs evaluate::device_for
+/// let small = Target::for_qubits(6)?; // the paper's evaluation sub-grid
 /// assert_eq!(small.topology().qubit_count(), 6);   // 2×3
 ///
 /// // Beyond the paper's 12-qubit evaluation ceiling, targets scale to
@@ -218,9 +213,9 @@ impl TargetBuilder {
 
     /// Backs the target with the store named by the `ZZ_CACHE_DIR`
     /// environment variable; a no-op when the variable is unset or
-    /// empty. (The environment opt-in keeps the silent-degrade policy
-    /// of the legacy binaries: an unusable directory falls back to
-    /// in-memory caching rather than failing the build.)
+    /// empty. (The environment opt-in keeps the store's silent-degrade
+    /// policy: an unusable directory falls back to in-memory caching
+    /// rather than failing the build.)
     pub fn store_from_env(mut self) -> Self {
         if let Some(store) = ArtifactStore::from_env() {
             self.store = Some(Arc::new(store));

@@ -149,11 +149,36 @@ impl Decoherence {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < T2 ≤ 2·T1`.
+    /// Panics when [`check`](Self::check) rejects the times.
     pub fn new(t1: f64, t2: f64) -> Self {
-        assert!(t1 > 0.0 && t2 > 0.0, "decoherence times must be positive");
-        assert!(t2 <= 2.0 * t1 + 1e-9, "T2 cannot exceed 2·T1");
-        Decoherence { t1, t2 }
+        let deco = Decoherence { t1, t2 };
+        if let Err(reason) = deco.check() {
+            panic!("{reason}");
+        }
+        deco
+    }
+
+    /// Checks that the times describe a physical channel: `0 < T2 ≤ 2·T1`.
+    /// Infinite times (no decoherence) are valid; NaN never is.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field and its value.
+    pub fn check(&self) -> Result<(), String> {
+        if self.t1.is_nan() || self.t1 <= 0.0 {
+            return Err(format!("decoherence t1 must be positive, got {}", self.t1));
+        }
+        if self.t2.is_nan() || self.t2 <= 0.0 {
+            return Err(format!("decoherence t2 must be positive, got {}", self.t2));
+        }
+        if self.t2 > 2.0 * self.t1 + 1e-9 {
+            return Err(format!(
+                "decoherence t2 = {} cannot exceed 2·t1 = {}",
+                self.t2,
+                2.0 * self.t1
+            ));
+        }
+        Ok(())
     }
 
     /// Equal times (the paper's Figure 23 sweeps `T1 = T2`), given in µs.
@@ -243,9 +268,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "T2 cannot exceed")]
+    #[should_panic(expected = "cannot exceed 2·t1")]
     fn rejects_unphysical_t2() {
         let _ = Decoherence::new(100.0, 300.0);
+    }
+
+    #[test]
+    fn check_names_the_bad_field_and_accepts_infinite_times() {
+        let none = Decoherence {
+            t1: f64::INFINITY,
+            t2: f64::INFINITY,
+        };
+        assert_eq!(none.check(), Ok(()));
+        for (t1, t2, field) in [
+            (0.0, 1.0, "t1"),
+            (f64::NAN, 1.0, "t1"),
+            (1.0, f64::NAN, "t2"),
+            (1.0, -1.0, "t2"),
+        ] {
+            let reason = Decoherence { t1, t2 }.check().expect_err("rejected");
+            assert!(reason.contains(field), "{reason}");
+        }
     }
 
     #[test]

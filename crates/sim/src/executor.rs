@@ -1,10 +1,10 @@
-//! Executes schedule plans under the ZZ-crosstalk and decoherence model.
+//! The ZZ-crosstalk error model, and exact density-matrix execution of
+//! schedule plans under it.
 //!
-//! These entry points are thin wrappers over the precompiled programs of
-//! [`crate::program`]: each call compiles a [`PlanProgram`] or
-//! [`TrajectoryProgram`] and runs it once. When one plan is executed many
-//! times (disorder averages, trajectory fans, sweeps), compile the program
-//! yourself and reuse it — that is where the engine's speed comes from.
+//! State-vector execution goes through the precompiled programs of
+//! [`crate::program`]: compile a [`PlanProgram`](crate::program::PlanProgram)
+//! or [`TrajectoryProgram`](crate::program::TrajectoryProgram) once and
+//! reuse it across disorder averages, trajectory fans and sweeps.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,8 +15,6 @@ use zz_sched::{GateDurations, Layer, SchedulePlan};
 use zz_topology::Topology;
 
 use crate::density::{amplitude_damping, dephasing, Decoherence, DensityMatrix, EXACT_MAX_QUBITS};
-use crate::program::{PlanProgram, TrajectoryProgram};
-use crate::StateVector;
 
 /// Cross-region residual factors per pulse kind: the fraction of `λ` that
 /// survives on a suppressed coupling when the pulsed qubit carries the
@@ -142,106 +140,6 @@ pub(crate) fn driven_couplings(layer: &Layer, topo: &Topology) -> Vec<bool> {
     driven
 }
 
-/// Runs the plan with no errors at all — the ideal reference state.
-///
-/// Wrapper over [`PlanProgram::ideal`]; compile the program yourself to
-/// reuse the ideal state across many noisy comparisons.
-pub fn run_ideal(plan: &SchedulePlan) -> StateVector {
-    PlanProgram::ideal(plan).run()
-}
-
-/// Runs the plan under ZZ crosstalk only (deterministic).
-///
-/// Wrapper over [`PlanProgram::compile`] + [`PlanProgram::run`].
-pub fn run_with_zz(
-    plan: &SchedulePlan,
-    topo: &Topology,
-    model: &ZzErrorModel,
-    durations: &GateDurations,
-) -> StateVector {
-    PlanProgram::compile(plan, topo, model, durations).run()
-}
-
-/// Fidelity of the ZZ-noisy output against the ideal output — the metric of
-/// the paper's Figures 20–22.
-pub fn fidelity_under_zz(
-    plan: &SchedulePlan,
-    topo: &Topology,
-    model: &ZzErrorModel,
-    durations: &GateDurations,
-) -> f64 {
-    run_ideal(plan).fidelity(&run_with_zz(plan, topo, model, durations))
-}
-
-/// One Monte-Carlo trajectory: ZZ phases exactly, decoherence by sampling
-/// Kraus operators per qubit per layer (an exact unraveling of the
-/// amplitude-damping + dephasing channel).
-///
-/// Wrapper over [`TrajectoryProgram::compile`] + [`TrajectoryProgram::run`];
-/// compile the program yourself when running more than one trajectory.
-pub fn run_trajectory(
-    plan: &SchedulePlan,
-    topo: &Topology,
-    model: &ZzErrorModel,
-    deco: &Decoherence,
-    durations: &GateDurations,
-    rng: &mut StdRng,
-) -> StateVector {
-    TrajectoryProgram::compile(plan, topo, model, deco, durations).run(rng)
-}
-
-/// Mean fidelity against the ideal output over `trajectories` Monte-Carlo
-/// runs — the metric of the paper's Figure 23.
-///
-/// Trajectories fan out over all available cores; results are
-/// bit-identical for any thread count (deterministic per-trajectory seed
-/// derivation, ordered reduction). Use
-/// [`fidelity_with_decoherence_threads`] to pick the pool width.
-pub fn fidelity_with_decoherence(
-    plan: &SchedulePlan,
-    topo: &Topology,
-    model: &ZzErrorModel,
-    deco: &Decoherence,
-    durations: &GateDurations,
-    trajectories: usize,
-    seed: u64,
-) -> f64 {
-    fidelity_with_decoherence_threads(
-        plan,
-        topo,
-        model,
-        deco,
-        durations,
-        trajectories,
-        seed,
-        zz_pool::default_threads(),
-    )
-}
-
-/// [`fidelity_with_decoherence`] with an explicit thread count.
-///
-/// The plan is precompiled once ([`TrajectoryProgram`]) and shared by all
-/// trajectories; the ideal reference state is computed once.
-#[allow(clippy::too_many_arguments)] // mirrors fidelity_with_decoherence + threads
-pub fn fidelity_with_decoherence_threads(
-    plan: &SchedulePlan,
-    topo: &Topology,
-    model: &ZzErrorModel,
-    deco: &Decoherence,
-    durations: &GateDurations,
-    trajectories: usize,
-    seed: u64,
-    threads: usize,
-) -> f64 {
-    let ideal = PlanProgram::ideal(plan).run();
-    TrajectoryProgram::compile(plan, topo, model, deco, durations).mean_fidelity(
-        &ideal,
-        trajectories,
-        seed,
-        threads,
-    )
-}
-
 /// Exact density-matrix execution (small registers): ZZ phases plus the
 /// full amplitude-damping and dephasing channels each layer.
 pub fn run_density(
@@ -307,9 +205,40 @@ fn rzz_phase(phi: f64) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::{PlanProgram, TrajectoryProgram};
     use zz_circuit::native::compile_to_native;
     use zz_circuit::{bench, route};
     use zz_sched::{par_schedule, zzx::ZzxConfig, zzx_schedule};
+
+    /// Fidelity of the ZZ-noisy output against the ideal output.
+    fn zz_fidelity(
+        plan: &SchedulePlan,
+        topo: &Topology,
+        model: &ZzErrorModel,
+        durations: &GateDurations,
+    ) -> f64 {
+        let ideal = PlanProgram::ideal(plan).run();
+        ideal.fidelity(&PlanProgram::compile(plan, topo, model, durations).run())
+    }
+
+    /// Mean Monte-Carlo fidelity over `trajectories` runs on two threads.
+    fn mc_fidelity(
+        plan: &SchedulePlan,
+        topo: &Topology,
+        model: &ZzErrorModel,
+        deco: &Decoherence,
+        durations: &GateDurations,
+        trajectories: usize,
+        seed: u64,
+    ) -> f64 {
+        let ideal = PlanProgram::ideal(plan).run();
+        TrajectoryProgram::compile(plan, topo, model, deco, durations).mean_fidelity(
+            &ideal,
+            trajectories,
+            seed,
+            2,
+        )
+    }
 
     fn qft_plan(topo: &Topology) -> SchedulePlan {
         let c = bench::generate(bench::BenchmarkKind::Qft, topo.qubit_count().min(4), 5);
@@ -322,7 +251,7 @@ mod tests {
         let topo = Topology::grid(2, 2);
         let plan = qft_plan(&topo);
         let model = ZzErrorModel::uniform(&topo, 0.0);
-        let f = fidelity_under_zz(&plan, &topo, &model, &GateDurations::standard());
+        let f = zz_fidelity(&plan, &topo, &model, &GateDurations::standard());
         assert!((f - 1.0).abs() < 1e-10, "fidelity {f}");
     }
 
@@ -331,7 +260,7 @@ mod tests {
         let topo = Topology::grid(2, 2);
         let plan = qft_plan(&topo);
         let model = ZzErrorModel::uniform(&topo, crate::khz(200.0));
-        let f = fidelity_under_zz(&plan, &topo, &model, &GateDurations::standard());
+        let f = zz_fidelity(&plan, &topo, &model, &GateDurations::standard());
         assert!(f < 1.0 - 1e-4, "fidelity {f} should visibly drop");
         assert!(f > 0.1, "but not collapse entirely: {f}");
     }
@@ -344,8 +273,8 @@ mod tests {
         let zzx = zzx_schedule(&topo, &native, &ZzxConfig::paper_default(&topo));
         let base = ZzErrorModel::uniform(&topo, crate::khz(200.0));
         let d = GateDurations::standard();
-        let f_nosupp = fidelity_under_zz(&zzx, &topo, &base.clone().with_residual(1.0), &d);
-        let f_supp = fidelity_under_zz(&zzx, &topo, &base.with_residual(0.01), &d);
+        let f_nosupp = zz_fidelity(&zzx, &topo, &base.clone().with_residual(1.0), &d);
+        let f_supp = zz_fidelity(&zzx, &topo, &base.with_residual(0.01), &d);
         assert!(
             f_supp > f_nosupp,
             "suppressed {f_supp} must beat unsuppressed {f_nosupp}"
@@ -363,9 +292,9 @@ mod tests {
         let d = GateDurations::standard();
 
         let dm = run_density(&plan, &topo, &model, &deco, &d);
-        let ideal = run_ideal(&plan);
+        let ideal = PlanProgram::ideal(&plan).run();
         let f_exact = dm.fidelity_to_pure(&ideal.to_vector());
-        let f_mc = fidelity_with_decoherence(&plan, &topo, &model, &deco, &d, 600, 11);
+        let f_mc = mc_fidelity(&plan, &topo, &model, &deco, &d, 600, 11);
         assert!(
             (f_exact - f_mc).abs() < 0.03,
             "MC {f_mc} vs exact {f_exact}"
@@ -378,8 +307,8 @@ mod tests {
         let plan = qft_plan(&topo);
         let model = ZzErrorModel::uniform(&topo, crate::khz(200.0));
         let d = GateDurations::standard();
-        let f_zz = fidelity_under_zz(&plan, &topo, &model, &d);
-        let f_deco = fidelity_with_decoherence(
+        let f_zz = zz_fidelity(&plan, &topo, &model, &d);
+        let f_deco = mc_fidelity(
             &plan,
             &topo,
             &model,
@@ -407,7 +336,7 @@ mod tests {
         });
         let plan = par_schedule(&topo, &c);
         let model = ZzErrorModel::uniform(&topo, crate::khz(400.0));
-        let f = fidelity_under_zz(&plan, &topo, &model, &GateDurations::standard());
+        let f = zz_fidelity(&plan, &topo, &model, &GateDurations::standard());
         assert!(
             (f - 1.0).abs() < 1e-12,
             "driven coupling must not be charged: {f}"
@@ -428,7 +357,7 @@ mod tests {
         });
         let plan = par_schedule(&topo, &c);
         let model = ZzErrorModel::uniform(&topo, crate::khz(400.0));
-        let f = fidelity_under_zz(&plan, &topo, &model, &GateDurations::standard());
+        let f = zz_fidelity(&plan, &topo, &model, &GateDurations::standard());
         assert!(f < 1.0 - 1e-6, "undriven coupling must hurt: {f}");
     }
 
@@ -456,8 +385,8 @@ mod tests {
             zx90_control: 1.0,
             zx90_target: 1.0,
         });
-        let f_x = fidelity_under_zz(&plan, &topo, &x90_perfect, &d);
-        let f_i = fidelity_under_zz(&plan, &topo, &id_perfect, &d);
+        let f_x = zz_fidelity(&plan, &topo, &x90_perfect, &d);
+        let f_i = zz_fidelity(&plan, &topo, &id_perfect, &d);
         assert!((f_x - 1.0).abs() < 1e-12, "x90 residual must apply: {f_x}");
         assert!(
             f_i < 1.0 - 1e-6,

@@ -13,9 +13,9 @@
 //!   (see `DESIGN.md`, substitution 2).
 //! * **Decoherence** — amplitude damping (`T1`) and pure dephasing (from
 //!   `T2`) per qubit per layer, simulated exactly on density matrices
-//!   ([`density`], up to [`density::EXACT_MAX_QUBITS`] qubits) and by
-//!   Monte-Carlo trajectory unraveling on state vectors ([`executor`])
-//!   for larger registers.
+//!   ([`executor::run_density`], up to [`density::EXACT_MAX_QUBITS`]
+//!   qubits) and by Monte-Carlo trajectory unraveling on state vectors
+//!   ([`program::TrajectoryProgram`]) for larger registers.
 //!
 //! Execution goes through precompiled programs ([`program`]): a plan is
 //! resolved once into fused phase diagonals and branch-free gate kernels,
@@ -24,24 +24,31 @@
 //! results ([`program::TrajectoryProgram`]). Trajectory fans run through
 //! the structure-of-arrays [`batch`] store, which sweeps a whole batch of
 //! trajectories per amplitude visit; [`metrics`] exposes engine counters
-//! without depending on the observability stack. The [`executor`]
-//! functions are one-shot wrappers over those programs.
+//! without depending on the observability stack. [`executor`] holds the
+//! error model ([`executor::ZzErrorModel`]) the programs compile against.
 //!
 //! # Example
 //!
 //! ```
 //! use zz_circuit::{bench, native::compile_to_native, route};
 //! use zz_sched::{par_schedule, GateDurations};
-//! use zz_sim::executor::{fidelity_under_zz, ZzErrorModel};
+//! use zz_sim::executor::ZzErrorModel;
+//! use zz_sim::program::PlanProgram;
 //! use zz_topology::Topology;
 //!
 //! let topo = Topology::grid(2, 2);
 //! let circuit = bench::generate(bench::BenchmarkKind::Qft, 4, 1);
 //! let native = compile_to_native(&route(&circuit, &topo));
 //! let plan = par_schedule(&topo, &native);
-//! let model = ZzErrorModel::sampled(&topo, zz_sim::khz(200.0), zz_sim::khz(50.0), 7);
-//! let f = fidelity_under_zz(&plan, &topo, &model, &GateDurations::standard());
-//! assert!(f > 0.0 && f <= 1.0 + 1e-9);
+//!
+//! // The ideal reference, computed once and reused across disorder seeds.
+//! let ideal = PlanProgram::ideal(&plan).run();
+//! for seed in [7, 8, 9] {
+//!     let model = ZzErrorModel::sampled(&topo, zz_sim::khz(200.0), zz_sim::khz(50.0), seed);
+//!     let noisy = PlanProgram::compile(&plan, &topo, &model, &GateDurations::standard()).run();
+//!     let f = ideal.fidelity(&noisy);
+//!     assert!(f > 0.0 && f <= 1.0 + 1e-9);
+//! }
 //! ```
 
 #![warn(missing_docs)]

@@ -21,9 +21,9 @@
 //!   seeds**, so Monte-Carlo results are bit-identical regardless of the
 //!   thread count.
 //!
-//! The legacy entry points in [`crate::executor`] are thin wrappers over
-//! these programs; compile a program directly whenever one plan is run
-//! more than once (disorder averages, trajectory fans, parameter sweeps).
+//! These programs are the state-vector execution path: compile one per
+//! plan and error model, and reuse it whenever the plan runs more than
+//! once (disorder averages, trajectory fans, parameter sweeps).
 //!
 //! # Example
 //!

@@ -3,8 +3,8 @@
 //! often the correct answer is read out with and without co-optimization.
 //!
 //! Compilation goes through the service layer (one [`Target`], one
-//! [`Session`]); the shot sampling below drives the simulator directly,
-//! as a readout experiment would.
+//! [`Session`]); the shot sampling below runs the simulator's compiled
+//! plan programs directly, as a readout experiment would.
 //!
 //! Run with: `cargo run --example hidden_shift_readout --release`
 
@@ -12,7 +12,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use zz_circuit::bench::{generate, hidden_shift_answer, BenchmarkKind};
 use zz_service::{CompileOptions, CompileRequest, PulseMethod, SchedulerKind, Session, Target};
-use zz_sim::executor::{run_ideal, run_with_zz, ZzErrorModel};
+use zz_sim::executor::ZzErrorModel;
+use zz_sim::program::PlanProgram;
 
 fn main() -> Result<(), zz_service::Error> {
     let n = 6;
@@ -50,11 +51,12 @@ fn main() -> Result<(), zz_service::Error> {
             11,
         )
         .with_residuals(compiled.residuals);
-        let noisy = run_with_zz(&compiled.plan, &device, &model, &compiled.durations);
+        let noisy =
+            PlanProgram::compile(&compiled.plan, &device, &model, &compiled.durations).run();
 
         // The ideal output tells us which physical basis state encodes the
         // answer (the snake layout permutes wires).
-        let ideal = run_ideal(&compiled.plan);
+        let ideal = PlanProgram::ideal(&compiled.plan).run();
         let answer_index = ideal
             .amplitudes()
             .iter()

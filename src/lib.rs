@@ -59,10 +59,8 @@
 //! store (`Target::builder().store_dir(…)`, or set `ZZ_CACHE_DIR` and use
 //! `.store_from_env()`); see `examples/warm_cache.rs`.
 //!
-//! The pre-service facades ([`zz_core::CoOptimizer`],
-//! [`zz_core::BatchCompiler`], the `zz_core::evaluate` suite helpers)
-//! remain as thin adapters over the same pipeline, pinned bit-identical
-//! to the session by `tests/service.rs`.
+//! The session is the only compile path; `tests/golden_keys.rs` pins its
+//! output bit for bit.
 
 #![warn(missing_docs)]
 

@@ -1,11 +1,13 @@
-//! Integration tests of the batch compilation engine: batch output must be
-//! bit-identical to sequential compilation, and the shared caches must
-//! actually share.
+//! Integration tests of batch compilation through a session's queue: a
+//! submitted batch must be bit-identical to sequential compilation, and
+//! the shared caches must actually share.
+
+use std::sync::Arc;
 
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_core::batch::{BatchCompiler, BatchJob};
 use zz_core::calib::CalibCache;
-use zz_core::{CoOptimizer, PulseMethod, SchedulerKind};
+use zz_core::PassManager;
+use zz_service::{CompileOptions, CompileRequest, PulseMethod, SchedulerKind, Session, Target};
 use zz_topology::Topology;
 
 /// The suite used by both tests: every core benchmark at its smallest
@@ -23,40 +25,46 @@ fn suite() -> Vec<(BenchmarkKind, usize, PulseMethod, SchedulerKind)> {
         .collect()
 }
 
+/// A session over `topo` with process-wide calibration and no store.
+fn session(topo: Topology) -> Session {
+    Session::new(Target::builder().topology(topo).build().expect("no store"))
+}
+
 #[test]
 fn batch_results_are_identical_to_sequential_compilation() {
     let topo = Topology::grid(3, 3);
     let cases = suite();
 
-    // Sequential reference: one CoOptimizer::compile call per case.
+    // Sequential reference: one fresh pass manager (no shared memo) per
+    // case.
     let sequential: Vec<_> = cases
         .iter()
         .map(|&(kind, n, method, scheduler)| {
-            CoOptimizer::builder()
+            PassManager::builder()
                 .topology(topo.clone())
                 .pulse_method(method)
                 .scheduler(scheduler)
                 .build()
-                .compile(&generate(kind, n, 7))
+                .run(Arc::new(generate(kind, n, 7)))
                 .expect("fits the 3x3 grid")
+                .compiled
         })
         .collect();
 
-    // The same cases through the batch engine (worker pool + caches).
-    let jobs: Vec<BatchJob> = cases
-        .iter()
-        .map(|&(kind, n, method, scheduler)| BatchJob::new(generate(kind, n, 7), method, scheduler))
-        .collect();
-    let report = BatchCompiler::builder().topology(topo).build().run(jobs);
+    // The same cases as one batch on the session's worker pool, sharing
+    // its routing memo and calibration.
+    let report = session(topo).run(cases.iter().map(|&(kind, n, method, scheduler)| {
+        CompileRequest::new(generate(kind, n, 7))
+            .with_options(CompileOptions::new(method, scheduler))
+    }));
 
     assert_eq!(report.error_count(), 0, "{report}");
     assert!(
         report.route_hits > 0,
-        "repeated circuit shapes must hit the routing memo: {}",
-        report
+        "repeated circuit shapes must hit the routing memo: {report}"
     );
     for (case, (seq, outcome)) in cases.iter().zip(sequential.iter().zip(&report.outcomes)) {
-        let batch = outcome.result.as_ref().expect("compiled");
+        let batch = &outcome.as_ref().expect("compiled").compiled;
         // Bit-identical: the full Compiled (plan layers, Rz bookkeeping,
         // durations, residual table) compares equal field-for-field.
         assert_eq!(
@@ -69,10 +77,7 @@ fn batch_results_are_identical_to_sequential_compilation() {
 #[test]
 fn calibration_runs_at_most_once_per_method_per_process() {
     let cache = CalibCache::global();
-    let compiler = BatchCompiler::builder()
-        .topology(Topology::grid(2, 2))
-        .build();
-    let jobs = || -> Vec<BatchJob> {
+    let requests = || -> Vec<CompileRequest> {
         [
             PulseMethod::Gaussian,
             PulseMethod::Pert,
@@ -80,11 +85,8 @@ fn calibration_runs_at_most_once_per_method_per_process() {
         ]
         .into_iter()
         .map(|m| {
-            BatchJob::new(
-                generate(BenchmarkKind::Qft, 4, 7),
-                m,
-                SchedulerKind::ZzxSched,
-            )
+            CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7))
+                .with_options(CompileOptions::new(m, SchedulerKind::ZzxSched))
         })
         .collect()
     };
@@ -100,26 +102,27 @@ fn calibration_runs_at_most_once_per_method_per_process() {
         runs_before <= PulseMethod::ALL.len(),
         "at most one measurement per method per process, got {runs_before}"
     );
+    // A session's report counts the measurements since it opened (or
+    // last drained), so it opens after the slots are filled.
+    let session = session(Topology::grid(2, 2));
 
     // First batch: every method is already cached — zero new measurements,
     // regardless of how many jobs or workers used each.
-    let first = compiler.run(jobs());
+    let first = session.run(requests());
     assert_eq!(first.error_count(), 0);
     assert_eq!(first.calibration_runs, 0, "{first}");
 
     // Second batch with the same methods: still fully served from the
     // shared cache.
-    let second = compiler.run(jobs());
+    let second = session.run(requests());
     assert_eq!(second.error_count(), 0);
     assert_eq!(second.calibration_runs, 0, "{second}");
     assert_eq!(cache.calibration_runs(), runs_before);
 
-    // And sequential compilation shares the same process-wide cache.
-    CoOptimizer::builder()
-        .topology(Topology::grid(2, 2))
-        .pulse_method(PulseMethod::Pert)
-        .build()
-        .compile(&generate(BenchmarkKind::Qft, 4, 7))
+    // And a second session over a default target shares the same
+    // process-wide cache.
+    Session::new(Target::for_qubits(4).expect("fits"))
+        .compile(&requests()[1])
         .expect("fits");
     assert_eq!(cache.calibration_runs(), runs_before);
 }

@@ -4,18 +4,56 @@
 use zz_circuit::bench::{generate, hidden_shift_answer, BenchmarkKind};
 use zz_circuit::native::compile_to_native;
 use zz_circuit::{route, Circuit, Gate};
-use zz_core::evaluate::{benchmark_fidelity, compile_benchmark, device_for, EvalConfig};
-use zz_core::{CoOptimizer, PulseMethod, SchedulerKind};
 use zz_quantum::gates::equal_up_to_phase;
 use zz_quantum::states::basis_state;
-use zz_sim::executor::{run_ideal, run_with_zz, ZzErrorModel};
+use zz_service::{
+    CompileOptions, CompileRequest, Compiled, EvalSpec, PulseMethod, SchedulerKind, Session, Target,
+};
+use zz_sim::executor::ZzErrorModel;
+use zz_sim::program::PlanProgram;
 use zz_topology::Topology;
 
-fn quick_cfg() -> EvalConfig {
-    EvalConfig {
-        crosstalk_seeds: vec![11],
-        ..EvalConfig::paper_default()
-    }
+/// The benchmark-generation seed of every test below.
+const CIRCUIT_SEED: u64 = 7;
+
+/// Compiles `circuit` onto `target` through a one-worker session.
+fn compile_on(target: Target, circuit: Circuit, options: CompileOptions) -> Compiled {
+    Session::with_threads(target, 1)
+        .compile(&CompileRequest::new(circuit).with_options(options))
+        .expect("fits")
+        .compiled
+}
+
+/// Compiles benchmark `kind`-`n` on its paper evaluation device.
+fn compile_paper(
+    kind: BenchmarkKind,
+    n: usize,
+    method: PulseMethod,
+    scheduler: SchedulerKind,
+) -> Compiled {
+    compile_on(
+        Target::for_qubits(n).expect("paper size"),
+        generate(kind, n, CIRCUIT_SEED),
+        CompileOptions::new(method, scheduler),
+    )
+}
+
+/// Compiles and evaluates benchmark `kind`-`n` on its paper evaluation
+/// device, over one disorder sample.
+fn paper_fidelity(
+    kind: BenchmarkKind,
+    n: usize,
+    method: PulseMethod,
+    scheduler: SchedulerKind,
+) -> f64 {
+    let request = CompileRequest::new(generate(kind, n, CIRCUIT_SEED))
+        .with_options(CompileOptions::new(method, scheduler))
+        .with_eval(EvalSpec::paper_default().with_seeds(vec![11]));
+    Session::with_threads(Target::for_qubits(n).expect("paper size"), 1)
+        .compile(&request)
+        .expect("fits")
+        .fidelity
+        .expect("eval requested")
 }
 
 #[test]
@@ -29,12 +67,15 @@ fn both_schedulers_preserve_the_computation() {
         let circuit = generate(kind, 5, 3);
         let native = compile_to_native(&route(&circuit, &topo));
         for sched in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
-            let compiled = CoOptimizer::builder()
+            let target = Target::builder()
                 .topology(topo.clone())
-                .scheduler(sched)
                 .build()
-                .compile(&circuit)
-                .expect("fits");
+                .expect("no store");
+            let compiled = compile_on(
+                target,
+                circuit.clone(),
+                CompileOptions::default().with_scheduler(sched),
+            );
             assert!(compiled.plan.validate().is_ok());
             assert!(
                 equal_up_to_phase(&compiled.plan.unitary(), &native.unitary(), 1e-7),
@@ -50,26 +91,25 @@ fn hidden_shift_survives_the_full_noisy_pipeline() {
     // dominant probability at the hidden shift (measured on the snake
     // starting layout; HS needs no SWAPs, so the layout never changes).
     let n = 6;
-    let compiled = compile_benchmark(
+    let compiled = compile_paper(
         BenchmarkKind::HiddenShift,
         n,
         PulseMethod::Pert,
         SchedulerKind::ZzxSched,
-        &quick_cfg(),
-    )
-    .expect("fits");
+    );
     let model = ZzErrorModel::uniform(&compiled.topology, zz_sim::khz(200.0))
         .with_residuals(compiled.residuals);
-    let noisy = run_with_zz(
+    let noisy = PlanProgram::compile(
         &compiled.plan,
         &compiled.topology,
         &model,
         &compiled.durations,
-    );
+    )
+    .run();
 
     // Ideal output: |shift⟩ permuted onto the device by the snake layout.
-    let ideal = run_ideal(&compiled.plan);
-    let shift = hidden_shift_answer(n, quick_cfg().circuit_seed);
+    let ideal = PlanProgram::ideal(&compiled.plan).run();
+    let shift = hidden_shift_answer(n, CIRCUIT_SEED);
     // Verify the ideal output is a basis state (sanity of the pipeline).
     let max_prob = ideal
         .amplitudes()
@@ -86,19 +126,10 @@ fn hidden_shift_survives_the_full_noisy_pipeline() {
 
 #[test]
 fn co_optimization_wins_on_every_core_benchmark() {
-    let cfg = quick_cfg();
     for kind in BenchmarkKind::CORE {
         let n = kind.paper_sizes()[1]; // the 6-qubit size
-        let base = benchmark_fidelity(
-            kind,
-            n,
-            PulseMethod::Gaussian,
-            SchedulerKind::ParSched,
-            &cfg,
-        )
-        .expect("fits");
-        let ours = benchmark_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-            .expect("fits");
+        let base = paper_fidelity(kind, n, PulseMethod::Gaussian, SchedulerKind::ParSched);
+        let ours = paper_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched);
         assert!(
             ours >= base,
             "{kind}-{n}: co-optimization {ours} lost to baseline {base}"
@@ -110,13 +141,10 @@ fn co_optimization_wins_on_every_core_benchmark() {
 fn execution_time_cost_is_bounded() {
     // Paper Fig 24: ZZXSched costs typically < 2× ParSched execution time;
     // allow 3× as the hard bound across all benchmarks.
-    let cfg = quick_cfg();
     for kind in BenchmarkKind::CORE {
         for &n in kind.paper_sizes() {
-            let par = compile_benchmark(kind, n, PulseMethod::Pert, SchedulerKind::ParSched, &cfg)
-                .expect("fits");
-            let zzx = compile_benchmark(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-                .expect("fits");
+            let par = compile_paper(kind, n, PulseMethod::Pert, SchedulerKind::ParSched);
+            let zzx = compile_paper(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched);
             let ratio = zzx.execution_time() / par.execution_time();
             assert!(
                 ratio < 3.0,
@@ -128,13 +156,10 @@ fn execution_time_cost_is_bounded() {
 
 #[test]
 fn zzxsched_reduces_unsuppressed_couplings_everywhere() {
-    let cfg = quick_cfg();
     for kind in BenchmarkKind::CORE {
         for &n in kind.paper_sizes() {
-            let par = compile_benchmark(kind, n, PulseMethod::Pert, SchedulerKind::ParSched, &cfg)
-                .expect("fits");
-            let zzx = compile_benchmark(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-                .expect("fits");
+            let par = compile_paper(kind, n, PulseMethod::Pert, SchedulerKind::ParSched);
+            let zzx = compile_paper(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched);
             assert!(
                 zzx.plan.mean_nc() <= par.plan.mean_nc(),
                 "{kind}-{n}: mean NC regressed"
@@ -147,16 +172,13 @@ fn zzxsched_reduces_unsuppressed_couplings_everywhere() {
 fn compile_is_fast_enough() {
     // Paper Sec 7.3: < 0.25 s per benchmark on a 2.3 GHz CPU. Allow 2 s in
     // this (possibly debug-ish) environment.
-    let cfg = quick_cfg();
     let start = std::time::Instant::now();
-    let _ = compile_benchmark(
+    let _ = compile_paper(
         BenchmarkKind::Grc,
         12,
         PulseMethod::Pert,
         SchedulerKind::ZzxSched,
-        &cfg,
-    )
-    .expect("fits");
+    );
     assert!(
         start.elapsed() < std::time::Duration::from_secs(2),
         "compilation too slow: {:?}",
@@ -167,7 +189,8 @@ fn compile_is_fast_enough() {
 #[test]
 fn sub_devices_match_benchmark_sizes() {
     for (n, couplings) in [(4usize, 4usize), (6, 7), (9, 12), (12, 17)] {
-        assert_eq!(device_for(n).coupling_count(), couplings);
+        let target = Target::for_qubits(n).expect("paper size");
+        assert_eq!(target.topology().coupling_count(), couplings);
     }
 }
 
@@ -181,13 +204,12 @@ fn framework_generalizes_to_heavy_hex_devices() {
         c.push(Gate::H, &[q]);
     }
     c.push(Gate::Cnot, &[0, 1]).push(Gate::Cnot, &[8, 9]);
-    let compiled = CoOptimizer::builder()
-        .topology(topo)
-        .pulse_method(PulseMethod::Pert)
-        .scheduler(SchedulerKind::ZzxSched)
-        .build()
-        .compile(&c)
-        .expect("fits");
+    let target = Target::builder().topology(topo).build().expect("no store");
+    let compiled = compile_on(
+        target,
+        c,
+        CompileOptions::new(PulseMethod::Pert, SchedulerKind::ZzxSched),
+    );
     assert!(compiled.plan.validate().is_ok());
     // Single-qubit layers achieve complete suppression on the bipartite
     // heavy-hex just as on grids.
@@ -215,12 +237,8 @@ fn custom_circuits_compile_on_custom_devices() {
     c.push(Gate::H, &[0])
         .push(Gate::Cnot, &[0, 4]) // distant on Vigo: forces routing
         .push(Gate::T, &[4]);
-    let compiled = CoOptimizer::builder()
-        .topology(topo)
-        .pulse_method(PulseMethod::Pert)
-        .build()
-        .compile(&c)
-        .expect("fits on vigo");
+    let target = Target::builder().topology(topo).build().expect("no store");
+    let compiled = compile_on(target, c, CompileOptions::default());
     assert!(compiled.plan.validate().is_ok());
     assert!(compiled.plan.layer_count() > 0);
 }

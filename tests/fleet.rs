@@ -6,9 +6,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_core::batch::DiskStatus;
 use zz_fleet::{DeviceProfile, DriftModel, Fleet, FleetConfig};
-use zz_service::{CompileOptions, CompileRequest};
+use zz_service::{CompileOptions, CompileRequest, DiskStatus};
 
 fn scratch_dir(label: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);

@@ -4,20 +4,47 @@
 //! suppressed, and the scalability properties — not the absolute numbers,
 //! which depend on the substituted simulation substrate (see DESIGN.md).
 
-use zz_circuit::bench::BenchmarkKind;
+use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::native::{NativeCircuit, NativeOp};
-use zz_core::evaluate::{benchmark_fidelity, compile_benchmark, EvalConfig};
-use zz_core::{calib, PulseMethod, SchedulerKind};
+use zz_core::calib;
 use zz_pulse::library::{x90_drive, PulseMethod as PM};
 use zz_pulse::systems::infidelity_1q;
 use zz_sched::zzx::{zzx_schedule, ZzxConfig};
+use zz_service::{
+    CompileOptions, CompileRequest, CompileResponse, EvalSpec, PulseMethod, SchedulerKind, Session,
+    Target,
+};
 use zz_topology::Topology;
 
-fn quick_cfg() -> EvalConfig {
-    EvalConfig {
-        crosstalk_seeds: vec![11],
-        ..EvalConfig::paper_default()
+/// Compiles benchmark `kind`-`n` (seed 7) on its paper evaluation device,
+/// evaluating it over one disorder sample when `eval` is set.
+fn run_benchmark(
+    kind: BenchmarkKind,
+    n: usize,
+    method: PulseMethod,
+    scheduler: SchedulerKind,
+    eval: bool,
+) -> CompileResponse {
+    let mut request = CompileRequest::new(generate(kind, n, 7))
+        .with_options(CompileOptions::new(method, scheduler));
+    if eval {
+        request = request.with_eval(EvalSpec::paper_default().with_seeds(vec![11]));
     }
+    Session::with_threads(Target::for_qubits(n).expect("paper size"), 1)
+        .compile(&request)
+        .expect("fits")
+}
+
+/// The mean fidelity of [`run_benchmark`] with evaluation.
+fn paper_fidelity(
+    kind: BenchmarkKind,
+    n: usize,
+    method: PulseMethod,
+    scheduler: SchedulerKind,
+) -> f64 {
+    run_benchmark(kind, n, method, scheduler, true)
+        .fidelity
+        .expect("eval requested")
 }
 
 /// Sec 5.1: complete suppression is achievable on bipartite topologies —
@@ -74,21 +101,11 @@ fn claim_pulse_method_ordering() {
 /// to the baseline.
 #[test]
 fn claim_insensitive_to_pulse_method() {
-    let cfg = quick_cfg();
     let kind = BenchmarkKind::Grc;
     let n = 6;
-    let base = benchmark_fidelity(
-        kind,
-        n,
-        PulseMethod::Gaussian,
-        SchedulerKind::ParSched,
-        &cfg,
-    )
-    .expect("fits");
-    let opt = benchmark_fidelity(kind, n, PulseMethod::OptCtrl, SchedulerKind::ZzxSched, &cfg)
-        .expect("fits");
-    let pert = benchmark_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-        .expect("fits");
+    let base = paper_fidelity(kind, n, PulseMethod::Gaussian, SchedulerKind::ParSched);
+    let opt = paper_fidelity(kind, n, PulseMethod::OptCtrl, SchedulerKind::ZzxSched);
+    let pert = paper_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched);
     assert!(
         (opt - pert).abs() < (pert - base).abs(),
         "methods should agree more with each other (opt {opt}, pert {pert}) than with the baseline ({base})"
@@ -98,21 +115,10 @@ fn claim_insensitive_to_pulse_method() {
 /// Fig 21: co-optimization beats each part alone (synergy).
 #[test]
 fn claim_synergy_of_co_optimization() {
-    let cfg = quick_cfg();
     for (kind, n) in [(BenchmarkKind::Grc, 6), (BenchmarkKind::Ising, 6)] {
-        let pulses_only =
-            benchmark_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ParSched, &cfg)
-                .expect("fits");
-        let sched_only = benchmark_fidelity(
-            kind,
-            n,
-            PulseMethod::Gaussian,
-            SchedulerKind::ZzxSched,
-            &cfg,
-        )
-        .expect("fits");
-        let both = benchmark_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched, &cfg)
-            .expect("fits");
+        let pulses_only = paper_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ParSched);
+        let sched_only = paper_fidelity(kind, n, PulseMethod::Gaussian, SchedulerKind::ZzxSched);
+        let both = paper_fidelity(kind, n, PulseMethod::Pert, SchedulerKind::ZzxSched);
         assert!(
             both + 1e-9 >= pulses_only && both + 1e-9 >= sched_only,
             "{kind}-{n}: both {both} vs pulses {pulses_only} / sched {sched_only}"
@@ -124,15 +130,14 @@ fn claim_synergy_of_co_optimization() {
 /// number of couplings that must be turned off.
 #[test]
 fn claim_fewer_couplings_to_turn_off() {
-    let cfg = quick_cfg();
-    let compiled = compile_benchmark(
+    let compiled = run_benchmark(
         BenchmarkKind::Qv,
         9,
         PulseMethod::Pert,
         SchedulerKind::ZzxSched,
-        &cfg,
+        false,
     )
-    .expect("fits");
+    .compiled;
     let baseline = compiled.topology.coupling_count() as f64;
     assert!(
         compiled.plan.mean_nc() < baseline / 3.0,

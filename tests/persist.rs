@@ -1,5 +1,5 @@
 //! Integration tests of the on-disk compilation cache: a warm start in a
-//! fresh compiler with reset calibration state must reproduce the cold
+//! fresh session with reset calibration state must reproduce the cold
 //! pass bit-identically with zero recompilation, and every failure mode of
 //! the cache (corruption, truncation, stale versions, unwritable
 //! directories) must degrade to recompilation — never to an error.
@@ -9,10 +9,12 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_core::batch::{BatchCompiler, BatchJob};
 use zz_core::calib::CalibCache;
-use zz_core::{PulseMethod, SchedulerKind};
 use zz_persist::ArtifactStore;
+use zz_service::{
+    CompileOptions, CompileRequest, Compiled, PulseMethod, SchedulerKind, ServiceReport, Session,
+    Target,
+};
 use zz_topology::Topology;
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -26,7 +28,7 @@ fn scratch_dir(label: &str) -> PathBuf {
 
 /// A small suite exercising both schedulers, three pulse methods and two
 /// distinct circuit shapes.
-fn suite_jobs() -> Vec<BatchJob> {
+fn suite_jobs() -> Vec<CompileRequest> {
     let qft = Arc::new(generate(BenchmarkKind::Qft, 4, 7));
     let ising = Arc::new(generate(BenchmarkKind::Ising, 6, 7));
     let configs = [
@@ -37,21 +39,34 @@ fn suite_jobs() -> Vec<BatchJob> {
     [qft, ising]
         .iter()
         .flat_map(|c| {
-            configs
-                .iter()
-                .map(move |&(m, s)| BatchJob::shared(Arc::clone(c), m, s))
+            configs.iter().map(move |&(m, s)| {
+                CompileRequest::shared(Arc::clone(c)).with_options(CompileOptions::new(m, s))
+            })
         })
         .collect()
 }
 
-/// A compiler over `suite_jobs()`-sized devices with isolated calibration
-/// state, backed by `dir`.
-fn compiler_at(dir: &PathBuf, calib: Arc<CalibCache>) -> BatchCompiler {
-    BatchCompiler::builder()
-        .topology(Topology::grid(3, 3))
-        .store(ArtifactStore::at(dir))
-        .calib_cache(calib)
-        .build()
+/// A session over a `suite_jobs()`-sized device with isolated calibration
+/// state, backed by a store at `dir` (which, unlike `store_dir`, degrades
+/// silently when the directory is unusable).
+fn session_at(dir: &PathBuf, calib: Arc<CalibCache>) -> Session {
+    Session::new(
+        Target::builder()
+            .topology(Topology::grid(3, 3))
+            .store(Arc::new(ArtifactStore::at(dir)))
+            .calib_cache(calib)
+            .build()
+            .expect("a given store never fails the build"),
+    )
+}
+
+/// The compiled plans of a drained batch, in submission order.
+fn plans(report: &ServiceReport) -> Vec<&Compiled> {
+    report
+        .outcomes
+        .iter()
+        .map(|o| &o.as_ref().expect("compiled").compiled)
+        .collect()
 }
 
 #[test]
@@ -62,7 +77,7 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
     // Cold pass: fresh cache directory, fresh calibration state — every
     // job misses disk, calibration actually measures, every shape routes.
     let cold_calib = Arc::new(CalibCache::new());
-    let cold = compiler_at(&dir, Arc::clone(&cold_calib)).run(suite_jobs());
+    let cold = session_at(&dir, Arc::clone(&cold_calib)).run(suite_jobs());
     assert_eq!(cold.error_count(), 0, "{cold}");
     assert_eq!(cold.disk_hits, 0, "{cold}");
     assert_eq!(cold.disk_misses, jobs, "{cold}");
@@ -74,7 +89,7 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
     // the same directory. Everything must come from disk: zero pulse-level
     // measurements, zero routing passes, all compiled plans served.
     let warm_calib = Arc::new(CalibCache::new());
-    let warm = compiler_at(&dir, Arc::clone(&warm_calib)).run(suite_jobs());
+    let warm = session_at(&dir, Arc::clone(&warm_calib)).run(suite_jobs());
     assert_eq!(warm.error_count(), 0, "{warm}");
     assert_eq!(warm.calibration_runs, 0, "{warm}");
     assert_eq!(warm_calib.calibration_runs(), 0);
@@ -91,24 +106,21 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
             assert_eq!(stats.executed, 0, "warm {} ran: {warm}", stats.stage);
         }
     }
-    for outcome in &warm.outcomes {
+    for response in warm.successes() {
         assert_eq!(
-            outcome.trace.compiled_cache,
+            response.trace.as_ref().expect("traced").compiled_cache,
             zz_core::pipeline::CacheDisposition::DiskHit,
             "{}",
-            outcome.label
+            response.label
         );
     }
 
     // And the outputs are bit-identical, field for field.
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-        assert_eq!(
-            c.result.as_ref().expect("cold compiled"),
-            w.result.as_ref().expect("warm compiled"),
-            "{} diverged across the disk round-trip",
-            c.label
-        );
-    }
+    assert_eq!(
+        plans(&cold),
+        plans(&warm),
+        "plans diverged across the disk round-trip"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -116,7 +128,7 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
 fn damaged_cache_files_are_recompiled_silently() {
     let dir = scratch_dir("damaged");
     let jobs = suite_jobs().len();
-    let cold = compiler_at(&dir, Arc::new(CalibCache::new())).run(suite_jobs());
+    let cold = session_at(&dir, Arc::new(CalibCache::new())).run(suite_jobs());
     assert_eq!(cold.error_count(), 0, "{cold}");
 
     // Damage every artifact in the cache in a rotating style: truncate,
@@ -152,19 +164,16 @@ fn damaged_cache_files_are_recompiled_silently() {
     // The warm pass sees only damaged files: every read is a miss, every
     // job recompiles successfully, and the outputs still match the cold
     // pass bit for bit.
-    let recovery = compiler_at(&dir, Arc::new(CalibCache::new())).run(suite_jobs());
+    let recovery = session_at(&dir, Arc::new(CalibCache::new())).run(suite_jobs());
     assert_eq!(recovery.error_count(), 0, "{recovery}");
     assert_eq!(recovery.disk_hits, 0, "{recovery}");
     assert_eq!(recovery.disk_misses, jobs, "{recovery}");
     assert!(recovery.calibration_runs > 0, "{recovery}");
-    for (c, r) in cold.outcomes.iter().zip(&recovery.outcomes) {
-        assert_eq!(
-            c.result.as_ref().expect("cold compiled"),
-            r.result.as_ref().expect("recovery compiled"),
-            "{} diverged after cache damage",
-            c.label
-        );
-    }
+    assert_eq!(
+        plans(&cold),
+        plans(&recovery),
+        "plans diverged after cache damage"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -172,32 +181,32 @@ fn damaged_cache_files_are_recompiled_silently() {
 fn unwritable_cache_dir_degrades_to_in_memory_compilation() {
     // Root the store under a regular *file*, so neither directories nor
     // artifacts can ever be created: the batch must behave exactly like a
-    // store-less compiler, erroring nowhere.
+    // store-less session, erroring nowhere.
     let dir = scratch_dir("unwritable");
     std::fs::create_dir_all(&dir).expect("scratch dir");
     let blocker = dir.join("blocker");
     std::fs::write(&blocker, b"not a directory").expect("blocker file");
 
     let jobs = suite_jobs().len();
-    let report = compiler_at(&blocker.join("cache"), Arc::new(CalibCache::new())).run(suite_jobs());
+    let report = session_at(&blocker.join("cache"), Arc::new(CalibCache::new())).run(suite_jobs());
     assert_eq!(report.error_count(), 0, "{report}");
     assert_eq!(report.disk_hits, 0, "{report}");
     assert_eq!(report.disk_misses, jobs, "{report}");
 
-    // Same results as a compiler with no store at all.
-    let baseline = BatchCompiler::builder()
-        .topology(Topology::grid(3, 3))
-        .calib_cache(Arc::new(CalibCache::new()))
-        .build()
-        .run(suite_jobs());
-    for (a, b) in report.outcomes.iter().zip(&baseline.outcomes) {
-        assert_eq!(
-            a.result.as_ref().expect("degraded compiled"),
-            b.result.as_ref().expect("baseline compiled"),
-            "{} diverged between degraded-store and store-less compilation",
-            a.label
-        );
-    }
+    // Same results as a session with no store at all.
+    let baseline = Session::new(
+        Target::builder()
+            .topology(Topology::grid(3, 3))
+            .calib_cache(Arc::new(CalibCache::new()))
+            .build()
+            .expect("no store"),
+    )
+    .run(suite_jobs());
+    assert_eq!(
+        plans(&report),
+        plans(&baseline),
+        "plans diverged between degraded-store and store-less compilation"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,15 +1,14 @@
 //! Integration tests of the pass-based pipeline (`zz_core::pipeline`):
 //!
 //! * **Equivalence matrix** — pipeline output must be bit-identical to
-//!   the pre-refactor `CoOptimizer::compile` sequence (re-implemented
-//!   verbatim here as `legacy_compile`) for every
-//!   `(PulseMethod, SchedulerKind)` combination, through every entry
-//!   point: `CoOptimizer::compile`, `PassManager::run`, and the batch
-//!   engine.
+//!   the pre-pipeline compile sequence (re-implemented verbatim here as
+//!   `legacy_compile`) for every `(PulseMethod, SchedulerKind)`
+//!   combination, through both entry points: `PassManager::run` and a
+//!   service `Session`.
 //! * **Stage-granular caching** — an α/k-only parameter sweep re-runs
 //!   *zero* route/lower passes: the first job routes, every other job is
 //!   served by the route memo (in-process) or the disk artifact (across
-//!   compilers), while scheduling re-runs for every sweep point.
+//!   sessions), while scheduling re-runs for every sweep point.
 //! * **Per-pass units** — route-only and schedule-only runs using the
 //!   typed stage artifacts.
 
@@ -20,16 +19,16 @@ use std::sync::Arc;
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::native::compile_to_native;
 use zz_circuit::{route, Circuit};
-use zz_core::batch::{BatchCompiler, BatchJob};
 use zz_core::calib::{self, CalibCache};
 use zz_core::pipeline::{
-    CacheDisposition, Logical, LowerPass, PassManager, PipelineTrace, RoutePass, StageArtifact,
-    ValidatePass,
+    scheduler_pass_for, CacheDisposition, Logical, LowerPass, PassManager, PipelineTrace,
+    RoutePass, StageArtifact, ValidatePass,
 };
-use zz_core::{CoOptError, CoOptimizer, Compiled, PulseMethod, SchedulerKind, Stage};
+use zz_core::{CoOptError, CompileOptions, Compiled, PulseMethod, SchedulerKind, Stage};
 use zz_persist::ArtifactStore;
 use zz_sched::zzx::{zzx_schedule, Requirement, ZzxConfig};
 use zz_sched::{par_schedule, GateDurations};
+use zz_service::{CompileRequest, Error, ServiceReport, Session, Target};
 use zz_topology::Topology;
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -41,9 +40,9 @@ fn scratch_dir(label: &str) -> PathBuf {
     ))
 }
 
-/// The pre-refactor `CoOptimizer::compile` body, reproduced verbatim:
-/// route → lower → `match` on the scheduler → `match` on the method →
-/// assemble. The pipeline must never drift from this.
+/// The pre-pipeline compile body, reproduced verbatim: route → lower →
+/// `match` on the scheduler → `match` on the method → assemble. The
+/// pipeline must never drift from this.
 fn legacy_compile(
     circuit: &Circuit,
     topo: &Topology,
@@ -91,6 +90,42 @@ fn full_matrix() -> Vec<(PulseMethod, SchedulerKind)> {
         .collect()
 }
 
+/// A session over `topo` with isolated calibration state, optionally
+/// backed by a disk store, running one worker so cache hits and misses
+/// split deterministically.
+fn session(topo: &Topology, store: Option<&PathBuf>) -> Session {
+    let mut target = Target::builder()
+        .topology(topo.clone())
+        .calib_cache(Arc::new(CalibCache::new()));
+    if let Some(dir) = store {
+        target = target.store(Arc::new(ArtifactStore::at(dir)));
+    }
+    Session::with_threads(target.build().expect("a given store never fails"), 1)
+}
+
+/// Compiles through a session over `topo` with process-wide calibration
+/// (the calibration `legacy_compile` reads).
+fn session_compile(topo: &Topology, circuit: &Circuit, options: CompileOptions) -> Compiled {
+    let target = Target::builder()
+        .topology(topo.clone())
+        .build()
+        .expect("no store");
+    Session::with_threads(target, 1)
+        .compile(&CompileRequest::new(circuit.clone()).with_options(options))
+        .expect("fits")
+        .compiled
+}
+
+/// The pipeline trace of a drained request.
+fn trace(report: &ServiceReport, i: usize) -> &PipelineTrace {
+    report.outcomes[i]
+        .as_ref()
+        .expect("compiled")
+        .trace
+        .as_ref()
+        .expect("traced")
+}
+
 #[test]
 fn pipeline_matches_the_legacy_path_for_every_method_scheduler_pair() {
     let topo = Topology::grid(2, 3);
@@ -98,16 +133,7 @@ fn pipeline_matches_the_legacy_path_for_every_method_scheduler_pair() {
     for (method, scheduler) in full_matrix() {
         let reference = legacy_compile(&circuit, &topo, method, scheduler, 0.5, 3, None);
 
-        // Entry point 1: the facade.
-        let opt = CoOptimizer::builder()
-            .topology(topo.clone())
-            .pulse_method(method)
-            .scheduler(scheduler)
-            .build();
-        let via_facade = opt.compile(&circuit).expect("fits");
-        assert_eq!(reference, via_facade, "{method}+{scheduler}: facade drift");
-
-        // Entry point 2: the pass manager directly.
+        // Entry point 1: the pass manager directly.
         let via_pipeline = PassManager::builder()
             .topology(topo.clone())
             .pulse_method(method)
@@ -121,13 +147,12 @@ fn pipeline_matches_the_legacy_path_for_every_method_scheduler_pair() {
             "{method}+{scheduler}: pipeline drift"
         );
 
-        // Entry point 3: the batch engine.
-        let report = BatchCompiler::builder()
-            .topology(topo.clone())
-            .build()
-            .run(vec![BatchJob::new(circuit.clone(), method, scheduler)]);
-        let via_batch = report.outcomes[0].result.as_ref().expect("fits");
-        assert_eq!(&reference, via_batch, "{method}+{scheduler}: batch drift");
+        // Entry point 2: the service session.
+        let via_session = session_compile(&topo, &circuit, CompileOptions::new(method, scheduler));
+        assert_eq!(
+            reference, via_session,
+            "{method}+{scheduler}: session drift"
+        );
     }
 }
 
@@ -149,47 +174,42 @@ fn pipeline_matches_the_legacy_path_for_non_default_parameters() {
             k,
             requirement,
         );
-        let mut builder = CoOptimizer::builder()
+        let mut builder = PassManager::builder()
             .topology(topo.clone())
             .alpha(alpha)
             .k(k);
+        let mut options = CompileOptions::default().with_alpha(alpha).with_k(k);
         if let Some(r) = requirement {
             builder = builder.requirement(r);
+            options = options.with_requirement(r);
         }
-        let compiled = builder.build().compile(&circuit).expect("fits");
-        assert_eq!(reference, compiled, "alpha={alpha} k={k}");
+        let via_pipeline = builder
+            .build()
+            .run(Arc::new(circuit.clone()))
+            .expect("fits")
+            .compiled;
+        assert_eq!(reference, via_pipeline, "alpha={alpha} k={k}: pipeline");
+        let via_session = session_compile(&topo, &circuit, options);
+        assert_eq!(reference, via_session, "alpha={alpha} k={k}: session");
     }
 }
 
 #[test]
 fn alpha_k_sweep_reruns_zero_route_passes_in_process() {
-    let compiler = BatchCompiler::builder()
-        .topology(Topology::grid(3, 3))
-        .calib_cache(Arc::new(CalibCache::new()))
-        .threads(1) // deterministic hit/miss split
-        .build();
+    let session = session(&Topology::grid(3, 3), None);
     let circuit = Arc::new(generate(BenchmarkKind::Qaoa, 9, 7));
-    let jobs: Vec<BatchJob> = [0.0, 0.25, 0.5, 1.0]
+    let request = |options| CompileRequest::shared(Arc::clone(&circuit)).with_options(options);
+    let requests: Vec<CompileRequest> = [0.0, 0.25, 0.5, 1.0]
         .into_iter()
-        .map(|a| {
-            BatchJob::shared(
-                Arc::clone(&circuit),
-                PulseMethod::Pert,
-                SchedulerKind::ZzxSched,
-            )
-            .with_alpha(a)
-        })
-        .chain([1usize, 2, 5].into_iter().map(|k| {
-            BatchJob::shared(
-                Arc::clone(&circuit),
-                PulseMethod::Pert,
-                SchedulerKind::ZzxSched,
-            )
-            .with_k(k)
-        }))
+        .map(|a| request(CompileOptions::default().with_alpha(a)))
+        .chain(
+            [1usize, 2, 5]
+                .into_iter()
+                .map(|k| request(CompileOptions::default().with_k(k))),
+        )
         .collect();
-    let sweep_points = jobs.len();
-    let report = compiler.run(jobs);
+    let sweep_points = requests.len();
+    let report = session.run(requests);
     assert_eq!(report.error_count(), 0, "{report}");
 
     // Exactly one job routed; every other sweep point replayed the memo.
@@ -207,8 +227,8 @@ fn alpha_k_sweep_reruns_zero_route_passes_in_process() {
     assert_eq!(schedule.cache_hits, 0, "{report}");
 
     // The per-job traces agree with the aggregate.
-    for (i, outcome) in report.outcomes.iter().enumerate() {
-        let trace = &outcome.trace;
+    for i in 0..sweep_points {
+        let trace = trace(&report, i);
         let expected = if i == 0 {
             CacheDisposition::NotCached
         } else {
@@ -222,61 +242,54 @@ fn alpha_k_sweep_reruns_zero_route_passes_in_process() {
 #[test]
 fn alpha_sweep_routes_from_disk_across_compilers() {
     let dir = scratch_dir("alpha-sweep");
+    let topo = Topology::grid(2, 3);
     let job = |alpha: f64| {
-        BatchJob::new(
-            generate(BenchmarkKind::Ising, 6, 7),
-            PulseMethod::Pert,
-            SchedulerKind::ZzxSched,
-        )
-        .with_alpha(alpha)
-    };
-    let compiler = |dir: &PathBuf| {
-        BatchCompiler::builder()
-            .topology(Topology::grid(2, 3))
-            .store(ArtifactStore::at(dir))
-            .calib_cache(Arc::new(CalibCache::new()))
-            .threads(1)
-            .build()
+        CompileRequest::new(generate(BenchmarkKind::Ising, 6, 7))
+            .with_options(CompileOptions::default().with_alpha(alpha))
     };
 
-    // First compiler pays for routing once.
-    let cold = compiler(&dir).run(vec![job(0.5)]);
+    // The first session pays for routing once.
+    let cold = session(&topo, Some(&dir)).run(vec![job(0.5)]);
     assert_eq!(cold.error_count(), 0, "{cold}");
-    assert!(cold.outcomes[0].trace.executed(Stage::Route), "{cold}");
+    assert!(trace(&cold, 0).executed(Stage::Route), "{cold}");
 
-    // A *new* compiler (fresh memo, fresh calibration) sweeping *new*
+    // A *new* session (fresh memo, fresh calibration) sweeping *new*
     // α values: the whole-plan artifacts miss (different α), but the
     // route/lower stage is served from the disk artifact — zero route
     // passes run.
-    let warm = compiler(&dir).run(vec![job(0.125), job(0.75)]);
+    let warm = session(&topo, Some(&dir)).run(vec![job(0.125), job(0.75)]);
     assert_eq!(warm.error_count(), 0, "{warm}");
     let stats = warm.stage_stats();
     let route = stats.iter().find(|s| s.stage == Stage::Route).unwrap();
     assert_eq!(route.executed, 0, "{warm}");
     assert_eq!(
-        warm.outcomes[0].trace.pass(Stage::Route).unwrap().cache,
+        trace(&warm, 0).pass(Stage::Route).unwrap().cache,
         CacheDisposition::DiskHit,
         "{warm}"
     );
     // The second sweep point hits the memo the first one just filled.
     assert_eq!(
-        warm.outcomes[1].trace.pass(Stage::Route).unwrap().cache,
+        trace(&warm, 1).pass(Stage::Route).unwrap().cache,
         CacheDisposition::MemoryHit,
         "{warm}"
     );
     let schedule = stats.iter().find(|s| s.stage == Stage::Schedule).unwrap();
     assert_eq!(schedule.executed, 2, "{warm}");
 
-    // Replaying an *already-swept* α in a third compiler is a whole-plan
+    // Replaying an *already-swept* α in a third session is a whole-plan
     // disk hit: no stage beyond validation runs at all.
-    let replay = compiler(&dir).run(vec![job(0.75)]);
-    let trace = &replay.outcomes[0].trace;
-    assert_eq!(trace.compiled_cache, CacheDisposition::DiskHit, "{replay}");
-    assert!(!trace.executed(Stage::Route), "{replay}");
-    assert!(!trace.executed(Stage::Schedule), "{replay}");
+    let replay = session(&topo, Some(&dir)).run(vec![job(0.75)]);
+    let replayed = trace(&replay, 0);
     assert_eq!(
-        replay.outcomes[0].result.as_ref().expect("served"),
-        warm.outcomes[1].result.as_ref().expect("compiled"),
+        replayed.compiled_cache,
+        CacheDisposition::DiskHit,
+        "{replay}"
+    );
+    assert!(!replayed.executed(Stage::Route), "{replay}");
+    assert!(!replayed.executed(Stage::Schedule), "{replay}");
+    assert_eq!(
+        replay.outcomes[0].as_ref().expect("served").compiled,
+        warm.outcomes[1].as_ref().expect("compiled").compiled,
         "disk replay must be bit-identical"
     );
 
@@ -324,38 +337,44 @@ fn schedule_only_run_skips_route_and_lower() {
     let topo = Topology::grid(2, 2);
     let circuit = generate(BenchmarkKind::Qft, 4, 7);
     let native = compile_to_native(&route(&circuit, &topo));
-    let manager = PassManager::builder().topology(topo.clone()).build();
 
-    let outcome = manager.run_native(&native).expect("fits");
-    assert!(outcome.trace.pass(Stage::Route).is_none());
-    assert!(outcome.trace.pass(Stage::Lower).is_none());
-    assert!(outcome.trace.executed(Stage::Schedule));
+    // The scheduling stage on its own, over an already-native circuit…
+    let options = CompileOptions::default();
+    let plan = scheduler_pass_for(
+        options.scheduler,
+        options.alpha_or_default(),
+        options.k_or_default(),
+        options.requirement,
+    )
+    .schedule(&topo, &native);
 
-    // Identical to the full pipeline's result on the same circuit.
-    let full = manager.run(Arc::new(circuit)).expect("fits");
-    assert_eq!(outcome.compiled, full.compiled);
+    // …is exactly the plan the full pipeline schedules.
+    let full = PassManager::builder()
+        .topology(topo)
+        .build()
+        .run(Arc::new(circuit))
+        .expect("fits");
+    assert_eq!(plan, full.compiled.plan);
 }
 
 #[test]
 fn oversized_circuits_error_through_both_entry_points() {
-    let opt = CoOptimizer::builder()
-        .topology(Topology::grid(2, 2))
-        .build();
+    let topo = Topology::grid(2, 2);
     let too_large = CoOptError::CircuitTooLarge {
         needed: 9,
         available: 4,
     };
 
-    // `compile` rejects, as it always did…
-    assert_eq!(opt.compile(&Circuit::new(9)).err(), Some(too_large.clone()));
-
-    // …and `compile_native` now returns the same error through the
-    // validation pass instead of panicking.
-    let native = compile_to_native(&Circuit::new(9));
-    assert_eq!(opt.compile_native(&native).err(), Some(too_large.clone()));
+    // The pass manager rejects in its validation pass…
+    let manager = PassManager::builder().topology(topo.clone()).build();
     assert_eq!(
-        opt.compile_native_with_residuals(&native, calib::residuals(PulseMethod::Pert))
-            .err(),
-        Some(too_large)
+        manager.run(Arc::new(Circuit::new(9))).err(),
+        Some(too_large.clone())
     );
+
+    // …and a session surfaces the same cause as a typed `Validate` error.
+    match session(&topo, None).compile(&CompileRequest::new(Circuit::new(9))) {
+        Err(Error::Validate { source, .. }) => assert_eq!(source, too_large),
+        other => panic!("expected Validate, got {other:?}"),
+    }
 }

@@ -10,9 +10,21 @@ use zz_circuit::{route, Circuit, Gate};
 use zz_quantum::gates::equal_up_to_phase;
 use zz_sched::par_schedule;
 use zz_sched::zzx::{zzx_schedule, ZzxConfig};
-use zz_sched::GateDurations;
-use zz_sim::executor::{fidelity_under_zz, ZzErrorModel};
+use zz_sched::{GateDurations, SchedulePlan};
+use zz_sim::executor::ZzErrorModel;
+use zz_sim::program::PlanProgram;
 use zz_topology::Topology;
+
+/// Fidelity of the ZZ-noisy output of `plan` against its ideal output.
+fn zz_fidelity(
+    plan: &SchedulePlan,
+    topo: &Topology,
+    model: &ZzErrorModel,
+    durations: &GateDurations,
+) -> f64 {
+    let ideal = PlanProgram::ideal(plan).run();
+    ideal.fidelity(&PlanProgram::compile(plan, topo, model, durations).run())
+}
 
 /// Pushes one random gate acting on up to `n` qubits.
 fn push_arb_op(rng: &mut StdRng, c: &mut Circuit, n: usize) {
@@ -105,8 +117,8 @@ fn suppression_translates_into_fidelity() {
         let d = GateDurations::standard();
         let par = par_schedule(&topo, &native);
         let zzx = zzx_schedule(&topo, &native, &ZzxConfig::paper_default(&topo));
-        let f_par = fidelity_under_zz(&par, &topo, &model, &d);
-        let f_zzx = fidelity_under_zz(&zzx, &topo, &model, &d);
+        let f_par = zz_fidelity(&par, &topo, &model, &d);
+        let f_zzx = zz_fidelity(&zzx, &topo, &model, &d);
         // Allow a tiny tolerance: layer structure can shuffle which exact
         // couplings fire, but the aggregate must not collapse.
         assert!(
@@ -126,8 +138,8 @@ fn fidelity_is_monotone_in_crosstalk_strength() {
         let d = GateDurations::standard();
         let weak = ZzErrorModel::uniform(&topo, zz_sim::khz(50.0));
         let strong = ZzErrorModel::uniform(&topo, zz_sim::khz(400.0));
-        let f_weak = fidelity_under_zz(&plan, &topo, &weak, &d);
-        let f_strong = fidelity_under_zz(&plan, &topo, &strong, &d);
+        let f_weak = zz_fidelity(&plan, &topo, &weak, &d);
+        let f_strong = zz_fidelity(&plan, &topo, &strong, &d);
         assert!(
             f_weak >= f_strong - 1e-9,
             "seed {seed}: weak {f_weak} vs strong {f_strong}"

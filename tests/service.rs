@@ -1,130 +1,25 @@
 //! Integration tests of the service layer (`zz_service`):
 //!
-//! * **Adapter equivalence matrix** — for every `(PulseMethod,
-//!   SchedulerKind)` combination, `Session::compile` output must be
-//!   bit-identical to the legacy `CoOptimizer::compile` and
-//!   `BatchCompiler::run` facades (which are kept as thin adapters over
-//!   the same pass pipeline), through both the synchronous and the
-//!   submit/drain paths.
 //! * **Typed error paths** — oversized circuits, unwritable cache
-//!   directories and failing jobs inside `drain` come back as typed
-//!   `zz_service::Error` variants, never as panics.
+//!   directories, degenerate evaluation specs and failing jobs inside
+//!   `drain` come back as typed `zz_service::Error` variants, never as
+//!   panics, through both the synchronous and the queued paths.
 //! * **Evaluation equivalence** — a request's in-queue fidelity matches
-//!   the legacy `evaluate::fidelity_of` exactly.
+//!   `evaluate::fidelity_of` exactly.
+//!
+//! What a session compiles is pinned bit for bit by
+//! `tests/golden_keys.rs` and against the pre-pipeline reference in
+//! `tests/pipeline.rs`.
 
 use std::sync::Arc;
 
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::Circuit;
-use zz_core::batch::{BatchCompiler, BatchJob};
 use zz_core::evaluate::{fidelity_of, EvalConfig};
-use zz_core::{CoOptError, CoOptimizer, CompileOptions, PulseMethod, SchedulerKind};
-use zz_sched::zzx::Requirement;
+use zz_core::{CoOptError, CompileOptions};
 use zz_service::{CompileRequest, Error, EvalSpec, Session, Target};
+use zz_sim::density::Decoherence;
 use zz_topology::Topology;
-
-/// Every `(PulseMethod, SchedulerKind)` combination.
-fn full_matrix() -> Vec<(PulseMethod, SchedulerKind)> {
-    PulseMethod::ALL
-        .iter()
-        .flat_map(|&m| {
-            [SchedulerKind::ParSched, SchedulerKind::ZzxSched]
-                .into_iter()
-                .map(move |s| (m, s))
-        })
-        .collect()
-}
-
-#[test]
-fn session_matches_the_legacy_facades_for_every_method_scheduler_pair() {
-    let topo = Topology::grid(2, 3);
-    let circuit = generate(BenchmarkKind::Qaoa, 6, 7);
-    let session = Session::new(
-        Target::builder()
-            .topology(topo.clone())
-            .build()
-            .expect("no store"),
-    );
-
-    for (method, scheduler) in full_matrix() {
-        let options = CompileOptions::new(method, scheduler);
-
-        // Legacy facade 1: the sequential optimizer.
-        let via_optimizer = CoOptimizer::builder()
-            .topology(topo.clone())
-            .options(options)
-            .build()
-            .compile(&circuit)
-            .expect("fits");
-
-        // Legacy facade 2: the batch engine.
-        let report = BatchCompiler::builder()
-            .topology(topo.clone())
-            .build()
-            .run(vec![BatchJob::with_options(
-                Arc::new(circuit.clone()),
-                options,
-            )]);
-        let via_batch = report.outcomes[0].result.as_ref().expect("fits");
-
-        // The service, synchronous path.
-        let via_session = session
-            .compile(&CompileRequest::new(circuit.clone()).with_options(options))
-            .expect("fits")
-            .compiled;
-
-        // The service, submit/drain path.
-        let handle = session.submit(CompileRequest::new(circuit.clone()).with_options(options));
-        let via_queue = handle.wait().expect("fits").compiled;
-        session.drain();
-
-        assert_eq!(
-            via_optimizer, via_session,
-            "{method}+{scheduler}: session drifted from CoOptimizer"
-        );
-        assert_eq!(
-            via_batch, &via_session,
-            "{method}+{scheduler}: session drifted from BatchCompiler"
-        );
-        assert_eq!(
-            via_session, via_queue,
-            "{method}+{scheduler}: queued path drifted from synchronous path"
-        );
-    }
-}
-
-#[test]
-fn session_matches_the_legacy_facades_for_non_default_parameters() {
-    let topo = Topology::grid(3, 3);
-    let circuit = generate(BenchmarkKind::Qft, 9, 7);
-    let req = Requirement {
-        nq_limit: 3,
-        nc_limit: 5,
-    };
-    let session = Session::new(
-        Target::builder()
-            .topology(topo.clone())
-            .build()
-            .expect("no store"),
-    );
-    for (alpha, k, requirement) in [(0.25, 1, None), (2.0, 8, Some(req))] {
-        let mut options = CompileOptions::default().with_alpha(alpha).with_k(k);
-        if let Some(r) = requirement {
-            options = options.with_requirement(r);
-        }
-        let legacy = CoOptimizer::builder()
-            .topology(topo.clone())
-            .options(options)
-            .build()
-            .compile(&circuit)
-            .expect("fits");
-        let via_session = session
-            .compile(&CompileRequest::new(circuit.clone()).with_options(options))
-            .expect("fits")
-            .compiled;
-        assert_eq!(legacy, via_session, "alpha={alpha} k={k}");
-    }
-}
 
 #[test]
 fn in_queue_evaluation_matches_the_legacy_eval_path() {
@@ -150,6 +45,63 @@ fn in_queue_evaluation_matches_the_legacy_eval_path() {
         legacy,
         "in-queue evaluation drifted from evaluate::fidelity_of"
     );
+}
+
+/// Degenerate decoherence specs — zero or NaN times, NaN public fields, no
+/// trajectories on a register that needs them — are typed `Error::Eval`s
+/// naming the bad field, on the caller's thread and through the queue.
+#[test]
+fn degenerate_decoherence_specs_are_typed_eval_errors() {
+    let session = Session::with_threads(Target::for_qubits(9).expect("fits"), 1);
+    let nan = Decoherence {
+        t1: 200_000.0,
+        t2: f64::NAN,
+    };
+    let cases = [
+        (
+            EvalSpec::paper_default().with_decoherence_us(200.0, 0),
+            "trajectories",
+        ),
+        (EvalSpec::paper_default().with_decoherence_us(0.0, 8), "t1"),
+        (
+            EvalSpec::paper_default().with_decoherence_us(f64::NAN, 8),
+            "t1",
+        ),
+        (
+            EvalSpec {
+                decoherence: Some((nan, 8, 97)),
+                ..EvalSpec::paper_default()
+            },
+            "t2",
+        ),
+    ];
+    for (spec, field) in cases {
+        let request = CompileRequest::new(generate(BenchmarkKind::Qaoa, 9, 7))
+            .with_eval(spec)
+            .with_label("degenerate");
+        let check = |result: Result<_, Error>| match result {
+            Err(Error::Eval { job, detail }) => {
+                assert_eq!(job, "degenerate");
+                assert!(detail.contains(field), "{field} not named in: {detail}");
+            }
+            other => panic!("expected Eval naming {field}, got {other:?}"),
+        };
+        check(session.compile(&request));
+        check(session.submit(request).wait());
+    }
+    assert_eq!(session.drain().error_count(), 4);
+
+    // Infinite times mean no decoherence and stay valid.
+    let infinite = Decoherence {
+        t1: f64::INFINITY,
+        t2: f64::INFINITY,
+    };
+    let request = CompileRequest::new(generate(BenchmarkKind::Qaoa, 9, 7)).with_eval(EvalSpec {
+        decoherence: Some((infinite, 4, 97)),
+        ..EvalSpec::paper_default().with_seeds(vec![11])
+    });
+    let fidelity = session.compile(&request).expect("valid").fidelity;
+    assert!(fidelity.is_some_and(|f| f > 0.0 && f <= 1.0 + 1e-9));
 }
 
 /// A Monte-Carlo in-queue evaluation (9 qubits forces the trajectory

@@ -9,17 +9,16 @@
 //! compile matrix, and pins the Monte-Carlo fan's bit-identical
 //! thread-count invariance.
 
+use std::sync::Arc;
+
 use zz_bench::reference;
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::{Circuit, Gate};
-use zz_core::evaluate::device_for;
-use zz_core::{CoOptimizer, Compiled, PulseMethod, SchedulerKind};
+use zz_core::evaluate::try_device_for;
+use zz_core::{Compiled, PassManager, PulseMethod, SchedulerKind};
 use zz_sched::GateDurations;
 use zz_sim::density::Decoherence;
-use zz_sim::executor::{
-    fidelity_under_zz, fidelity_with_decoherence, fidelity_with_decoherence_threads, run_ideal,
-    run_with_zz, ZzErrorModel,
-};
+use zz_sim::executor::ZzErrorModel;
 use zz_sim::program::{PlanProgram, TrajectoryProgram, DIAG_TABLE_MAX_QUBITS};
 use zz_sim::StateVector;
 use zz_topology::Topology;
@@ -34,14 +33,14 @@ fn max_amp_diff(a: &StateVector, b: &StateVector) -> f64 {
 
 fn compile_case(method: PulseMethod, scheduler: SchedulerKind) -> Compiled {
     let n = 6;
-    let circuit = generate(BenchmarkKind::Qaoa, n, 7);
-    CoOptimizer::builder()
-        .topology(device_for(n))
+    PassManager::builder()
+        .topology(try_device_for(n).expect("paper size"))
         .pulse_method(method)
         .scheduler(scheduler)
         .build()
-        .compile(&circuit)
+        .run(Arc::new(generate(BenchmarkKind::Qaoa, n, 7)))
         .expect("benchmark sized to the device")
+        .compiled
 }
 
 /// Every `(PulseMethod, SchedulerKind)` cell: the precompiled engine must
@@ -60,18 +59,19 @@ fn engine_matches_reference_across_the_compile_matrix() {
             let model = ZzErrorModel::sampled(topo, zz_sim::khz(200.0), zz_sim::khz(50.0), 11)
                 .with_residuals(compiled.residuals);
 
-            let ideal_new = run_ideal(&compiled.plan);
+            let ideal_new = PlanProgram::ideal(&compiled.plan).run();
             let ideal_ref = reference::run_ideal(&compiled.plan);
             let d_ideal = max_amp_diff(&ideal_new, &ideal_ref);
             assert!(d_ideal <= 1e-12, "{method}+{scheduler}: ideal Δ={d_ideal}");
 
-            let noisy_new = run_with_zz(&compiled.plan, topo, &model, &compiled.durations);
+            let noisy_new =
+                PlanProgram::compile(&compiled.plan, topo, &model, &compiled.durations).run();
             let noisy_ref =
                 reference::run_with_zz(&compiled.plan, topo, &model, &compiled.durations);
             let d_noisy = max_amp_diff(&noisy_new, &noisy_ref);
             assert!(d_noisy <= 1e-12, "{method}+{scheduler}: noisy Δ={d_noisy}");
 
-            let f_new = fidelity_under_zz(&compiled.plan, topo, &model, &compiled.durations);
+            let f_new = ideal_new.fidelity(&noisy_new);
             let f_ref = ideal_ref.fidelity(&noisy_ref);
             assert!(
                 (f_new - f_ref).abs() <= 1e-12,
@@ -81,7 +81,7 @@ fn engine_matches_reference_across_the_compile_matrix() {
     }
 }
 
-/// A reused program must give the same answer as the one-shot wrappers.
+/// A reused program must give the same answer as a freshly compiled one.
 #[test]
 fn precompiled_program_is_reusable() {
     let compiled = compile_case(PulseMethod::Pert, SchedulerKind::ZzxSched);
@@ -92,8 +92,8 @@ fn precompiled_program_is_reusable() {
     let once = program.run();
     let twice = program.run();
     assert_eq!(max_amp_diff(&once, &twice), 0.0, "replay must be exact");
-    let wrapper = run_with_zz(&compiled.plan, topo, &model, &compiled.durations);
-    assert_eq!(max_amp_diff(&once, &wrapper), 0.0);
+    let fresh = PlanProgram::compile(&compiled.plan, topo, &model, &compiled.durations).run();
+    assert_eq!(max_amp_diff(&once, &fresh), 0.0);
 }
 
 /// The Monte-Carlo fan must be bit-identical for 1, 2 and 8 threads: the
@@ -109,15 +109,18 @@ fn monte_carlo_fidelity_is_bit_identical_across_thread_counts() {
     let model =
         ZzErrorModel::sampled(&topo, zz_sim::khz(200.0), zz_sim::khz(50.0), 5).with_residual(0.05);
     let deco = Decoherence::equal_us(200.0);
-    let d = GateDurations::standard();
+    let program =
+        TrajectoryProgram::compile(&plan, &topo, &model, &deco, &GateDurations::standard());
+    let ideal = PlanProgram::ideal(&plan).run();
+    let fan = |threads| program.mean_fidelity(&ideal, 48, 17, threads);
 
-    let f1 = fidelity_with_decoherence_threads(&plan, &topo, &model, &deco, &d, 48, 17, 1);
-    let f2 = fidelity_with_decoherence_threads(&plan, &topo, &model, &deco, &d, 48, 17, 2);
-    let f8 = fidelity_with_decoherence_threads(&plan, &topo, &model, &deco, &d, 48, 17, 8);
+    let f1 = fan(1);
+    let f2 = fan(2);
+    let f8 = fan(8);
     assert_eq!(f1.to_bits(), f2.to_bits(), "1 vs 2 threads: {f1} vs {f2}");
     assert_eq!(f1.to_bits(), f8.to_bits(), "1 vs 8 threads: {f1} vs {f8}");
-    // The default-width wrapper rides the same derivation.
-    let f_default = fidelity_with_decoherence(&plan, &topo, &model, &deco, &d, 48, 17);
+    // The machine's default pool width rides the same derivation.
+    let f_default = fan(zz_pool::default_threads());
     assert_eq!(f1.to_bits(), f_default.to_bits());
     assert!(f1 > 0.0 && f1 <= 1.0 + 1e-9, "fidelity {f1}");
 }
@@ -210,7 +213,7 @@ fn seventeen_qubit_ghz_exercises_the_diag_fallback_against_reference() {
         ZzErrorModel::sampled(&topo, zz_sim::khz(200.0), zz_sim::khz(50.0), 13).with_residual(0.05);
     let d = GateDurations::standard();
 
-    let noisy_new = run_with_zz(&plan, &topo, &model, &d);
+    let noisy_new = PlanProgram::compile(&plan, &topo, &model, &d).run();
     let noisy_ref = reference::run_with_zz(&plan, &topo, &model, &d);
     let diff = max_amp_diff(&noisy_new, &noisy_ref);
     assert!(diff <= 1e-12, "17-qubit fallback Δ={diff}");
