@@ -1428,6 +1428,27 @@ mod tests {
     }
 
     #[test]
+    fn compile_rejects_oversized_circuits() {
+        // Validation runs before scheduler dispatch, so neither scheduler
+        // ever sees a circuit the device cannot hold.
+        for scheduler in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
+            let result = PassManager::builder()
+                .topology(Topology::grid(2, 2))
+                .scheduler(scheduler)
+                .build()
+                .run(Arc::new(Circuit::new(9)));
+            assert_eq!(
+                result.err(),
+                Some(CoOptError::CircuitTooLarge {
+                    needed: 9,
+                    available: 4
+                }),
+                "{scheduler}"
+            );
+        }
+    }
+
+    #[test]
     fn distinct_shapes_are_keyed_apart() {
         let topo = Topology::grid(2, 2);
         let a = small_circuit();

@@ -13,14 +13,17 @@
 //! of the `Compiled` plan for the full (pulse method × scheduler) matrix
 //! and for non-default (α, k, R) requests. A change that alters them must
 //! bump `zz_core::persist::PIPELINE_REVISION` (or the schema version, for
-//! an encoding change) alongside the new values.
+//! an encoding change) alongside the new values. The requests and their
+//! pinned digests live in `tests/common/mod.rs`, which `tests/service.rs`
+//! shares.
 
+mod common;
+
+use common::{codec_digest, matrix_cases, parameter_cases, PINNED_COMPILES};
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::{Circuit, Gate};
 use zz_core::pipeline::shape_key;
-use zz_persist::{fnv1a, Encode, Encoder};
-use zz_sched::zzx::Requirement;
-use zz_service::{CompileOptions, CompileRequest, PulseMethod, SchedulerKind, Session, Target};
+use zz_service::{CompileRequest, Session, Target};
 use zz_topology::Topology;
 
 /// A fixed hand-built circuit with parameter-free gates.
@@ -98,55 +101,12 @@ fn digests_depend_on_angle_bits_not_angle_values() {
     assert_ne!(pos.content_digest(), neg.content_digest());
 }
 
-/// The digest of a value's exact codec bytes.
-fn codec_digest(value: &impl Encode) -> u64 {
-    let mut enc = Encoder::new();
-    value.encode(&mut enc);
-    fnv1a(&enc.finish())
-}
-
-/// The pinned compile requests, labelled: every (method, scheduler) pair
-/// on QAOA-6 over the 2×3 grid, then non-default (α, k, R) requests on
-/// QFT-9 over the 3×3 grid.
-fn compile_cases() -> Vec<(String, Topology, Circuit, CompileOptions)> {
-    let mut cases = Vec::new();
-    for method in PulseMethod::ALL {
-        for scheduler in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
-            cases.push((
-                format!("qaoa-6/{method}+{scheduler}"),
-                Topology::grid(2, 3),
-                generate(BenchmarkKind::Qaoa, 6, 7),
-                CompileOptions::new(method, scheduler),
-            ));
-        }
-    }
-    let requirement = Requirement {
-        nq_limit: 3,
-        nc_limit: 5,
-    };
-    for (alpha, k, requirement) in [(0.25, 1, None), (2.0, 8, Some(requirement))] {
-        let mut options = CompileOptions::default().with_alpha(alpha).with_k(k);
-        if let Some(r) = requirement {
-            options = options.with_requirement(r);
-        }
-        let r = requirement.map_or("paper".to_string(), |r: Requirement| {
-            format!("{}/{}", r.nq_limit, r.nc_limit)
-        });
-        cases.push((
-            format!("qft-9/alpha={alpha},k={k},R={r}"),
-            Topology::grid(3, 3),
-            generate(BenchmarkKind::Qft, 9, 7),
-            options,
-        ));
-    }
-    cases
-}
-
 /// `(case, plan digest, residual-table digest, Compiled digest)` for
 /// every compile case, compiled through a session.
 fn compiled_digests() -> Vec<(String, u64, u64, u64)> {
-    compile_cases()
+    matrix_cases()
         .into_iter()
+        .chain(parameter_cases())
         .map(|(label, topology, circuit, options)| {
             let target = Target::builder()
                 .topology(topology)
@@ -165,72 +125,6 @@ fn compiled_digests() -> Vec<(String, u64, u64, u64)> {
         })
         .collect()
 }
-
-/// The digests [`compiled_digests`] must reproduce. Recorded while the
-/// retired sequential and batch compile facades still compiled these
-/// requests, and all three paths agreed on every digest.
-const PINNED_COMPILES: [(&str, u64, u64, u64); 10] = [
-    (
-        "qaoa-6/Gaussian+ParSched",
-        0xc9e11bf1419b1b34,
-        0x845a8e1f1b71550b,
-        0xd921afc8eb45b6af,
-    ),
-    (
-        "qaoa-6/Gaussian+ZZXSched",
-        0xbf2d63548203c996,
-        0x845a8e1f1b71550b,
-        0xb15c3afe7e2a4ef1,
-    ),
-    (
-        "qaoa-6/OptCtrl+ParSched",
-        0xc9e11bf1419b1b34,
-        0x0f2498a277f14230,
-        0xafe03e4006b16c5b,
-    ),
-    (
-        "qaoa-6/OptCtrl+ZZXSched",
-        0xbf2d63548203c996,
-        0x0f2498a277f14230,
-        0x748f69c20f125d39,
-    ),
-    (
-        "qaoa-6/Pert+ParSched",
-        0xc9e11bf1419b1b34,
-        0xeb0ee08559da5772,
-        0x807a98bdef4b97f8,
-    ),
-    (
-        "qaoa-6/Pert+ZZXSched",
-        0xbf2d63548203c996,
-        0xeb0ee08559da5772,
-        0x1904715bf044f3c6,
-    ),
-    (
-        "qaoa-6/DCG+ParSched",
-        0xc9e11bf1419b1b34,
-        0x8df6ad0bba185a2b,
-        0xa416360d16ee192e,
-    ),
-    (
-        "qaoa-6/DCG+ZZXSched",
-        0xbf2d63548203c996,
-        0x8df6ad0bba185a2b,
-        0x2a447fde8d403608,
-    ),
-    (
-        "qft-9/alpha=0.25,k=1,R=paper",
-        0xe8a7be9348eacddf,
-        0xeb0ee08559da5772,
-        0xc0c4c528181fcdbc,
-    ),
-    (
-        "qft-9/alpha=2,k=8,R=3/5",
-        0x5d6fd6b57cbeaf84,
-        0xeb0ee08559da5772,
-        0x3c4b2b91d3509db5,
-    ),
-];
 
 #[test]
 fn compiled_digests_are_pinned() {

@@ -4,15 +4,22 @@
 //!   directories, degenerate evaluation specs and failing jobs inside
 //!   `drain` come back as typed `zz_service::Error` variants, never as
 //!   panics, through both the synchronous and the queued paths.
+//! * **Legacy equivalence** — one shared session compiles the full
+//!   `(PulseMethod, SchedulerKind)` matrix and non-default (α, k, R)
+//!   requests to the exact `Compiled` bytes the retired sequential and
+//!   batch facades produced (digests shared with `tests/golden_keys.rs`),
+//!   through both the synchronous and the submit/wait paths.
 //! * **Evaluation equivalence** — a request's in-queue fidelity matches
 //!   `evaluate::fidelity_of` exactly.
 //!
-//! What a session compiles is pinned bit for bit by
-//! `tests/golden_keys.rs` and against the pre-pipeline reference in
-//! `tests/pipeline.rs`.
+//! What the pipeline compiles is also checked against the pre-pipeline
+//! reference in `tests/pipeline.rs`.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{codec_digest, matrix_cases, parameter_cases, CompileCase, PINNED_COMPILES};
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::Circuit;
 use zz_core::evaluate::{fidelity_of, EvalConfig};
@@ -20,6 +27,54 @@ use zz_core::{CoOptError, CompileOptions};
 use zz_service::{CompileRequest, Error, EvalSpec, Session, Target};
 use zz_sim::density::Decoherence;
 use zz_topology::Topology;
+
+/// Compiles every case through one session shared by the group, on the
+/// caller's thread and through the queue, and checks both against the
+/// `Compiled` digest the legacy facades produced for that request.
+fn assert_session_matches_the_legacy_facades(cases: Vec<CompileCase>) {
+    let session = Session::new(
+        Target::builder()
+            .topology(cases[0].1.clone())
+            .build()
+            .expect("no store"),
+    );
+    for (label, topology, circuit, options) in cases {
+        assert_eq!(
+            &topology,
+            session.target().topology(),
+            "{label}: one device per group"
+        );
+        let request = CompileRequest::new(circuit).with_options(options);
+        let via_session = session.compile(&request).expect("fits").compiled;
+        let via_queue = session.submit(request).wait().expect("fits").compiled;
+        session.drain();
+
+        let legacy = PINNED_COMPILES
+            .iter()
+            .find(|pinned| pinned.0 == label)
+            .expect("every case is pinned")
+            .3;
+        assert_eq!(
+            codec_digest(&via_session),
+            legacy,
+            "{label}: session drifted from the legacy facades"
+        );
+        assert_eq!(
+            via_session, via_queue,
+            "{label}: queued path drifted from synchronous path"
+        );
+    }
+}
+
+#[test]
+fn session_matches_the_legacy_facades_for_every_method_scheduler_pair() {
+    assert_session_matches_the_legacy_facades(matrix_cases());
+}
+
+#[test]
+fn session_matches_the_legacy_facades_for_non_default_parameters() {
+    assert_session_matches_the_legacy_facades(parameter_cases());
+}
 
 #[test]
 fn in_queue_evaluation_matches_the_legacy_eval_path() {
