@@ -75,10 +75,32 @@ impl EvalConfig {
         self.decoherence = Some((Decoherence::equal_us(t), trajectories, 97));
         self
     }
+
+    /// Why [`fidelity_of`] cannot evaluate under this config, if it
+    /// cannot: no seeds to average over, unphysical decoherence times,
+    /// or no trajectories.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field.
+    pub fn check(&self) -> Result<(), String> {
+        if self.crosstalk_seeds.is_empty() {
+            return Err("evaluation has no crosstalk seeds to average over".into());
+        }
+        if let Some((deco, trajectories, _)) = &self.decoherence {
+            deco.check()?;
+            if *trajectories == 0 {
+                return Err("evaluation decoherence trajectories must be at least 1, got 0".into());
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Mean output-state fidelity of a compiled plan over the config's
-/// crosstalk samples (and decoherence, when enabled).
+/// crosstalk samples (and decoherence, when enabled). Callers run
+/// [`EvalConfig::check`] first: a config it rejects yields NaN or
+/// panics here.
 ///
 /// The ideal reference state is computed once and reused across all
 /// crosstalk seeds; each seed's noisy execution runs through the

@@ -291,13 +291,20 @@ impl Fleet {
     /// # Errors
     ///
     /// [`FleetError::DuplicateDevice`] when the name is taken,
-    /// [`FleetError::Service`] when the target cannot be built.
+    /// [`FleetError::Service`] when the profile's decoherence times fail
+    /// [`Decoherence::check`](zz_sim::density::Decoherence::check) (an
+    /// [`Eval`](zz_service::Error::Eval) error naming the field) or the
+    /// target cannot be built.
     pub fn add_device(&mut self, profile: DeviceProfile) -> Result<(), FleetError> {
         if self.backends.iter().any(|b| b.profile.name == profile.name) {
             return Err(FleetError::DuplicateDevice {
                 device: profile.name.clone(),
             });
         }
+        profile
+            .decoherence()
+            .check()
+            .map_err(|detail| eval_error(&profile.name, profile.name.clone(), detail))?;
         let store = self
             .config
             .store_root
@@ -565,8 +572,9 @@ impl Fleet {
     /// # Errors
     ///
     /// [`FleetError::UnknownDevice`] for an unregistered name,
-    /// [`FleetError::Service`] when the compile fails or the device is
-    /// above [`MAX_EVAL_QUBITS`].
+    /// [`FleetError::Service`] when the compile fails, the device is
+    /// above [`MAX_EVAL_QUBITS`], or the fleet's scoring config fails
+    /// [`EvalConfig::check`] (no eval seeds, zero trajectories).
     pub fn ground_truth_fidelity(
         &self,
         device: &str,
@@ -575,17 +583,25 @@ impl Fleet {
     ) -> Result<f64, FleetError> {
         let backend = self.backend(device)?;
         if !backend.small() {
-            return Err(FleetError::Service {
-                device: device.to_string(),
-                source: zz_service::Error::Eval {
-                    job: options.default_label(),
-                    detail: format!(
-                        "{} qubits exceed the evaluation ceiling of {MAX_EVAL_QUBITS}",
-                        backend.topology.qubit_count()
-                    ),
-                },
-            });
+            return Err(eval_error(
+                device,
+                options.default_label(),
+                format!(
+                    "{} qubits exceed the evaluation ceiling of {MAX_EVAL_QUBITS}",
+                    backend.topology.qubit_count()
+                ),
+            ));
         }
+        let config = EvalConfig {
+            lambda_mean: backend.true_lambda,
+            lambda_std: backend.profile.lambda_std,
+            crosstalk_seeds: self.config.eval_seeds.clone(),
+            circuit_seed: 0,
+            decoherence: Some((backend.profile.decoherence(), self.config.trajectories, 97)),
+        };
+        config
+            .check()
+            .map_err(|detail| eval_error(device, options.default_label(), detail))?;
         let request = CompileRequest::new(circuit).with_options(options);
         let response = backend
             .session
@@ -594,16 +610,7 @@ impl Fleet {
                 device: device.to_string(),
                 source,
             })?;
-        Ok(fidelity_of(
-            &response.compiled,
-            &EvalConfig {
-                lambda_mean: backend.true_lambda,
-                lambda_std: backend.profile.lambda_std,
-                crosstalk_seeds: self.config.eval_seeds.clone(),
-                circuit_seed: 0,
-                decoherence: Some((backend.profile.decoherence(), self.config.trajectories, 97)),
-            },
-        ))
+        Ok(fidelity_of(&response.compiled, &config))
     }
 
     /// Aggregates per-device job counts, scores, invalidations,
@@ -682,6 +689,14 @@ fn build_session(
         source,
     })?;
     Ok((Session::with_threads(target, threads), calib))
+}
+
+/// An evaluation failure of `job` on `device`, as the typed service error.
+fn eval_error(device: &str, job: String, detail: String) -> FleetError {
+    FleetError::Service {
+        device: device.to_string(),
+        source: zz_service::Error::Eval { job, detail },
+    }
 }
 
 /// The analytic fidelity proxy for devices above the evaluation ceiling:

@@ -140,9 +140,13 @@ impl DeviceProfile {
     }
 
     /// This profile's decoherence channel (`T1`/`T2` in the simulator's
-    /// nanosecond units).
+    /// nanosecond units). Never panics: `Fleet::add_device` rejects a
+    /// profile whose channel fails [`Decoherence::check`].
     pub fn decoherence(&self) -> Decoherence {
-        Decoherence::new(self.t1_us * 1000.0, self.t2_us * 1000.0)
+        Decoherence {
+            t1: self.t1_us * 1000.0,
+            t2: self.t2_us * 1000.0,
+        }
     }
 }
 
@@ -189,7 +193,7 @@ mod tests {
     #[test]
     fn decoherence_times_are_physical() {
         for profile in DeviceProfile::standard_fleet() {
-            let _ = profile.decoherence(); // asserts 0 < T2 ≤ 2·T1
+            assert_eq!(profile.decoherence().check(), Ok(()), "{}", profile.name);
         }
     }
 }

@@ -43,7 +43,7 @@ pub mod suppression;
 pub mod zzx;
 
 pub use metrics::{cut_metrics, CutMetrics};
-pub use obs::{register_sink, sched_totals, SchedSink, SchedTotals};
+pub use obs::{register_sink, SchedSink};
 pub use plan::{GateDurations, Layer, PlanSummary, SchedulePlan};
 pub use render::{render_plan, summarize_plan};
 pub use suppression::{alpha_optimal_suppression, SuppressionPlan};

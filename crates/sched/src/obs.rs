@@ -2,20 +2,15 @@
 //!
 //! `zz_sched` sits below `zz_obs` in the crate graph, so — like the
 //! simulation engine (`zz_sim::metrics`) — it cannot register counters
-//! into an observability registry directly. It exposes the same two-part
-//! pattern instead:
-//!
-//! * **process-wide totals** — a std-only atomic counter, readable via
-//!   [`sched_totals`] with no upstream dependency, and
-//! * a [`SchedSink`] trait — upstream layers (the service session)
-//!   install sinks via [`register_sink`] and receive one event per
-//!   scheduled circuit. A sink returns `false` once its backing registry
-//!   is gone and is pruned on the next flush.
+//! into an observability registry directly. It exposes the same sink
+//! pattern instead: upstream layers (the service session) install a
+//! [`SchedSink`] via [`register_sink`] and receive one event per
+//! scheduled circuit. A sink returns `false` once its backing registry
+//! is gone and is pruned on the next flush.
 //!
 //! Recording is coarse: one flush per *schedule* (a whole circuit), never
 //! per distance lookup, so instrumentation stays out of the hot loop.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Receiver for scheduler events. Implementations must be cheap and
@@ -28,18 +23,6 @@ pub trait SchedSink: Send + Sync {
     /// `queries` qubit-pair distance lookups (0 when Case 2 never ran).
     fn distance_queries(&self, queries: u64) -> bool;
 }
-
-/// Running totals since process start (see [`sched_totals`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedTotals {
-    /// Qubit-pair distance lookups served by the lazy distance oracle.
-    pub distance_queries: u64,
-    /// Scheduling runs that flushed their counters.
-    pub schedules: u64,
-}
-
-static DISTANCE_QUERIES: AtomicU64 = AtomicU64::new(0);
-static SCHEDULES: AtomicU64 = AtomicU64::new(0);
 
 fn sinks() -> &'static Mutex<Vec<Arc<dyn SchedSink>>> {
     static SINKS: OnceLock<Mutex<Vec<Arc<dyn SchedSink>>>> = OnceLock::new();
@@ -55,19 +38,8 @@ pub fn register_sink(sink: Arc<dyn SchedSink>) {
         .push(sink);
 }
 
-/// Process-wide scheduler totals. Always available — no observability
-/// stack required — which keeps scheduler tests dependency-free.
-pub fn sched_totals() -> SchedTotals {
-    SchedTotals {
-        distance_queries: DISTANCE_QUERIES.load(Ordering::Relaxed),
-        schedules: SCHEDULES.load(Ordering::Relaxed),
-    }
-}
-
 /// Records one finished scheduling run and flushes it to the sinks.
 pub(crate) fn record_distance_queries(queries: u64) {
-    DISTANCE_QUERIES.fetch_add(queries, Ordering::Relaxed);
-    SCHEDULES.fetch_add(1, Ordering::Relaxed);
     let mut sinks = sinks().lock().expect("sched sink registry poisoned");
     sinks.retain(|s| s.distance_queries(queries));
 }
@@ -75,6 +47,7 @@ pub(crate) fn record_distance_queries(queries: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Probe {
         queries: AtomicU64,
@@ -96,13 +69,8 @@ mod tests {
         });
         register_sink(probe.clone());
 
-        let before = sched_totals();
         record_distance_queries(7);
-        let after = sched_totals();
-
         assert!(probe.queries.load(Ordering::Relaxed) >= 7);
-        assert!(after.distance_queries >= before.distance_queries + 7);
-        assert!(after.schedules > before.schedules);
 
         // Kill the probe: the next flush must prune it.
         probe.alive.store(false, Ordering::Relaxed);

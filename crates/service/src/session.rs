@@ -78,21 +78,6 @@ impl EvalSpec {
         self
     }
 
-    /// Why this spec cannot be evaluated, if it cannot: no seeds to
-    /// average over, unphysical decoherence times, or no trajectories.
-    fn check(&self) -> Result<(), String> {
-        if self.crosstalk_seeds.is_empty() {
-            return Err("eval spec has no crosstalk seeds to average over".into());
-        }
-        if let Some((deco, trajectories, _)) = &self.decoherence {
-            deco.check()?;
-            if *trajectories == 0 {
-                return Err("eval spec decoherence trajectories must be at least 1, got 0".into());
-            }
-        }
-        Ok(())
-    }
-
     fn to_config(&self, target: &Target) -> EvalConfig {
         EvalConfig {
             lambda_mean: target.lambda_mean(),
@@ -707,7 +692,8 @@ impl SessionCore {
         let fidelity = match &request.eval {
             None => None,
             Some(spec) => {
-                spec.check().map_err(|detail| Error::Eval {
+                let config = spec.to_config(&self.target);
+                config.check().map_err(|detail| Error::Eval {
                     job: request.label.clone(),
                     detail,
                 })?;
@@ -726,7 +712,7 @@ impl SessionCore {
                         ),
                     });
                 }
-                Some(fidelity_of(&compiled, &spec.to_config(&self.target)))
+                Some(fidelity_of(&compiled, &config))
             }
         };
 

@@ -1,5 +1,6 @@
-//! Trajectory-batched amplitude storage: the SIMD-width hot path of the
-//! Monte-Carlo engine.
+//! Trajectory-batched amplitude storage: the SIMD-width hot path every
+//! precompiled program replays on — Monte-Carlo fans at full width,
+//! single runs at width 1.
 //!
 //! A [`BatchedState`] holds the amplitudes of `lanes` independent
 //! trajectories in **structure-of-arrays** form: two `f64` planes (real
@@ -56,14 +57,6 @@ impl BatchedState {
         };
         state.re[..lanes].fill(1.0);
         state
-    }
-
-    /// Resets to `lanes` copies of `|0…0⟩` without reallocating — the
-    /// per-batch reuse path of the trajectory fan.
-    pub fn reset(&mut self) {
-        self.re.fill(0.0);
-        self.im.fill(0.0);
-        self.re[..self.lanes].fill(1.0);
     }
 
     /// Number of qubits.
@@ -255,9 +248,8 @@ impl BatchedState {
         }
     }
 
-    /// One Rz phase term `(mask, θ/2)` — the batched twin of
-    /// `StateVector::apply_rz_term`: per block, one contiguous chunk of
-    /// clear-bit rows gets `cis(-θ/2)` and one chunk of set-bit rows
+    /// One Rz phase term `(mask, θ/2)`: per block, one contiguous chunk
+    /// of clear-bit rows gets `cis(-θ/2)` and one chunk of set-bit rows
     /// gets `cis(θ/2)`; two `cis` evaluations for the whole sweep.
     pub fn apply_rz_term(&mut self, mask: usize, half: f64) {
         let (lo, hi) = (c64::cis(-half), c64::cis(half));
@@ -300,33 +292,6 @@ impl BatchedState {
                 mid += lo << 1;
             }
             outer += hi << 1;
-        }
-    }
-
-    /// Per-lane probability that the qubit selected by `mask` is `|1⟩`,
-    /// written into `out` (one slot per lane). Accumulation visits the
-    /// excited amplitude rows in ascending index order, so each lane's
-    /// sum is independent of the batch width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is not exactly `lanes` long.
-    pub fn excited_population(&self, mask: usize, out: &mut [f64]) {
-        assert_eq!(out.len(), self.lanes, "one accumulator per lane");
-        out.fill(0.0);
-        let lanes = self.lanes;
-        let chunk = mask * lanes;
-        let stride = chunk << 1;
-        let mut off = chunk;
-        while off < self.re.len() {
-            let re = &self.re[off..off + chunk];
-            let im = &self.im[off..off + chunk];
-            for (row_r, row_q) in re.chunks_exact(lanes).zip(im.chunks_exact(lanes)) {
-                for t in 0..lanes {
-                    out[t] += row_r[t] * row_r[t] + row_q[t] * row_q[t];
-                }
-            }
-            off += stride;
         }
     }
 
@@ -556,9 +521,10 @@ mod tests {
             }
             sv.kernel_two(&zx, mask(0), mask(2));
             sv.kernel_two(&zx, mask(3), mask(1));
-            sv.apply_rz_term(mask(1), 0.37);
-            sv.apply_zz_term(mask(0), mask(3), 0.21);
-            sv.apply_diagonal(&diag);
+            sv.apply_rz(2.0 * 0.37, 1);
+            sv.apply_zz_phase(0.21, 0, 3);
+            let amps = sv.amplitudes().iter().zip(&diag).map(|(&a, &d)| a * d);
+            *sv = StateVector::from_vector(zz_linalg::Vector::from_vec(amps.collect()));
         }
 
         for (lane, sv) in scalars.iter().enumerate() {
@@ -580,23 +546,19 @@ mod tests {
             sv.kernel_single(&h, 1 << (n - 1 - q));
         }
         batch.apply_rz_term(1, 0.4);
-        sv.apply_rz_term(1, 0.4);
+        sv.apply_rz(0.8, n - 1);
 
-        let mut pops = vec![0.0; 2];
         let mut all = vec![0.0; n * 2];
         let mut row = vec![0.0; 2];
         batch.excited_populations(&mut all, &mut row);
         for q in 0..n {
-            let mask = 1usize << (n - 1 - q);
-            batch.excited_population(mask, &mut pops);
             let scalar = sv.excited_population(q);
-            for (lane, &p) in pops.iter().enumerate() {
-                assert!((p - scalar).abs() < 1e-14, "q={q} lane={lane}");
+            for lane in 0..2 {
                 // The all-qubits sweep accumulates the same terms in the
-                // same order as the per-qubit sweep — bit-identical.
+                // same order as the scalar per-qubit sum — bit-identical.
                 assert_eq!(
                     all[q * 2 + lane].to_bits(),
-                    p.to_bits(),
+                    scalar.to_bits(),
                     "q={q} lane={lane}"
                 );
             }
@@ -664,19 +626,6 @@ mod tests {
                 (gathered.amplitude(i, 2).re - expect).abs() < 1e-15,
                 "i={i}"
             );
-        }
-    }
-
-    #[test]
-    fn reset_restores_the_zero_state() {
-        let mut batch = BatchedState::zero(2, 2);
-        batch.kernel_single(&mat4(&gates::h()), 2);
-        batch.reset();
-        for lane in 0..2 {
-            assert_eq!(batch.amplitude(0, lane), c64::ONE);
-            for i in 1..4 {
-                assert_eq!(batch.amplitude(i, lane), c64::ZERO);
-            }
         }
     }
 }

@@ -17,15 +17,19 @@
 //!   qubits) and by Monte-Carlo trajectory unraveling on state vectors
 //!   ([`program::TrajectoryProgram`]) for larger registers.
 //!
-//! Execution goes through precompiled programs ([`program`]): a plan is
-//! resolved once into fused phase diagonals and branch-free gate kernels,
-//! then replayed — deterministically ([`program::PlanProgram`]) or as
-//! parallel Monte-Carlo trajectories with thread-count-independent
-//! results ([`program::TrajectoryProgram`]). Trajectory fans run through
-//! the structure-of-arrays [`batch`] store, which sweeps a whole batch of
-//! trajectories per amplitude visit; [`metrics`] exposes engine counters
-//! without depending on the observability stack. [`executor`] holds the
-//! error model ([`executor::ZzErrorModel`]) the programs compile against.
+//! Execution goes through precompiled programs ([`program`]): one builder
+//! resolves a plan into fused phase diagonals, branch-free gate kernels
+//! and per-layer decoherence probabilities, and one replay loop runs them
+//! on the structure-of-arrays [`batch`] store, which sweeps a whole batch
+//! of trajectories per amplitude visit. A deterministic
+//! [`program::PlanProgram`] is the decoherence-free case, replayed on one
+//! lane; a [`program::TrajectoryProgram`] fans Monte-Carlo trajectories
+//! out with thread-count- and batch-width-independent results.
+//! [`metrics`] forwards engine counters to the observability stack
+//! through registered sinks. [`executor`] holds the error model
+//! ([`executor::ZzErrorModel`]) the programs compile against.
+//! [`StateVector`] keeps the scalar kernels the reference executor of
+//! `zz_bench` runs on.
 //!
 //! # Example
 //!

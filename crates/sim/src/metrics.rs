@@ -3,21 +3,16 @@
 //! `zz_sim` sits *below* `zz_obs` in the crate graph (`zz_obs` depends
 //! on `zz_persist`, which depends on this crate), so the engine cannot
 //! register metrics into an observability registry directly. Instead it
-//! exposes two things:
-//!
-//! * **process-wide totals** — std-only atomic counters, readable via
-//!   [`engine_totals`] without any upstream dependency, and
-//! * an [`EngineSink`] trait — upstream layers (the service session)
-//!   install sinks via [`register_sink`], and the engine forwards one
-//!   event per trajectory batch plus one per compilation. A sink
-//!   returns `false` once its backing registry is gone and is pruned on
-//!   the next flush.
+//! exposes an [`EngineSink`] trait: upstream layers (the service
+//! session) install sinks via [`register_sink`], and the engine forwards
+//! one event per Monte-Carlo trajectory batch plus one per program
+//! compilation. A sink returns `false` once its backing registry is gone
+//! and is pruned on the next flush.
 //!
 //! Recording is deliberately coarse: one sink flush per *batch* (tens
 //! of milliseconds of kernel work), never per sweep, so instrumentation
 //! stays invisible in profiles.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -35,25 +30,6 @@ pub trait EngineSink: Send + Sync {
     fn fused_diags(&self, merges: u64) -> bool;
 }
 
-/// Running totals since process start (see [`engine_totals`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineTotals {
-    /// Monte-Carlo trajectories simulated through the batched engine.
-    pub trajectories: u64,
-    /// Full-statevector kernel sweeps (single, two-qubit, diagonal,
-    /// noise and fidelity passes all count one each).
-    pub kernel_sweeps: u64,
-    /// Diagonal sweeps eliminated by cross-layer fusion at compile time.
-    pub fused_diagonals: u64,
-    /// Trajectory batches executed.
-    pub batches: u64,
-}
-
-static TRAJECTORIES: AtomicU64 = AtomicU64::new(0);
-static KERNEL_SWEEPS: AtomicU64 = AtomicU64::new(0);
-static FUSED_DIAGONALS: AtomicU64 = AtomicU64::new(0);
-static BATCHES: AtomicU64 = AtomicU64::new(0);
-
 fn sinks() -> &'static Mutex<Vec<Arc<dyn EngineSink>>> {
     static SINKS: OnceLock<Mutex<Vec<Arc<dyn EngineSink>>>> = OnceLock::new();
     SINKS.get_or_init(|| Mutex::new(Vec::new()))
@@ -68,22 +44,8 @@ pub fn register_sink(sink: Arc<dyn EngineSink>) {
         .push(sink);
 }
 
-/// Process-wide engine totals. Always available — no observability
-/// stack required — which keeps engine tests dependency-free.
-pub fn engine_totals() -> EngineTotals {
-    EngineTotals {
-        trajectories: TRAJECTORIES.load(Ordering::Relaxed),
-        kernel_sweeps: KERNEL_SWEEPS.load(Ordering::Relaxed),
-        fused_diagonals: FUSED_DIAGONALS.load(Ordering::Relaxed),
-        batches: BATCHES.load(Ordering::Relaxed),
-    }
-}
-
 /// Records one completed trajectory batch and flushes it to the sinks.
 pub(crate) fn record_batch(trajectories: u64, kernel_sweeps: u64, elapsed: Duration) {
-    TRAJECTORIES.fetch_add(trajectories, Ordering::Relaxed);
-    KERNEL_SWEEPS.fetch_add(kernel_sweeps, Ordering::Relaxed);
-    BATCHES.fetch_add(1, Ordering::Relaxed);
     let mut sinks = sinks().lock().expect("engine sink registry poisoned");
     sinks.retain(|s| s.batch(trajectories, kernel_sweeps, elapsed));
 }
@@ -93,7 +55,6 @@ pub(crate) fn record_fused(merges: u64) {
     if merges == 0 {
         return;
     }
-    FUSED_DIAGONALS.fetch_add(merges, Ordering::Relaxed);
     let mut sinks = sinks().lock().expect("engine sink registry poisoned");
     sinks.retain(|s| s.fused_diags(merges));
 }
@@ -101,6 +62,7 @@ pub(crate) fn record_fused(merges: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     struct Probe {
         batches: AtomicU64,
@@ -128,17 +90,11 @@ mod tests {
         });
         register_sink(probe.clone());
 
-        let before = engine_totals();
         record_batch(4, 10, Duration::from_micros(5));
         record_fused(3);
-        let after = engine_totals();
 
         assert!(probe.batches.load(Ordering::Relaxed) >= 4);
         assert!(probe.fused.load(Ordering::Relaxed) >= 3);
-        assert!(after.trajectories >= before.trajectories + 4);
-        assert!(after.kernel_sweeps >= before.kernel_sweeps + 10);
-        assert!(after.fused_diagonals >= before.fused_diagonals + 3);
-        assert!(after.batches > before.batches);
 
         // Kill the probe: the next flush must prune it.
         probe.alive.store(false, Ordering::Relaxed);

@@ -1,29 +1,38 @@
 //! Precompiled execution programs for schedule plans.
 //!
-//! The straight-line executor recomputes a lot of invariant work on every
-//! run: which couplings a layer drives, which residual factor each
+//! Interpreting a plan directly recomputes a lot of invariant work on
+//! every run: which couplings a layer drives, which residual factor each
 //! suppressed coupling picks up (an `O(ops)` scan per coupling), the gate
-//! matrices (allocated per application), the per-layer durations, and —
-//! worst of all — one full `O(2^n)` amplitude sweep *per coupling per
-//! layer* for the ZZ phases. A [`PlanProgram`] resolves all of that once
-//! per `(SchedulePlan, Topology, ZzErrorModel, GateDurations)` tuple:
+//! matrices, the per-layer durations, and — worst of all — one full
+//! `O(2^n)` amplitude sweep *per coupling per layer* for the ZZ phases.
+//! One private builder resolves all of that once per plan and noise
+//! model into a list of steps:
 //!
 //! * every layer's undriven-coupling ZZ phases and the adjacent virtual
 //!   rotations are **fused into a single diagonal** — one `O(2^n)` pass
 //!   per layer (tabulated as `2^n` phases for registers up to
 //!   [`DIAG_TABLE_MAX_QUBITS`] qubits, evaluated on the fly above that),
-//! * gate matrices are resolved to branch-free statevector kernels with
-//!   precomputed bit masks,
-//! * the [`TrajectoryProgram`] variant additionally precomputes per-layer
-//!   decoherence probabilities and samples Kraus jumps with analytic
-//!   renormalization (no separate norm pass), and fans trajectories out
-//!   over a scoped-thread pool with **deterministic per-trajectory
-//!   seeds**, so Monte-Carlo results are bit-identical regardless of the
-//!   thread count.
+//!   and phases keep sliding forward across layers until a gate kernel
+//!   or an amplitude-damping jump pins them,
+//! * gate matrices are resolved to branch-free kernels with precomputed
+//!   bit masks,
+//! * with decoherence, each layer also carries its damping and
+//!   phase-flip probabilities.
 //!
-//! These programs are the state-vector execution path: compile one per
-//! plan and error model, and reuse it whenever the plan runs more than
-//! once (disorder averages, trajectory fans, parameter sweeps).
+//! One replay loop runs those steps on [`BatchedState`]. A
+//! [`PlanProgram`] is the decoherence-free case: its layers never draw,
+//! and [`PlanProgram::run`] replays them on one lane. A
+//! [`TrajectoryProgram`] samples Kraus jumps with analytic
+//! renormalization (no separate norm pass); [`TrajectoryProgram::run`]
+//! replays one trajectory on one lane, and
+//! [`TrajectoryProgram::mean_fidelity`] fans batches of
+//! [`DEFAULT_BATCH_LANES`] trajectories over a thread pool with
+//! **deterministic per-trajectory seeds**, so Monte-Carlo results are
+//! bit-identical regardless of the thread count and batch width.
+//!
+//! Compile one program per plan and error model, and reuse it whenever
+//! the plan runs more than once (disorder averages, trajectory fans,
+//! parameter sweeps).
 //!
 //! # Example
 //!
@@ -93,15 +102,7 @@ enum GateApp {
 
 impl GateApp {
     #[inline]
-    fn apply(&self, sv: &mut StateVector) {
-        match self {
-            GateApp::Single { mask, m } => sv.kernel_single(m, *mask),
-            GateApp::Two { ba, bb, m } => sv.kernel_two(m, *ba, *bb),
-        }
-    }
-
-    #[inline]
-    fn apply_batched(&self, batch: &mut BatchedState) {
+    fn apply(&self, batch: &mut BatchedState) {
         match self {
             GateApp::Single { mask, m } => batch.kernel_single(m, *mask),
             GateApp::Two { ba, bb, m } => batch.kernel_two(m, *ba, *bb),
@@ -202,27 +203,13 @@ impl Diag {
         phase
     }
 
-    /// Applies the diagonal. Tabulated registers take one lookup sweep;
-    /// above [`DIAG_TABLE_MAX_QUBITS`] each term runs as its own strided
+    /// Applies the diagonal to every lane and returns the number of
+    /// full-statevector sweeps it executed (for the engine counters).
+    /// Tabulated registers take one lookup sweep; above
+    /// [`DIAG_TABLE_MAX_QUBITS`] each term runs as its own strided
     /// branch-free pass with only two `cis` evaluations per term — no
     /// per-amplitude sin/cos.
-    fn apply(&self, sv: &mut StateVector) {
-        match &self.table {
-            Some(table) => sv.apply_diagonal(table),
-            None => {
-                for &(mask, half) in &self.rz {
-                    sv.apply_rz_term(mask, half);
-                }
-                for &(mu, mv, phi) in &self.zz {
-                    sv.apply_zz_term(mu, mv, phi);
-                }
-            }
-        }
-    }
-
-    /// Batched twin of [`apply`](Self::apply); returns the number of
-    /// full-statevector sweeps it executed (for the engine counters).
-    fn apply_batched(&self, batch: &mut BatchedState) -> u64 {
+    fn apply(&self, batch: &mut BatchedState) -> u64 {
         match &self.table {
             Some(table) => {
                 batch.apply_diagonal(table);
@@ -330,144 +317,18 @@ fn zz_terms(
     terms
 }
 
-/// One precompiled layer of a [`PlanProgram`]: the fused pre-gate diagonal
-/// (this layer's virtual rotations plus the *previous* layer's ZZ phases,
-/// which are adjacent commuting diagonals in the deterministic run) and
-/// the layer's resolved gate kernels.
-#[derive(Clone, Debug)]
-pub struct LayerProgram {
-    pre: Option<Diag>,
-    gates: Vec<GateApp>,
-}
-
-/// A deterministic execution program: the whole plan resolved to a flat
-/// sequence of fused diagonals and gate kernels. Compile once, [`run`]
-/// many times.
-///
-/// [`run`]: PlanProgram::run
-#[derive(Clone, Debug)]
-pub struct PlanProgram {
-    n: usize,
-    layers: Vec<LayerProgram>,
-    /// Trailing diagonal: the last layer's ZZ phases plus the plan's
-    /// final virtual rotations.
-    tail: Option<Diag>,
-}
-
-impl PlanProgram {
-    /// Precompiles the error-free reference program (no ZZ phases at all).
-    pub fn ideal(plan: &SchedulePlan) -> Self {
-        Self::build(plan, None)
-    }
-
-    /// Precompiles the plan under the given ZZ-crosstalk model: driven
-    /// couplings, residual factors, layer durations and fused phase
-    /// diagonals are all resolved here, never during [`run`](Self::run).
-    pub fn compile(
-        plan: &SchedulePlan,
-        topo: &Topology,
-        model: &ZzErrorModel,
-        durations: &GateDurations,
-    ) -> Self {
-        Self::build(plan, Some((topo, model, durations)))
-    }
-
-    fn build(
-        plan: &SchedulePlan,
-        noise: Option<(&Topology, &ZzErrorModel, &GateDurations)>,
-    ) -> Self {
-        let n = plan.qubit_count();
-        let x90 = mat4(&zz_quantum::gates::x90());
-        let zx90 = mat16(&zz_quantum::gates::zx90());
-        let mut layers = Vec::with_capacity(plan.layers.len());
-        // Diagonal terms carried forward into the next emitted layer's
-        // pre-gate diagonal: the previous layers' ZZ phases, inline Rz
-        // ops, and everything from fully-diagonal (gateless) layers —
-        // all commuting diagonals, so fusing across layer boundaries is
-        // exact. In the deterministic program nothing ever forces a
-        // diagonal to run at its original position; only a gate kernel
-        // cuts the carry.
-        let mut carry_rz: Vec<(usize, f64)> = Vec::new();
-        let mut carry_zz: Vec<(usize, usize, f64)> = Vec::new();
-        // Diagonal sweeps a fusion-free compilation would have emitted,
-        // vs the number actually emitted — the difference feeds the
-        // `engine.diag.fused` counter.
-        let mut naive = 0u64;
-        let mut emitted = 0u64;
-        for layer in &plan.layers {
-            let (gates, inline_rz) = resolve_gates(n, layer, &x90, &zx90);
-            let before = rz_terms(n, &layer.rz_before);
-            naive += !before.is_empty() as u64 + !inline_rz.is_empty() as u64;
-            carry_rz.extend(before);
-            carry_rz.extend(inline_rz);
-            let zz = if let Some((topo, model, durations)) = noise {
-                zz_terms(n, layer, topo, model, layer.duration(durations))
-            } else {
-                Vec::new()
-            };
-            naive += !zz.is_empty() as u64;
-            if gates.is_empty() {
-                // Fully-diagonal layer: collapses into the carry.
-                carry_zz.extend(zz);
-                continue;
-            }
-            let pre = Diag::build(
-                n,
-                std::mem::take(&mut carry_rz),
-                std::mem::take(&mut carry_zz),
-            );
-            emitted += pre.is_some() as u64;
-            carry_zz = zz;
-            layers.push(LayerProgram { pre, gates });
-        }
-        let final_rz = rz_terms(n, &plan.final_rz);
-        naive += !final_rz.is_empty() as u64;
-        carry_rz.extend(final_rz);
-        let tail = Diag::build(n, carry_rz, carry_zz);
-        emitted += tail.is_some() as u64;
-        metrics::record_fused(naive.saturating_sub(emitted));
-        PlanProgram { n, layers, tail }
-    }
-
-    /// Number of qubits.
-    pub fn qubit_count(&self) -> usize {
-        self.n
-    }
-
-    /// The precompiled layers.
-    pub fn layers(&self) -> &[LayerProgram] {
-        &self.layers
-    }
-
-    /// Executes the program from `|0…0⟩`.
-    pub fn run(&self) -> StateVector {
-        let mut sv = StateVector::zero(self.n);
-        for layer in &self.layers {
-            if let Some(diag) = &layer.pre {
-                diag.apply(&mut sv);
-            }
-            for gate in &layer.gates {
-                gate.apply(&mut sv);
-            }
-        }
-        if let Some(diag) = &self.tail {
-            diag.apply(&mut sv);
-        }
-        sv
-    }
-}
-
-/// One precompiled Monte-Carlo layer. Unlike the deterministic layout,
-/// an amplitude-damping **jump** is a fusion barrier: the jump moves
+/// One precompiled layer. A decoherence-free program never pins a
+/// diagonal: with `gamma == 0` the layer's ZZ phases slide past its
+/// (draw-free) noise pass into the next layer's `pre`. An
+/// amplitude-damping **jump** is the only fusion barrier: it moves
 /// amplitude between basis states, so a diagonal deferred past it would
 /// apply the wrong per-state phase. Whether a jump fires is only known
 /// at run time, so compilation treats any layer with `gamma > 0` as a
-/// barrier and keeps its ZZ diagonal in place (`zz`). When `gamma == 0`
-/// no jump can occur — dephasing draws never read amplitudes, and `Z`
-/// commutes with every diagonal — so the layer's ZZ phases slide across
-/// the noise pass into the next layer's `pre` instead.
+/// barrier and keeps its ZZ diagonal in place (`zz`). Dephasing draws
+/// never read amplitudes, and `Z` commutes with every diagonal, so they
+/// pin nothing.
 #[derive(Clone, Debug)]
-struct TrajLayer {
+struct Step {
     /// Fused pre-gate diagonal: this layer's virtual rotations (both
     /// `rz_before` and inline ops) plus any ZZ phases carried over from
     /// preceding jump-free layers.
@@ -484,46 +345,56 @@ struct TrajLayer {
     p_flip: f64,
 }
 
-/// A Monte-Carlo trajectory program: the plan resolved as in
-/// [`PlanProgram`], plus per-layer decoherence probabilities. One compiled
-/// program serves every trajectory — and is `Sync`, so trajectories fan
-/// out over threads against shared precompiled state.
+/// A plan resolved to the steps both programs replay.
 #[derive(Clone, Debug)]
-pub struct TrajectoryProgram {
+struct Steps {
     n: usize,
-    layers: Vec<TrajLayer>,
-    /// The plan's final virtual rotations.
+    layers: Vec<Step>,
+    /// Trailing diagonal: the plan's final virtual rotations plus every
+    /// phase still carried after the last layer.
     tail: Option<Diag>,
 }
 
-impl TrajectoryProgram {
-    /// Precompiles the plan under ZZ crosstalk and decoherence.
-    pub fn compile(
+impl Steps {
+    /// The one builder behind [`PlanProgram`] and [`TrajectoryProgram`]:
+    /// ZZ phases come from `noise` (none for the ideal program), per-layer
+    /// γ and p_flip from `deco` (zero without it, so no layer draws).
+    fn build(
         plan: &SchedulePlan,
-        topo: &Topology,
-        model: &ZzErrorModel,
-        deco: &Decoherence,
-        durations: &GateDurations,
+        noise: Option<(&Topology, &ZzErrorModel, &GateDurations)>,
+        deco: Option<&Decoherence>,
     ) -> Self {
         let n = plan.qubit_count();
         let x90 = mat4(&zz_quantum::gates::x90());
         let zx90 = mat16(&zz_quantum::gates::zx90());
-        let mut layers: Vec<TrajLayer> = Vec::with_capacity(plan.layers.len());
+        let mut layers = Vec::with_capacity(plan.layers.len());
+        // Diagonal terms carried forward into the next emitted layer's
+        // pre-gate diagonal: the previous layers' ZZ phases, inline Rz
+        // ops, and everything from layers that collapsed — all commuting
+        // diagonals, so fusing across layer boundaries is exact.
         let mut carry_rz: Vec<(usize, f64)> = Vec::new();
         let mut carry_zz: Vec<(usize, usize, f64)> = Vec::new();
+        // Diagonal sweeps a fusion-free compilation would have emitted,
+        // vs the number actually emitted — the difference feeds the
+        // `engine.diag.fused` counter.
         let mut naive = 0u64;
         let mut emitted = 0u64;
         for layer in &plan.layers {
-            let dt = layer.duration(durations);
-            let gamma = deco.gamma(dt);
-            let p_flip = deco.phase_flip(dt);
+            let (zz, gamma, p_flip) = match noise {
+                Some((topo, model, durations)) => {
+                    let dt = layer.duration(durations);
+                    let (gamma, p_flip) =
+                        deco.map_or((0.0, 0.0), |d| (d.gamma(dt), d.phase_flip(dt)));
+                    (zz_terms(n, layer, topo, model, dt), gamma, p_flip)
+                }
+                None => (Vec::new(), 0.0, 0.0),
+            };
             let (gates, inline_rz) = resolve_gates(n, layer, &x90, &zx90);
             let before = rz_terms(n, &layer.rz_before);
-            naive += !before.is_empty() as u64 + !inline_rz.is_empty() as u64;
+            naive +=
+                !before.is_empty() as u64 + !inline_rz.is_empty() as u64 + !zz.is_empty() as u64;
             carry_rz.extend(before);
             carry_rz.extend(inline_rz);
-            let zz = zz_terms(n, layer, topo, model, dt);
-            naive += !zz.is_empty() as u64;
             if gates.is_empty() && gamma == 0.0 && p_flip == 0.0 {
                 // No kernels, no noise draws: the layer is pure commuting
                 // diagonal and collapses into the carry.
@@ -545,7 +416,7 @@ impl TrajectoryProgram {
                 emitted += d.is_some() as u64;
                 d
             };
-            layers.push(TrajLayer {
+            layers.push(Step {
                 pre,
                 gates,
                 zz: zz_diag,
@@ -560,26 +431,20 @@ impl TrajectoryProgram {
         let tail = Diag::build(n, carry_rz, carry_zz);
         emitted += tail.is_some() as u64;
         metrics::record_fused(naive.saturating_sub(emitted));
-        TrajectoryProgram { n, layers, tail }
+        Steps { n, layers, tail }
     }
 
-    /// Number of qubits.
-    pub fn qubit_count(&self) -> usize {
-        self.n
-    }
-
-    /// Runs one trajectory: ZZ phases exactly, decoherence by sampling
-    /// Kraus operators per qubit per layer. Delegates to the batched
-    /// engine with a single lane, so the scalar and batched paths share
-    /// one semantics by construction.
-    pub fn run(&self, rng: &mut StdRng) -> StateVector {
+    /// Replays the steps from `|0…0⟩` on a single lane, drawing from
+    /// `rngs` — empty for a decoherence-free program, whose layers never
+    /// draw.
+    fn run_lane(&self, rngs: &mut [StdRng]) -> StateVector {
         let mut batch = BatchedState::zero(self.n, 1);
-        self.evolve(&mut batch, std::slice::from_mut(rng));
+        self.evolve(&mut batch, rngs);
         StateVector::from_vector(Vector::from_vec(batch.lane_amplitudes(0)))
     }
 
-    /// The shared evolution core: applies every layer's diagonals, gates
-    /// and fused noise pass to `batch`, lane `t` drawing from `rngs[t]`.
+    /// The one replay loop: applies every layer's diagonals, gates and
+    /// fused noise pass to `batch`, lane `t` drawing from `rngs[t]`.
     /// Returns the number of kernel sweeps performed.
     ///
     /// Per noisy layer the decoherence channel costs **three** sweeps
@@ -595,13 +460,11 @@ impl TrajectoryProgram {
     /// Every per-lane arithmetic sequence — draws, coefficients, factor
     /// products, amplitude updates — depends only on that lane's own
     /// stream and is independent of the batch width, which is what makes
-    /// [`mean_fidelity_batched`] bit-identical across widths.
-    ///
-    /// [`mean_fidelity_batched`]: Self::mean_fidelity_batched
+    /// [`TrajectoryProgram::mean_fidelity_batched`] bit-identical across
+    /// widths.
     fn evolve(&self, batch: &mut BatchedState, rngs: &mut [StdRng]) -> u64 {
         let n = self.n;
         let width = batch.lanes();
-        debug_assert_eq!(rngs.len(), width);
         let mut sweeps = 0u64;
         let mut pops = vec![0.0; n * width];
         let mut row = vec![0.0; width];
@@ -611,18 +474,23 @@ impl TrajectoryProgram {
         let (mut scratch_re, mut scratch_im) = (Vec::new(), Vec::new());
         for layer in &self.layers {
             if let Some(diag) = &layer.pre {
-                sweeps += diag.apply_batched(batch);
+                sweeps += diag.apply(batch);
             }
             for gate in &layer.gates {
-                gate.apply_batched(batch);
+                gate.apply(batch);
                 sweeps += 1;
             }
             if let Some(diag) = &layer.zz {
-                sweeps += diag.apply_batched(batch);
+                sweeps += diag.apply(batch);
             }
             if layer.gamma == 0.0 && layer.p_flip == 0.0 {
                 continue;
             }
+            debug_assert_eq!(
+                rngs.len(),
+                width,
+                "a drawing layer needs one stream per lane"
+            );
             if layer.gamma > 0.0 {
                 batch.excited_populations(&mut pops, &mut row);
                 sweeps += 1;
@@ -663,24 +531,104 @@ impl TrajectoryProgram {
             sweeps += 1;
         }
         if let Some(diag) = &self.tail {
-            sweeps += diag.apply_batched(batch);
+            sweeps += diag.apply(batch);
         }
         sweeps
+    }
+}
+
+/// A deterministic execution program: the plan resolved to fused
+/// diagonals and gate kernels — the decoherence-free case of
+/// [`TrajectoryProgram`], built and replayed by the same code. Compile
+/// once, [`run`] many times.
+///
+/// [`run`]: PlanProgram::run
+#[derive(Clone, Debug)]
+pub struct PlanProgram {
+    steps: Steps,
+}
+
+impl PlanProgram {
+    /// Precompiles the error-free reference program (no ZZ phases at all).
+    pub fn ideal(plan: &SchedulePlan) -> Self {
+        PlanProgram {
+            steps: Steps::build(plan, None, None),
+        }
+    }
+
+    /// Precompiles the plan under the given ZZ-crosstalk model: driven
+    /// couplings, residual factors, layer durations and fused phase
+    /// diagonals are all resolved here, never during [`run`](Self::run).
+    pub fn compile(
+        plan: &SchedulePlan,
+        topo: &Topology,
+        model: &ZzErrorModel,
+        durations: &GateDurations,
+    ) -> Self {
+        PlanProgram {
+            steps: Steps::build(plan, Some((topo, model, durations)), None),
+        }
+    }
+
+    /// Number of qubits.
+    pub fn qubit_count(&self) -> usize {
+        self.steps.n
+    }
+
+    /// Executes the program from `|0…0⟩` on the batched engine at width 1.
+    pub fn run(&self) -> StateVector {
+        self.steps.run_lane(&mut [])
+    }
+}
+
+/// A Monte-Carlo trajectory program: the plan resolved as in
+/// [`PlanProgram`], plus per-layer decoherence probabilities. One compiled
+/// program serves every trajectory — and is `Sync`, so trajectories fan
+/// out over threads against shared precompiled state.
+#[derive(Clone, Debug)]
+pub struct TrajectoryProgram {
+    steps: Steps,
+}
+
+impl TrajectoryProgram {
+    /// Precompiles the plan under ZZ crosstalk and decoherence.
+    pub fn compile(
+        plan: &SchedulePlan,
+        topo: &Topology,
+        model: &ZzErrorModel,
+        deco: &Decoherence,
+        durations: &GateDurations,
+    ) -> Self {
+        TrajectoryProgram {
+            steps: Steps::build(plan, Some((topo, model, durations)), Some(deco)),
+        }
+    }
+
+    /// Number of qubits.
+    pub fn qubit_count(&self) -> usize {
+        self.steps.n
+    }
+
+    /// Runs one trajectory: ZZ phases exactly, decoherence by sampling
+    /// Kraus operators per qubit per layer, on the batched engine at
+    /// width 1 — the same replay the trajectory fan runs per batch.
+    pub fn run(&self, rng: &mut StdRng) -> StateVector {
+        self.steps.run_lane(std::slice::from_mut(rng))
     }
 
     /// Runs trajectories `first..first + width` in one batched sweep and
     /// returns their fidelities against `ideal`, in trajectory order.
     ///
     /// Lane `t` draws from its own generator seeded by
-    /// [`trajectory_seed`]`(seed, first + t)`, exactly as the scalar fan
-    /// does.
+    /// [`trajectory_seed`]`(seed, first + t)`, exactly as [`run`](Self::run)
+    /// draws when handed that generator.
     fn run_batch(&self, ideal: &[c64], seed: u64, first: usize, width: usize) -> Vec<f64> {
         let started = Instant::now();
-        let mut batch = BatchedState::zero(self.n, width);
+        let mut batch = BatchedState::zero(self.steps.n, width);
         let mut rngs: Vec<StdRng> = (0..width)
             .map(|t| StdRng::seed_from_u64(trajectory_seed(seed, first + t)))
             .collect();
-        let sweeps = self.evolve(&mut batch, &mut rngs) + 1;
+        let sweeps = self.steps.evolve(&mut batch, &mut rngs) + 1;
         let mut fidelities = vec![0.0; width];
         batch.fidelity_against(ideal, &mut fidelities);
         metrics::record_batch(width as u64, sweeps, started.elapsed());
@@ -763,6 +711,16 @@ mod tests {
     use zz_circuit::{bench, route};
     use zz_sched::{zzx::ZzxConfig, zzx_schedule};
 
+    /// One lane with a Hadamard on each of `qubits`.
+    fn uniform_superposition(n: usize, qubits: impl IntoIterator<Item = usize>) -> BatchedState {
+        let h = mat4(&zz_quantum::gates::h());
+        let mut state = BatchedState::zero(n, 1);
+        for q in qubits {
+            state.kernel_single(&h, mask_of(n, q));
+        }
+        state
+    }
+
     fn qaoa_plan(topo: &Topology) -> SchedulePlan {
         let c = bench::generate(bench::BenchmarkKind::Qaoa, topo.qubit_count(), 9);
         let native = compile_to_native(&route(&c, topo));
@@ -779,18 +737,15 @@ mod tests {
         let mut on_the_fly = tabulated.clone();
         on_the_fly.table = None;
 
-        let mut a = StateVector::zero(n);
-        for q in 0..n {
-            a.apply_single(&zz_quantum::gates::h(), q);
-        }
+        let mut a = uniform_superposition(n, 0..n);
         let mut b = a.clone();
         tabulated.apply(&mut a);
         on_the_fly.apply(&mut b);
         let diff: f64 = a
-            .amplitudes()
+            .lane_amplitudes(0)
             .iter()
-            .zip(b.amplitudes())
-            .map(|(&x, &y)| (x - y).abs())
+            .zip(b.lane_amplitudes(0))
+            .map(|(&x, y)| (x - y).abs())
             .fold(0.0, f64::max);
         assert!(diff < 1e-15, "table vs terms diverged by {diff}");
     }
@@ -819,12 +774,13 @@ mod tests {
         let plan = qaoa_plan(&topo);
         let model = ZzErrorModel::uniform(&topo, crate::khz(200.0)).with_residual(0.05);
         let d = GateDurations::standard();
-        // Huge T1/T2 ⇒ γ and p are numerically 0 ⇒ no random draws at all.
+        // Infinite T1/T2 ⇒ γ = p = 0 ⇒ no random draws at all, and the
+        // shared builder emits the deterministic program's steps.
         let deco = Decoherence::new(f64::INFINITY, f64::INFINITY);
         let det = PlanProgram::compile(&plan, &topo, &model, &d).run();
         let mut rng = StdRng::seed_from_u64(3);
         let traj = TrajectoryProgram::compile(&plan, &topo, &model, &deco, &d).run(&mut rng);
-        assert!(det.fidelity(&traj) > 1.0 - 1e-12);
+        assert_eq!(det.amplitudes(), traj.amplitudes());
     }
 
     #[test]
@@ -857,19 +813,16 @@ mod tests {
         let diag = Diag::build(n, rz, zz).unwrap();
         assert!(diag.table.is_none(), "17 qubits must use the term fallback");
 
-        let mut sv = StateVector::zero(n);
-        for q in [0, 5, 9, 16] {
-            sv.apply_single(&zz_quantum::gates::h(), q);
-        }
-        let expected: Vec<c64> = sv
-            .amplitudes()
+        let mut state = uniform_superposition(n, [0, 5, 9, 16]);
+        let expected: Vec<c64> = state
+            .lane_amplitudes(0)
             .iter()
             .enumerate()
             .map(|(i, &a)| a * c64::cis(diag.phase_at(i)))
             .collect();
-        diag.apply(&mut sv);
-        let diff = sv
-            .amplitudes()
+        diag.apply(&mut state);
+        let diff = state
+            .lane_amplitudes(0)
             .iter()
             .zip(&expected)
             .map(|(&x, &y)| (x - y).abs())
@@ -902,8 +855,9 @@ mod tests {
         assert_eq!(reference.to_bits(), default.to_bits());
     }
 
-    /// The batched fan replays exactly the scalar per-trajectory draws, so
-    /// its mean matches a hand-rolled scalar fan to fp accumulation noise.
+    /// The batched fan replays exactly the draws of single-trajectory
+    /// `run`s, so its mean matches a hand-rolled fan of them to fp
+    /// accumulation noise.
     #[test]
     fn batched_fan_matches_scalar_trajectory_fan() {
         let topo = Topology::grid(2, 3);

@@ -196,55 +196,6 @@ impl StateVector {
         }
     }
 
-    /// One Rz phase term `(mask, θ/2)` applied as a strided branch-free
-    /// pass: amplitudes whose `mask` bit is clear get `e^{−iθ/2}`, set
-    /// bits get `e^{+iθ/2}` — two `cis` evaluations total, no per-entry
-    /// trigonometry. The per-term building block of the large-register
-    /// fused-diagonal fallback in [`crate::program`].
-    pub(crate) fn apply_rz_term(&mut self, mask: usize, half: f64) {
-        let (lo, hi) = (c64::cis(-half), c64::cis(half));
-        let block = mask << 1;
-        let mut base = 0;
-        while base < self.amps.len() {
-            for a in &mut self.amps[base..base + mask] {
-                *a *= lo;
-            }
-            for a in &mut self.amps[base + mask..base + block] {
-                *a *= hi;
-            }
-            base += block;
-        }
-    }
-
-    /// One ZZ phase term `(mask_u, mask_v, φ)` applied branchlessly:
-    /// amplitudes where the two bits agree get `e^{−iφ}`, others
-    /// `e^{+iφ}` — again two `cis` evaluations for the whole sweep.
-    pub(crate) fn apply_zz_term(&mut self, mu: usize, mv: usize, phi: f64) {
-        let factors = [c64::cis(-phi), c64::cis(phi)];
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            let differ = ((i & mu != 0) != (i & mv != 0)) as usize;
-            *a *= factors[differ];
-        }
-    }
-
-    /// Multiplies the state pointwise by a precomputed diagonal operator —
-    /// the fused-phase fast path of [`crate::program`], which collapses a
-    /// layer's worth of commuting ZZ/Rz phases into one `O(2^n)` sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `diag` does not have exactly `2^n` entries.
-    pub fn apply_diagonal(&mut self, diag: &[c64]) {
-        assert_eq!(
-            diag.len(),
-            self.amps.len(),
-            "diagonal length must match the amplitude count"
-        );
-        for (a, d) in self.amps.iter_mut().zip(diag) {
-            *a *= *d;
-        }
-    }
-
     /// Applies the diagonal ZZ phase `exp(−i φ Z_u Z_v)`: basis states where
     /// the two qubits agree get `e^{−iφ}`, others `e^{+iφ}`.
     ///
@@ -339,6 +290,7 @@ impl StateVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchedState;
     use zz_quantum::{embed, gates};
 
     #[test]
@@ -397,10 +349,12 @@ mod tests {
         // One fused diagonal must equal the per-operator phase passes.
         let n = 3;
         let mut reference = StateVector::zero(n);
+        let mut fused = BatchedState::zero(n, 1);
+        let h: [c64; 4] = gates::h().as_slice().try_into().expect("2x2");
         for q in 0..n {
             reference.apply_single(&gates::h(), q);
+            fused.kernel_single(&h, 1 << (n - 1 - q));
         }
-        let mut fused = reference.clone();
         reference.apply_rz(0.7, 1);
         reference.apply_zz_phase(0.31, 0, 2);
         let diag: Vec<c64> = (0..1usize << n)
@@ -416,6 +370,7 @@ mod tests {
             })
             .collect();
         fused.apply_diagonal(&diag);
+        let fused = StateVector::from_vector(Vector::from_vec(fused.lane_amplitudes(0)));
         assert!(fused.fidelity(&reference) > 1.0 - 1e-12);
     }
 

@@ -1,13 +1,14 @@
 //! Fleet-level integration tests: dispatch determinism across thread
 //! counts, drift-driven calibration invalidation (no stale disk
-//! artifact is ever reused), and per-device shard isolation.
+//! artifact is ever reused), per-device shard isolation, and typed
+//! errors for degenerate scoring configs and device profiles.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_fleet::{DeviceProfile, DriftModel, Fleet, FleetConfig};
-use zz_service::{CompileOptions, CompileRequest, DiskStatus};
+use zz_fleet::{DeviceProfile, DriftModel, Fleet, FleetConfig, FleetError};
+use zz_service::{CompileOptions, CompileRequest, DiskStatus, Error};
 
 fn scratch_dir(label: &str) -> PathBuf {
     static N: AtomicU32 = AtomicU32::new(0);
@@ -283,4 +284,77 @@ fn fleet_metrics_track_dispatch_and_invalidation() {
     let snap = drifty.registry().snapshot();
     assert_eq!(snap.counter("fleet.drift.invalidations"), Some(3));
     assert_eq!(snap.gauge("fleet.epoch"), Some(1));
+}
+
+/// Asserts a fleet failure is the service's typed evaluation error on
+/// `device`, with a detail naming `field`.
+fn assert_eval_error<T: std::fmt::Debug>(result: Result<T, FleetError>, device: &str, field: &str) {
+    match result {
+        Err(FleetError::Service {
+            device: failed,
+            source: Error::Eval { detail, .. },
+        }) => {
+            assert_eq!(failed, device);
+            assert!(detail.contains(field), "{field} not named in: {detail}");
+        }
+        other => panic!("expected an Eval error naming {field}, got {other:?}"),
+    }
+}
+
+/// Scoring configs the session rejects are rejected the same way by the
+/// ground-truth probe — no NaN from an empty seed average, no panic
+/// from a zero-trajectory fan (the 12-qubit paper grid is above the
+/// exact density-matrix size, so its scoring runs trajectories).
+#[test]
+fn degenerate_scoring_configs_are_typed_eval_errors() {
+    let qaoa = || generate(BenchmarkKind::Qaoa, 9, 7);
+    for (config, field) in [
+        (
+            FleetConfig {
+                eval_seeds: vec![],
+                ..fast_config(1)
+            },
+            "seeds",
+        ),
+        (
+            FleetConfig {
+                trajectories: 0,
+                ..fast_config(1)
+            },
+            "trajectories",
+        ),
+    ] {
+        let mut fleet = Fleet::new(config);
+        fleet
+            .add_device(DeviceProfile::paper_grid())
+            .expect("the paper grid registers");
+        assert_eval_error(
+            fleet.ground_truth_fidelity("paper-grid", qaoa(), CompileOptions::default()),
+            "paper-grid",
+            field,
+        );
+        assert_eval_error(
+            fleet.submit(qaoa(), CompileOptions::default()),
+            "paper-grid",
+            field,
+        );
+    }
+}
+
+/// An unphysical profile (`T2 > 2·T1`) is refused at registration, not
+/// by a panic on the next dispatch.
+#[test]
+fn unphysical_profiles_are_refused_at_registration() {
+    let mut profile = DeviceProfile::paper_grid();
+    profile.t2_us = 3.0 * profile.t1_us;
+    let mut fleet = Fleet::new(fast_config(1));
+    assert_eval_error(fleet.add_device(profile), "paper-grid", "t2");
+    assert!(fleet.devices().is_empty());
+    assert!(matches!(
+        fleet.submit(
+            generate(BenchmarkKind::Qaoa, 9, 7),
+            CompileOptions::default()
+        ),
+        Err(FleetError::NoEligibleBackend { qubits: 9 })
+    ));
 }

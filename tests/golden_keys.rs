@@ -16,14 +16,28 @@
 //! an encoding change) alongside the new values. The requests and their
 //! pinned digests live in `tests/common/mod.rs`, which `tests/service.rs`
 //! shares.
+//!
+//! The simulator's output on the same compiled plans is pinned too: the
+//! raw amplitude bits of the ideal and ZZ-noisy program runs, and the
+//! exact bits of `fidelity_of` without and with decoherence. The engine
+//! is otherwise checked against the reference executor only to a
+//! tolerance, so these pins are what lets its internals change without
+//! its numbers moving.
 
 mod common;
 
 use common::{codec_digest, matrix_cases, parameter_cases, PINNED_COMPILES};
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::{Circuit, Gate};
+use zz_core::evaluate::{fidelity_of, EvalConfig};
 use zz_core::pipeline::shape_key;
+use zz_core::Compiled;
+use zz_persist::fnv1a;
+use zz_pool::{default_threads, parallel_map};
 use zz_service::{CompileRequest, Session, Target};
+use zz_sim::executor::ZzErrorModel;
+use zz_sim::program::PlanProgram;
+use zz_sim::{khz, StateVector};
 use zz_topology::Topology;
 
 /// A fixed hand-built circuit with parameter-free gates.
@@ -101,9 +115,8 @@ fn digests_depend_on_angle_bits_not_angle_values() {
     assert_ne!(pos.content_digest(), neg.content_digest());
 }
 
-/// `(case, plan digest, residual-table digest, Compiled digest)` for
-/// every compile case, compiled through a session.
-fn compiled_digests() -> Vec<(String, u64, u64, u64)> {
+/// Every compile case, compiled through a one-worker session.
+fn compiled_cases() -> Vec<(String, Compiled)> {
     matrix_cases()
         .into_iter()
         .chain(parameter_cases())
@@ -116,6 +129,17 @@ fn compiled_digests() -> Vec<(String, u64, u64, u64)> {
                 .compile(&CompileRequest::new(circuit).with_options(options))
                 .expect("fits")
                 .compiled;
+            (label, compiled)
+        })
+        .collect()
+}
+
+/// `(case, plan digest, residual-table digest, Compiled digest)` for
+/// every compile case.
+fn compiled_digests() -> Vec<(String, u64, u64, u64)> {
+    compiled_cases()
+        .into_iter()
+        .map(|(label, compiled)| {
             (
                 label,
                 codec_digest(&compiled.plan),
@@ -151,6 +175,141 @@ fn compiled_digests_are_pinned() {
     }
 }
 
+/// Appends the raw bits of every amplitude (real then imaginary part).
+fn push_amplitude_bits(bytes: &mut Vec<u8>, state: &StateVector) {
+    for a in state.amplitudes() {
+        bytes.extend(a.re.to_bits().to_le_bytes());
+        bytes.extend(a.im.to_bits().to_le_bytes());
+    }
+}
+
+/// `(case, amplitude digest, fidelity bits, decoherent fidelity bits)`
+/// for every compile case. The amplitude digest covers the ideal run and
+/// then one ZZ-noisy run; the fidelities are `fidelity_of` at the paper's
+/// defaults, without and with `T1 = T2 = 60 µs` (exact density matrices
+/// on the 6-qubit cases, 24 Monte-Carlo trajectories on the 9-qubit ones).
+/// Cases are evaluated on all cores: each is a pure function of its plan.
+fn simulator_outputs() -> Vec<(String, u64, u64, u64)> {
+    let cases = compiled_cases();
+    parallel_map(cases.len(), default_threads(), |i| {
+        let (label, compiled) = &cases[i];
+        let topo = &compiled.topology;
+        let model = ZzErrorModel::sampled(topo, khz(200.0), khz(50.0), 11)
+            .with_residuals(compiled.residuals);
+        let mut bytes = Vec::new();
+        push_amplitude_bits(&mut bytes, &PlanProgram::ideal(&compiled.plan).run());
+        push_amplitude_bits(
+            &mut bytes,
+            &PlanProgram::compile(&compiled.plan, topo, &model, &compiled.durations).run(),
+        );
+        let paper = EvalConfig::paper_default();
+        let clean = fidelity_of(compiled, &paper);
+        let decoherent = fidelity_of(compiled, &paper.with_decoherence_us(60.0, 24));
+        (
+            label.clone(),
+            fnv1a(&bytes),
+            clean.to_bits(),
+            decoherent.to_bits(),
+        )
+    })
+}
+
+/// `(case, amplitude digest, fidelity bits, decoherent fidelity bits)`
+/// for every case of [`simulator_outputs`], in order.
+const PINNED_SIMULATIONS: [(&str, u64, u64, u64); 10] = [
+    (
+        "qaoa-6/Gaussian+ParSched",
+        0x926aa239b3b15616,
+        0x3fd0a51eab5174a1,
+        0x3fcfd583d9d5cf3b,
+    ),
+    (
+        "qaoa-6/Gaussian+ZZXSched",
+        0xe7f4c4539d98b5fc,
+        0x3fe24631b00237b0,
+        0x3fe144744c4baec0,
+    ),
+    (
+        "qaoa-6/OptCtrl+ParSched",
+        0x72581c6864c1307f,
+        0x3fd7f1d77041f815,
+        0x3fd6e6679213dcab,
+    ),
+    (
+        "qaoa-6/OptCtrl+ZZXSched",
+        0xec4346f3d923d398,
+        0x3fe9ee534bc6b903,
+        0x3fe88944fbc4f530,
+    ),
+    (
+        "qaoa-6/Pert+ParSched",
+        0xdd00ea90ab410782,
+        0x3fd94d20d1074a00,
+        0x3fd834309eb29b30,
+    ),
+    (
+        "qaoa-6/Pert+ZZXSched",
+        0x441e2d9815e3c5f7,
+        0x3fee7cb0fb6784b5,
+        0x3fecdce00d709a44,
+    ),
+    (
+        "qaoa-6/DCG+ParSched",
+        0xd59e1a71498439cd,
+        0x3f7907e50b63a339,
+        0x3f82696f1674e933,
+    ),
+    (
+        "qaoa-6/DCG+ZZXSched",
+        0x47daf1f445318a8b,
+        0x3fb3be758b49e147,
+        0x3fae84bf80b67df1,
+    ),
+    (
+        "qft-9/alpha=0.25,k=1,R=paper",
+        0xcfc9373a72d7fdef,
+        0x3fc10cdb7a2b19c7,
+        0x3fbd5673dcf993c8,
+    ),
+    (
+        "qft-9/alpha=2,k=8,R=3/5",
+        0x4a8d79d6cfd059ae,
+        0x3fb7720888ac66d3,
+        0x3fb57f7edf5388b9,
+    ),
+];
+
+#[test]
+fn simulator_outputs_are_pinned() {
+    let actual = simulator_outputs();
+    assert_eq!(actual.len(), PINNED_SIMULATIONS.len());
+    for (
+        (label, amplitudes, clean, decoherent),
+        (pinned_label, pinned_amps, pinned_clean, pinned_deco),
+    ) in actual.iter().zip(PINNED_SIMULATIONS)
+    {
+        assert_eq!(label, pinned_label);
+        assert_eq!(
+            *amplitudes, pinned_amps,
+            "{label}: program amplitudes drifted"
+        );
+        assert_eq!(
+            *clean,
+            pinned_clean,
+            "{label}: fidelity drifted ({} vs pinned {})",
+            f64::from_bits(*clean),
+            f64::from_bits(pinned_clean)
+        );
+        assert_eq!(
+            *decoherent,
+            pinned_deco,
+            "{label}: decoherent fidelity drifted ({} vs pinned {})",
+            f64::from_bits(*decoherent),
+            f64::from_bits(pinned_deco)
+        );
+    }
+}
+
 #[test]
 #[ignore = "helper for regenerating pinned values after an intentional schema bump"]
 fn print_current_keys() {
@@ -178,5 +337,8 @@ fn print_current_keys() {
     );
     for (label, plan, residuals, compiled) in compiled_digests() {
         println!("    (\"{label}\", {plan:#018x}, {residuals:#018x}, {compiled:#018x}),");
+    }
+    for (label, amplitudes, clean, decoherent) in simulator_outputs() {
+        println!("    (\"{label}\", {amplitudes:#018x}, {clean:#018x}, {decoherent:#018x}),");
     }
 }
