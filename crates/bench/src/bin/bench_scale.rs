@@ -10,9 +10,10 @@
 //! [`PlanSummary`](zz_sched::PlanSummary) metrics (layer count, total
 //! duration, residual-ZZ weight): the at-scale fidelity proxy.
 //!
-//! Per device the probe reports route/schedule/total wall time, the
-//! cumulative peak RSS (`VmHWM` from `/proc/self/status`, where
-//! available), the session's `route.graph_reuse` /
+//! Per device the probe reports route/schedule/total wall time, each
+//! compile's own peak RSS (`VmHWM` from `/proc/self/status`, reset
+//! through `/proc/self/clear_refs` before the compile, where available),
+//! the session's `route.graph_reuse` /
 //! `sched.distance_queries` counters — the observability trail of the
 //! CSR coupling-graph cache and the lazy distance oracle — and the
 //! [`ServiceReport::plan_metric_stats`](zz_service::ServiceReport::plan_metric_stats)
@@ -69,8 +70,15 @@ fn brickwork(n: usize, depth: usize) -> Circuit {
     circuit
 }
 
-/// Cumulative peak resident set (kB) from `/proc/self/status`; `None`
-/// on platforms without procfs.
+/// Resets the process's peak resident set to its current resident set,
+/// so the next [`peak_rss_kb`] covers only what runs after this call.
+/// Returns `false` where procfs is missing or refuses the reset.
+fn reset_peak_rss() -> bool {
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
+}
+
+/// Peak resident set (kB) since the last [`reset_peak_rss`], from
+/// `/proc/self/status`; `None` on platforms without procfs.
 fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -157,19 +165,27 @@ fn main() {
         // exercises the memo's device-graph cache (`route.graph_reuse`).
         let session = Session::with_threads(target, 1);
 
-        // Submit the scheduler sweep as a batch and drain it through the
-        // session report: the per-device summary below comes from the
-        // same `plan_metric_stats` path fleet dispatch scores with.
+        // Submit the scheduler sweep one compile at a time and drain it
+        // through the session report: the per-device summary below comes
+        // from the same `plan_metric_stats` path fleet dispatch scores
+        // with. Each compile runs alone between a peak-RSS reset and the
+        // read, so its row's peak is its own.
         const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::ParSched, SchedulerKind::ZzxSched];
+        let mut peaks = Vec::new();
         for scheduler in SCHEDULERS {
-            session.submit(
+            let reset = reset_peak_rss();
+            let handle = session.submit(
                 CompileRequest::new(circuit.clone())
                     .with_options(CompileOptions::default().with_scheduler(scheduler))
                     .with_label(format!("{name}/{scheduler}")),
             );
+            // The outcome stays in the session for `drain` below.
+            let _ = handle.wait();
+            peaks.push(if reset { peak_rss_kb() } else { None });
         }
         let report = session.drain();
-        for (scheduler, outcome) in SCHEDULERS.iter().zip(report.outcomes.iter()) {
+        let runs = SCHEDULERS.iter().zip(&report.outcomes).zip(peaks);
+        for ((scheduler, outcome), peak_rss_kb) in runs {
             let response = outcome
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{name}/{scheduler} failed to compile: {e}"));
@@ -187,7 +203,7 @@ fn main() {
                 duration_ns: summary.duration_ns,
                 mean_nc: summary.mean_nc,
                 residual_zz_weight: summary.residual_zz_weight,
-                peak_rss_kb: peak_rss_kb(),
+                peak_rss_kb,
             };
             println!(
                 "[{:>14}] {:>4}q {:>8}: route {:>9.3}ms sched {:>9.3}ms total {:>9.3}ms \

@@ -14,6 +14,14 @@
 //! all-cores time is reported separately (`engine_parallel_ms`, next to
 //! the `available_parallelism` it ran on).
 //!
+//! Each speedup is the **median of [`PAIRS`] per-pair ratios**: the
+//! reference and the engine run back to back in every pair, alternating
+//! which goes first, and each side repeats its run so the two sides span
+//! about the same wall time. A slow stretch of a shared host then slows
+//! both sides of a pair instead of one side of a single ratio. The JSON
+//! records the pair and repeat counts, every pair's mean times per run
+//! and every ratio.
+//!
 //! Alongside the end-to-end times, the snapshot records per-kernel
 //! microbenchmarks of the batched engine (`zz_sim::batch::BatchedState`
 //! at the default batch width): nanoseconds per amplitude-lane for the
@@ -71,6 +79,107 @@ fn engine_fidelity(
 
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Reference/engine pairs behind each gated speedup.
+const PAIRS: usize = 7;
+
+/// Mean time per run over `reps` back-to-back runs, and the last result.
+fn timed<T>(run: &mut impl FnMut() -> T, reps: usize) -> (f64, T) {
+    let t = Instant::now();
+    let mut value = run();
+    for _ in 1..reps {
+        value = run();
+    }
+    (ms(t) / reps as f64, value)
+}
+
+/// [`PAIRS`] interleaved timings of the reference and the engine on the
+/// same workload, alternating which runs first in each pair. Each side
+/// of a pair repeats its run and records the mean time per run.
+struct Paired<T> {
+    /// Mean reference time per run, per pair.
+    reference_ms: Vec<f64>,
+    /// Mean engine time per run, per pair.
+    engine_ms: Vec<f64>,
+    /// Runs per pair on each side.
+    reps: (usize, usize),
+    /// Reference ÷ engine time, per pair.
+    ratios: Vec<f64>,
+    /// The last pair's results (both sides are deterministic).
+    reference: T,
+    engine: T,
+}
+
+impl<T> Paired<T> {
+    fn run(
+        (mut reference, reference_reps): (impl FnMut() -> T, usize),
+        (mut engine, engine_reps): (impl FnMut() -> T, usize),
+    ) -> Self {
+        let (mut reference_ms, mut engine_ms) = (Vec::new(), Vec::new());
+        let mut last = None;
+        for pair in 0..PAIRS {
+            let (r, e) = if pair % 2 == 0 {
+                let r = timed(&mut reference, reference_reps);
+                (r, timed(&mut engine, engine_reps))
+            } else {
+                let e = timed(&mut engine, engine_reps);
+                (timed(&mut reference, reference_reps), e)
+            };
+            reference_ms.push(r.0);
+            engine_ms.push(e.0);
+            last = Some((r.1, e.1));
+        }
+        let (reference, engine) = last.expect("PAIRS is at least one");
+        let ratios = reference_ms
+            .iter()
+            .zip(&engine_ms)
+            .map(|(r, e)| r / e)
+            .collect();
+        Paired {
+            reference_ms,
+            engine_ms,
+            reps: (reference_reps, engine_reps),
+            ratios,
+            reference,
+            engine,
+        }
+    }
+
+    /// The median per-pair ratio.
+    fn speedup(&self) -> f64 {
+        let mut sorted = self.ratios.clone();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        if sorted.len() % 2 == 1 {
+            sorted[mid]
+        } else {
+            (sorted[mid - 1] + sorted[mid]) / 2.0
+        }
+    }
+
+    /// The pair and repeat counts, per-pair times and ratios, and the
+    /// median ratio as JSON members.
+    fn json(&self) -> String {
+        let list = |values: &[f64]| {
+            let items: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
+            format!("[{}]", items.join(", "))
+        };
+        format!(
+            "\"pairs\": {PAIRS}, \"legacy_reps\": {}, \"engine_reps\": {}, \"legacy_ms\": {}, \"engine_ms\": {}, \"ratios\": {}, \"speedup\": {:.3}",
+            self.reps.0,
+            self.reps.1,
+            list(&self.reference_ms),
+            list(&self.engine_ms),
+            list(&self.ratios),
+            self.speedup()
+        )
+    }
+}
+
+fn fmt_ratios(ratios: &[f64]) -> String {
+    let items: Vec<String> = ratios.iter().map(|r| format!("{r:.2}")).collect();
+    items.join(" ")
 }
 
 /// ns per amplitude-lane of one batched kernel sweep, measured over
@@ -137,7 +246,10 @@ fn kernel_row(n: usize) -> KernelRow {
 fn main() {
     const TRAJECTORIES: usize = 200;
     const SEED: u64 = 17;
-    const ZZ_REPS: usize = 50;
+    // About the acceptance ratio, so the engine side of a Monte-Carlo
+    // pair runs about as long as the reference side.
+    const MC_ENGINE_REPS: usize = 10;
+    const ZZ_REPS: usize = 10;
 
     let topo = Topology::grid(3, 3);
     let plan = qaoa9_plan(&topo);
@@ -160,19 +272,34 @@ fn main() {
 
     // Monte-Carlo fan: the acceptance workload. The asserted speedup is
     // single-threaded vs single-threaded; the parallel time is extra.
-    let t = Instant::now();
-    let f_legacy =
-        reference::fidelity_with_decoherence(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED);
-    let mc_legacy_ms = ms(t);
-    let t = Instant::now();
-    let f_engine = engine_fidelity(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED, 1);
-    let mc_engine_ms = ms(t);
+    let mc = Paired::run(
+        (
+            || {
+                reference::fidelity_with_decoherence(
+                    &plan,
+                    &topo,
+                    &model,
+                    &deco,
+                    &d,
+                    TRAJECTORIES,
+                    SEED,
+                )
+            },
+            1,
+        ),
+        (
+            || engine_fidelity(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED, 1),
+            MC_ENGINE_REPS,
+        ),
+    );
+    let (f_legacy, f_engine) = (mc.reference, mc.engine);
     let t = Instant::now();
     let f_parallel = engine_fidelity(&plan, &topo, &model, &deco, &d, TRAJECTORIES, SEED, cores);
     let mc_parallel_ms = ms(t);
-    let mc_speedup = mc_legacy_ms / mc_engine_ms;
+    let mc_speedup = mc.speedup();
     println!(
-        "monte-carlo: legacy {mc_legacy_ms:.1} ms (F={f_legacy:.4})  engine(1 thread) {mc_engine_ms:.1} ms (F={f_engine:.4})  engine(all {cores} cores) {mc_parallel_ms:.1} ms  speedup {mc_speedup:.2}x"
+        "monte-carlo x{PAIRS} pairs ({MC_ENGINE_REPS} engine runs each): legacy/engine(1 thread) ratios {}  median {mc_speedup:.2}x  (F legacy {f_legacy:.4}, engine {f_engine:.4}; engine on all {cores} cores {mc_parallel_ms:.1} ms)",
+        fmt_ratios(&mc.ratios)
     );
 
     // Deterministic disorder sweep: the Figure 20–22 evaluation shape —
@@ -183,36 +310,41 @@ fn main() {
     let sample = |s: u64| {
         ZzErrorModel::sampled(&topo, zz_sim::khz(200.0), zz_sim::khz(50.0), s).with_residual(0.05)
     };
-    let t = Instant::now();
-    let mut f_zz_legacy = 0.0;
-    for _ in 0..ZZ_REPS {
-        f_zz_legacy = seeds
-            .iter()
-            .map(|&s| {
-                let m = sample(s);
-                reference::run_ideal(&plan).fidelity(&reference::run_with_zz(&plan, &topo, &m, &d))
-            })
-            .sum::<f64>()
-            / seeds.len() as f64;
-    }
-    let zz_legacy_ms = ms(t);
-    let t = Instant::now();
-    let mut f_zz_engine = 0.0;
-    for _ in 0..ZZ_REPS {
-        let ideal = PlanProgram::ideal(&plan).run();
-        f_zz_engine = seeds
-            .iter()
-            .map(|&s| {
-                let m = sample(s);
-                ideal.fidelity(&PlanProgram::compile(&plan, &topo, &m, &d).run())
-            })
-            .sum::<f64>()
-            / seeds.len() as f64;
-    }
-    let zz_engine_ms = ms(t);
-    let zz_speedup = zz_legacy_ms / zz_engine_ms;
+    let sweep = Paired::run(
+        (
+            || {
+                seeds
+                    .iter()
+                    .map(|&s| {
+                        let m = sample(s);
+                        reference::run_ideal(&plan)
+                            .fidelity(&reference::run_with_zz(&plan, &topo, &m, &d))
+                    })
+                    .sum::<f64>()
+                    / seeds.len() as f64
+            },
+            ZZ_REPS,
+        ),
+        (
+            || {
+                let ideal = PlanProgram::ideal(&plan).run();
+                seeds
+                    .iter()
+                    .map(|&s| {
+                        let m = sample(s);
+                        ideal.fidelity(&PlanProgram::compile(&plan, &topo, &m, &d).run())
+                    })
+                    .sum::<f64>()
+                    / seeds.len() as f64
+            },
+            ZZ_REPS,
+        ),
+    );
+    let (f_zz_legacy, f_zz_engine) = (sweep.reference, sweep.engine);
     println!(
-        "disorder sweep x{ZZ_REPS}: legacy {zz_legacy_ms:.1} ms  engine {zz_engine_ms:.1} ms  speedup {zz_speedup:.2}x"
+        "disorder sweep x{PAIRS} pairs ({ZZ_REPS} runs each side): legacy/engine ratios {}  median {:.2}x",
+        fmt_ratios(&sweep.ratios),
+        sweep.speedup()
     );
 
     // Per-kernel microbenchmarks of the batched hot path.
@@ -244,7 +376,8 @@ fn main() {
     );
     assert!(
         mc_speedup >= 10.0,
-        "acceptance bar: >= 10x single-threaded on the Monte-Carlo fidelity, got {mc_speedup:.2}x"
+        "acceptance bar: median of {PAIRS} paired ratios >= 10x single-threaded on the Monte-Carlo fidelity, got {mc_speedup:.2}x ({})",
+        fmt_ratios(&mc.ratios)
     );
 
     let kernel_json: Vec<String> = kernels
@@ -257,10 +390,12 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"schema\": 3,\n  \"workload\": {{\"benchmark\": \"qaoa-9\", \"device\": \"{}\", \"layers\": {}, \"trajectories\": {TRAJECTORIES}, \"batch_lanes\": {DEFAULT_BATCH_LANES}}},\n  \"monte_carlo\": {{\"legacy_ms\": {mc_legacy_ms:.3}, \"engine_ms\": {mc_engine_ms:.3}, \"engine_parallel_ms\": {mc_parallel_ms:.3}, \"available_parallelism\": {cores}, \"speedup\": {mc_speedup:.3}, \"fidelity_legacy\": {f_legacy:.6}, \"fidelity_engine\": {f_engine:.6}}},\n  \"disorder_sweep\": {{\"reps\": {ZZ_REPS}, \"samples\": {}, \"legacy_ms\": {zz_legacy_ms:.3}, \"engine_ms\": {zz_engine_ms:.3}, \"speedup\": {zz_speedup:.3}}},\n  \"kernels\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"schema\": 4,\n  \"workload\": {{\"benchmark\": \"qaoa-9\", \"device\": \"{}\", \"layers\": {}, \"trajectories\": {TRAJECTORIES}, \"batch_lanes\": {DEFAULT_BATCH_LANES}}},\n  \"monte_carlo\": {{{}, \"engine_parallel_ms\": {mc_parallel_ms:.3}, \"available_parallelism\": {cores}, \"fidelity_legacy\": {f_legacy:.6}, \"fidelity_engine\": {f_engine:.6}}},\n  \"disorder_sweep\": {{\"samples\": {}, {}}},\n  \"kernels\": [\n    {}\n  ]\n}}\n",
         topo.name(),
         plan.layer_count(),
+        mc.json(),
         seeds.len(),
+        sweep.json(),
         kernel_json.join(",\n    "),
     );
     let out = std::env::var("BENCH_SIM_OUT").unwrap_or_else(|_| "BENCH_sim.json".into());

@@ -101,7 +101,7 @@ pub enum QasmError {
         what: String,
     },
     /// A statement does not parse (bad operand syntax, an unterminated
-    /// statement, a malformed angle expression, …).
+    /// statement, a malformed or non-finite angle expression, …).
     Malformed {
         /// 1-based source line.
         line: usize,
@@ -455,7 +455,9 @@ fn gate_of(name: &str, args: &[f64], line: usize) -> Result<Gate, QasmError> {
 
 /// Evaluates a constant angle expression: numeric literals, `pi`,
 /// `+ - * /`, unary minus and parentheses — the grammar qelib headers
-/// (and [`to_qasm`]) use for angles.
+/// (and [`to_qasm`]) use for angles. An expression whose value is not
+/// finite (`1e309`, `1/0`, `0/0`) is malformed: no gate has such an
+/// angle.
 fn eval_expr(text: &str, line: usize) -> Result<f64, QasmError> {
     let malformed = |detail: String| QasmError::Malformed { line, detail };
     let tokens = tokenize_expr(text).map_err(&malformed)?;
@@ -470,6 +472,12 @@ fn eval_expr(text: &str, line: usize) -> Result<f64, QasmError> {
     if parser.pos != tokens.len() {
         return Err(malformed(format!(
             "trailing tokens in angle '{}'",
+            text.trim()
+        )));
+    }
+    if !value.is_finite() {
+        return Err(malformed(format!(
+            "angle '{}' is not finite ({value})",
             text.trim()
         )));
     }

@@ -13,7 +13,10 @@
 //!   per layer (tabulated as `2^n` phases for registers up to
 //!   [`DIAG_TABLE_MAX_QUBITS`] qubits, evaluated on the fly above that),
 //!   and phases keep sliding forward across layers until a gate kernel
-//!   or an amplitude-damping jump pins them,
+//!   or an amplitude-damping jump pins them. Building those tables is
+//!   most of a compile's cost, so each term is folded only over the
+//!   qubits its table depends on so far, bit-identically to a fold over
+//!   all `2^n` entries,
 //! * gate matrices are resolved to branch-free kernels with precomputed
 //!   bit masks,
 //! * with decoherence, each layer also carries its damping and
@@ -137,53 +140,40 @@ impl Diag {
             table: None,
         };
         if n <= DIAG_TABLE_MAX_QUBITS {
-            diag.table = Some(diag.build_table(1usize << n));
+            diag.table = Some(diag.build_table(n));
         }
         Some(diag)
     }
 
-    /// Tabulates the fused diagonal multiplicatively: each term contributes
-    /// a two-valued `e^{±iφ}` pattern, folded in with strided branch-free
-    /// passes (only 2 `cis` evaluations per term — no per-entry sin/cos).
-    /// The first term initializes the table outright, so an `m`-term
-    /// diagonal costs `m − 1` multiply passes plus one fill.
-    fn build_table(&self, size: usize) -> Vec<c64> {
-        let mut table = vec![c64::ONE; size];
-        let mut started = false;
-        for &(mask, half) in &self.rz {
-            let (lo, hi) = (c64::cis(-half), c64::cis(half));
-            let block = mask << 1;
-            let mut base = 0;
-            while base < size {
-                if started {
-                    for t in &mut table[base..base + mask] {
-                        *t *= lo;
-                    }
-                    for t in &mut table[base + mask..base + block] {
-                        *t *= hi;
-                    }
-                } else {
-                    table[base..base + mask].fill(lo);
-                    table[base + mask..base + block].fill(hi);
-                }
-                base += block;
-            }
-            started = true;
+    /// Tabulates the fused diagonal multiplicatively. Each term
+    /// contributes a two-valued `e^{±iφ}` pattern (two `cis` evaluations
+    /// per term, no per-entry sin/cos), so after the first `k` terms the
+    /// product depends only on the qubits those terms touch — its
+    /// *support*. The partial product is kept compact in `table[..len]`,
+    /// `len = 2^|support|`, indexed by the support bits in full-index
+    /// order: a term touching a new qubit first doubles the table in that
+    /// bit, then folds over `len` entries only. Qubits no term touches
+    /// are doubled in last, so the table comes out at full size.
+    ///
+    /// Every entry still receives the ordered product of its factors —
+    /// Rz terms in order, then ZZ terms in order — so the table is
+    /// bit-identical to a per-entry fold over all `2^n` entries. The
+    /// product starts from 1: `1·e^{iφ}` is `e^{iφ}` bit for bit, since
+    /// neither component of `cis(φ)` is zero for the nonzero `φ` the
+    /// builder keeps.
+    fn build_table(&self, n: usize) -> Vec<c64> {
+        let mut table = vec![c64::ONE; 1usize << n];
+        let mut support = 0usize;
+        let terms = self.rz.iter().map(|&(mask, half)| (mask, 0, half));
+        for (mu, mv, phi) in terms.chain(self.zz.iter().copied()) {
+            widen(&mut table, &mut support, mu);
+            widen(&mut table, &mut support, mv);
+            let len = 1usize << support.count_ones();
+            let (cu, cv) = (compact_mask(support, mu), compact_mask(support, mv));
+            fold_term(&mut table[..len], cu, cv, phi);
         }
-        for &(mu, mv, phi) in &self.zz {
-            let factors = [c64::cis(-phi), c64::cis(phi)];
-            if started {
-                for (i, t) in table.iter_mut().enumerate() {
-                    let differ = ((i & mu != 0) != (i & mv != 0)) as usize;
-                    *t *= factors[differ];
-                }
-            } else {
-                for (i, t) in table.iter_mut().enumerate() {
-                    let differ = ((i & mu != 0) != (i & mv != 0)) as usize;
-                    *t = factors[differ];
-                }
-                started = true;
-            }
+        for q in 0..n {
+            widen(&mut table, &mut support, 1 << q);
         }
         table
     }
@@ -224,6 +214,72 @@ impl Diag {
                 }
                 (self.rz.len() + self.zz.len()) as u64
             }
+        }
+    }
+}
+
+/// The compact-table bit of full-index bit `mask` (zero for `mask` 0):
+/// its rank among the `support` bits below it.
+#[inline]
+fn compact_mask(support: usize, mask: usize) -> usize {
+    if mask == 0 {
+        0
+    } else {
+        1 << (support & (mask - 1)).count_ones()
+    }
+}
+
+/// Adds full-index bit `mask` to the `support` of the compact table in
+/// `table` (nothing to do for mask 0 or a bit already in it) and doubles
+/// the table in that bit: entry `j` of the doubled table is entry `j`
+/// with the new compact bit removed, so each run of entries below that
+/// bit is written twice. Runs are copied back to front, so no source is
+/// overwritten before it is read.
+fn widen(table: &mut [c64], support: &mut usize, mask: usize) {
+    if mask == 0 || *support & mask != 0 {
+        return;
+    }
+    let len = 1usize << support.count_ones();
+    let bit = compact_mask(*support, mask);
+    *support |= mask;
+    if bit == 1 {
+        for j in (0..len).rev() {
+            let t = table[j];
+            table[2 * j] = t;
+            table[2 * j + 1] = t;
+        }
+        return;
+    }
+    for run in (0..len / bit).rev() {
+        let src = run * bit..(run + 1) * bit;
+        table.copy_within(src.clone(), (2 * run + 1) * bit);
+        table.copy_within(src, 2 * run * bit);
+    }
+}
+
+/// Multiplies one phase term into a compact table: entry `j` by
+/// `e^{−iφ}` where compact bits `cu` and `cv` agree and by `e^{+iφ}`
+/// where they differ. An Rz term `(mask, θ/2)` is the term against mask
+/// 0. When the lowest set mask is at least 4, runs of that many entries
+/// share one factor and are scaled as contiguous chunks; below that the
+/// factor is selected per entry.
+fn fold_term(table: &mut [c64], cu: usize, cv: usize, phi: f64) {
+    let factors = [c64::cis(-phi), c64::cis(phi)];
+    let factor = |i: usize| factors[((i & cu != 0) != (i & cv != 0)) as usize];
+    let run = match (cu, cv) {
+        (0, m) | (m, 0) => m,
+        _ => cu.min(cv),
+    };
+    if run >= 4 {
+        for (c, chunk) in table.chunks_exact_mut(run).enumerate() {
+            let f = factor(c * run);
+            for t in chunk {
+                *t *= f;
+            }
+        }
+    } else {
+        for (i, t) in table.iter_mut().enumerate() {
+            *t *= factor(i);
         }
     }
 }
@@ -748,6 +804,95 @@ mod tests {
             .map(|(&x, y)| (x - y).abs())
             .fold(0.0, f64::max);
         assert!(diff < 1e-15, "table vs terms diverged by {diff}");
+    }
+
+    /// Reference table: every entry is the ordered product of its term
+    /// factors — Rz terms, then ZZ terms, the first factor taken as is —
+    /// folded over all `2^n` entries.
+    fn ordered_product_table(diag: &Diag, n: usize) -> Vec<c64> {
+        (0..1usize << n)
+            .map(|i| {
+                let rz = diag
+                    .rz
+                    .iter()
+                    .map(|&(mask, half)| c64::cis(if i & mask != 0 { half } else { -half }));
+                let zz = diag.zz.iter().map(|&(mu, mv, phi)| {
+                    let differ = (i & mu != 0) != (i & mv != 0);
+                    c64::cis(if differ { phi } else { -phi })
+                });
+                let mut factors = rz.chain(zz);
+                let first = factors.next().expect("a built diagonal has a term");
+                factors.fold(first, |acc, f| acc * f)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_fold_is_bit_exact() {
+        type Terms = (Vec<(usize, f64)>, Vec<(usize, usize, f64)>);
+        let mut rng = StdRng::seed_from_u64(16);
+        let mut cases: Vec<(usize, Terms)> = Vec::new();
+        for n in 1..=DIAG_TABLE_MAX_QUBITS {
+            let rz = |rng: &mut StdRng, count: usize| -> Vec<(usize, f64)> {
+                (0..count)
+                    .map(|_| (1 << rng.gen_range(0..n), rng.gen_range(-3.0..3.0)))
+                    .collect()
+            };
+            let zz = |rng: &mut StdRng, count: usize| -> Vec<(usize, usize, f64)> {
+                (0..count)
+                    .map(|_| {
+                        let u = rng.gen_range(0..n);
+                        let v = (u + rng.gen_range(1..n)) % n;
+                        (1 << u, 1 << v, rng.gen_range(-0.5..0.5))
+                    })
+                    .collect()
+            };
+            let count = rng.gen_range(1..n + 3);
+            cases.push((n, (rz(&mut rng, count), Vec::new())));
+            let q = 1 << rng.gen_range(0..n);
+            let repeated = (0..3).map(|_| (q, rng.gen_range(-3.0..3.0))).collect();
+            cases.push((n, (repeated, Vec::new())));
+            if n >= 2 {
+                let count = rng.gen_range(1..2 * n);
+                cases.push((n, (Vec::new(), zz(&mut rng, count))));
+                let (nr, nz) = (rng.gen_range(1..n + 1), rng.gen_range(1..2 * n));
+                cases.push((n, (rz(&mut rng, nr), zz(&mut rng, nz))));
+            }
+        }
+        // Chunked folds (lowest compact mask 4 or more) next to per-entry
+        // ones (1 or 2), and new qubits landing above, below and between
+        // the current support.
+        let b = |q: usize| 1usize << q;
+        cases.push((
+            8,
+            (
+                vec![(b(0), 0.3), (b(1), -0.7), (b(2), 1.1), (b(3), 0.2)],
+                vec![(b(2), b(6), 0.05), (b(1), b(6), -0.2), (b(0), b(3), 0.4)],
+            ),
+        ));
+        cases.push((8, (vec![(b(0), 0.9)], vec![(b(0), b(5), 0.1)])));
+        cases.push((8, (vec![(b(6), -0.4)], vec![(b(1), b(6), 0.3)])));
+        cases.push((
+            8,
+            (
+                vec![(b(0), 0.5), (b(7), 0.25), (b(3), -1.5)],
+                vec![(b(3), b(5), 0.15), (b(4), b(2), -0.35)],
+            ),
+        ));
+        for (n, (rz, zz)) in cases {
+            let diag = Diag::build(n, rz, zz).expect("every case has a term");
+            let table = diag.table.as_ref().expect("tabulated below the limit");
+            let reference = ordered_product_table(&diag, n);
+            assert_eq!(table.len(), reference.len());
+            for (i, (got, want)) in table.iter().zip(&reference).enumerate() {
+                assert!(
+                    got.re.to_bits() == want.re.to_bits() && got.im.to_bits() == want.im.to_bits(),
+                    "n={n} entry {i}: {got:?} vs {want:?} for {:?} / {:?}",
+                    diag.rz,
+                    diag.zz
+                );
+            }
+        }
     }
 
     #[test]

@@ -271,6 +271,10 @@ fn malformed_angles_are_typed_not_panicking() {
         "rx(0.1 0.2) q[0];",
         "u3(0.1) q[0];",
         "h(0.3) q[0];",
+        // Angles that evaluate to ±∞ or NaN.
+        "rx(1e309) q[0];",
+        "rz(1/0) q[0];",
+        "u3(0/0,0,0) q[0];",
     ] {
         let text = format!("OPENQASM 2.0;\nqreg q[1];\n{bad}\n");
         assert!(
