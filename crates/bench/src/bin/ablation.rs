@@ -1,4 +1,5 @@
-//! Quality-side ablations of the scheduler's design choices (DESIGN.md):
+//! Quality-side ablations of the scheduler's design choices, the knobs of
+//! [`zz_sched::zzx::ZzxConfig`]:
 //!
 //! * the α weight of the NQ-vs-NC trade-off,
 //! * the top-k path-relaxing budget,

@@ -8,7 +8,10 @@
 //! under both schedulers. Density-matrix evaluation is impossible at
 //! these sizes, so each row instead records the schedule's
 //! [`PlanSummary`](zz_sched::PlanSummary) metrics (layer count, total
-//! duration, residual-ZZ weight): the at-scale fidelity proxy.
+//! duration, residual-ZZ weight): the at-scale fidelity proxy. The
+//! ladder and its circuits are [`zz_bench::scale_devices`] and
+//! [`zz_bench::brickwork`]; `tests/scale_ladder.rs` pins their plans
+//! exactly, so this probe is about wall time, memory and completion.
 //!
 //! Per device the probe reports route/schedule/total wall time, each
 //! compile's own peak RSS (`VmHWM` from `/proc/self/status`, reset
@@ -29,46 +32,10 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use zz_circuit::{Circuit, Gate};
+use zz_bench::{brickwork, scale_devices};
+use zz_circuit::Gate;
 use zz_core::{CompileOptions, SchedulerKind, Stage};
 use zz_service::{CompileRequest, Session, Target};
-use zz_topology::Topology;
-
-/// The device ladder: paper-scale grids, two at-scale grids, and two
-/// heavy-hex lattices (distance 9 ≈ 200 qubits, distance 21 > 1000).
-fn devices() -> Vec<(String, Topology)> {
-    let mut out = Vec::new();
-    for (rows, cols) in [(4, 4), (8, 8), (16, 16), (31, 31)] {
-        out.push((format!("grid-{rows}x{cols}"), Topology::grid(rows, cols)));
-    }
-    for distance in [9, 21] {
-        let topo = Topology::heavy_hex(distance);
-        out.push((format!("heavy-hex-d{distance}"), topo));
-    }
-    out
-}
-
-/// A brickwork circuit on `n` qubits: a Hadamard column, `depth`
-/// alternating nearest-neighbour CNOT layers, and a few medium-range
-/// CNOTs so routing has real SWAP work to do at every size.
-fn brickwork(n: usize, depth: usize) -> Circuit {
-    let mut circuit = Circuit::new(n);
-    for q in 0..n {
-        circuit.push(Gate::H, &[q]);
-    }
-    for layer in 0..depth {
-        let mut q = layer % 2;
-        while q + 1 < n {
-            circuit.push(Gate::Cnot, &[q, q + 1]);
-            q += 2;
-        }
-    }
-    if n >= 8 {
-        circuit.push(Gate::Cnot, &[0, n / 2]);
-        circuit.push(Gate::Cnot, &[n / 4, 3 * n / 4]);
-    }
-    circuit
-}
 
 /// Resets the process's peak resident set to its current resident set,
 /// so the next [`peak_rss_kb`] covers only what runs after this call.
@@ -149,13 +116,9 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     let mut counters: Vec<DeviceCounters> = Vec::new();
 
-    for (name, topo) in devices() {
+    for (name, topo) in scale_devices() {
         let qubits = topo.qubit_count();
-        // Thinner brickwork at the top of the ladder keeps the CI run
-        // in tens of seconds; the point there is completion + scaling
-        // slope, not statement coverage.
-        let depth = if qubits >= 500 { 2 } else { 4 };
-        let circuit = brickwork(qubits, depth);
+        let circuit = brickwork(qubits);
         let gates = circuit.gate_count();
         let target = Target::builder()
             .topology(topo)

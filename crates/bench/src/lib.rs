@@ -8,19 +8,18 @@
 //! ```
 //!
 //! Output is plain text: one labelled series per line, matching the rows/
-//! series of the corresponding paper figure. `EXPERIMENTS.md` at the
-//! workspace root records paper-vs-measured values for each figure.
+//! series of the corresponding paper figure.
 
 #![warn(missing_docs)]
 
 use zz_circuit::bench::BenchmarkKind;
+use zz_circuit::{Circuit, Gate};
 use zz_service::{
     CompileOptions, CompileRequest, EvalSpec, PulseMethod, SchedulerKind, ServiceReport, Session,
     Target,
 };
 
 pub mod reference;
-pub mod timing;
 
 /// The benchmark-circuit generation seed shared by every figure binary
 /// (the legacy `EvalConfig::paper_default().circuit_seed`).
@@ -58,38 +57,6 @@ pub fn row(label: &str, cells: &[String]) {
 /// The λ/2π sweep (MHz) used by the pulse-level figures (16–19).
 pub fn lambda_sweep_mhz() -> Vec<f64> {
     (0..=10).map(|k| k as f64 * 0.2).collect()
-}
-
-/// A small representative suite — three benchmark instances × the four
-/// pulse/scheduler configurations, sized for the 3×3 evaluation grid —
-/// shared by `examples/warm_cache.rs` and the `bench_pipeline` CI probe
-/// so the documented warm-start demo and the recorded perf trajectory
-/// measure the *same* workload.
-pub fn demo_requests() -> Vec<CompileRequest> {
-    use std::sync::Arc;
-    use zz_circuit::bench::generate;
-
-    let configs = [
-        (PulseMethod::Gaussian, SchedulerKind::ParSched),
-        (PulseMethod::OptCtrl, SchedulerKind::ZzxSched),
-        (PulseMethod::Pert, SchedulerKind::ZzxSched),
-        (PulseMethod::Dcg, SchedulerKind::ZzxSched),
-    ];
-    [
-        (BenchmarkKind::Qft, 4),
-        (BenchmarkKind::Qaoa, 6),
-        (BenchmarkKind::Ising, 9),
-    ]
-    .iter()
-    .flat_map(|&(kind, n)| {
-        let circuit = Arc::new(generate(kind, n, CIRCUIT_SEED));
-        configs.iter().map(move |&(m, s)| {
-            CompileRequest::shared(Arc::clone(&circuit))
-                .with_options(CompileOptions::new(m, s))
-                .with_label(format!("{kind}-{n}/{m}+{s}"))
-        })
-    })
-    .collect()
 }
 
 /// Every core benchmark at every paper size — the case axis of Figures
@@ -192,6 +159,52 @@ pub fn suite_requests(
             })
         })
         .collect()
+}
+
+/// The compile-path scaling ladder: paper-scale grids, two at-scale
+/// grids, and two heavy-hex lattices (distance 9 ≈ 200 qubits,
+/// distance 21 > 1000). `bench_scale` times it and
+/// `tests/scale_ladder.rs` pins its plans.
+pub fn scale_devices() -> Vec<(String, zz_topology::Topology)> {
+    use zz_topology::Topology;
+
+    let mut out = Vec::new();
+    for (rows, cols) in [(4, 4), (8, 8), (16, 16), (31, 31)] {
+        out.push((format!("grid-{rows}x{cols}"), Topology::grid(rows, cols)));
+    }
+    for distance in [9, 21] {
+        out.push((
+            format!("heavy-hex-d{distance}"),
+            Topology::heavy_hex(distance),
+        ));
+    }
+    out
+}
+
+/// The brickwork circuit the scaling ladder compiles on an `n`-qubit
+/// device: a Hadamard column, alternating nearest-neighbour CNOT layers
+/// and, from 8 qubits, two medium-range CNOTs so routing has real SWAP
+/// work at every size. It has 4 CNOT layers, or 2 from 500 qubits up:
+/// at the top of the ladder the point is completion and the scaling
+/// slope, not statement coverage.
+pub fn brickwork(n: usize) -> Circuit {
+    let depth = if n >= 500 { 2 } else { 4 };
+    let mut circuit = Circuit::new(n);
+    for q in 0..n {
+        circuit.push(Gate::H, &[q]);
+    }
+    for layer in 0..depth {
+        let mut q = layer % 2;
+        while q + 1 < n {
+            circuit.push(Gate::Cnot, &[q, q + 1]);
+            q += 2;
+        }
+    }
+    if n >= 8 {
+        circuit.push(Gate::Cnot, &[0, n / 2]);
+        circuit.push(Gate::Cnot, &[n / 4, 3 * n / 4]);
+    }
+    circuit
 }
 
 #[cfg(test)]

@@ -565,9 +565,8 @@ impl Fleet {
     /// The *actual* fidelity a small device would deliver on `circuit`
     /// right now: simulation under the ground-truth (drifted) λ rather
     /// than the calibrated one the dispatch predictor uses. The spread
-    /// between this and the dispatch score is the cost of stale
-    /// calibration — what `bench_fleet` reports as the predicted-vs-
-    /// simulated gap.
+    /// between this and the dispatch score is the fidelity cost of
+    /// stale calibration.
     ///
     /// # Errors
     ///

@@ -1,11 +1,12 @@
 //! Cold vs. warm compilation through the on-disk artifact store.
 //!
-//! Two passes compile the same benchmark suite against the same device.
-//! Each pass uses a *fresh* [`Session`] and a *fresh* calibration cache —
-//! as a new process would — so the only state they share is the cache
-//! directory. The first pass pays for pulse-level calibration, routing
-//! and scheduling and publishes every artifact; the second pass serves
-//! everything from disk.
+//! Two passes compile the same benchmark suite — three benchmark
+//! instances × four pulse/scheduler configurations, each on its paper
+//! sub-grid. Each pass uses a *fresh* [`Session`] and a *fresh*
+//! calibration cache — as a new process would — so the only state they
+//! share is the cache directory. The first pass pays for pulse-level
+//! calibration, routing and scheduling and publishes every artifact; the
+//! second pass serves everything from disk.
 //!
 //! ```text
 //! cargo run --release --example warm_cache
@@ -18,11 +19,27 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use zz_bench::demo_requests as suite;
+use zz_bench::suite_requests;
+use zz_circuit::bench::BenchmarkKind;
 use zz_core::calib::CalibCache;
 use zz_persist::CACHE_DIR_ENV;
-use zz_service::{ServiceReport, Session, Target};
+use zz_service::{CompileRequest, PulseMethod, SchedulerKind, ServiceReport, Session, Target};
 use zz_topology::Topology;
+
+fn suite() -> Vec<CompileRequest> {
+    let cases = [
+        (BenchmarkKind::Qft, 4),
+        (BenchmarkKind::Qaoa, 6),
+        (BenchmarkKind::Ising, 9),
+    ];
+    let configs = [
+        (PulseMethod::Gaussian, SchedulerKind::ParSched),
+        (PulseMethod::OptCtrl, SchedulerKind::ZzxSched),
+        (PulseMethod::Pert, SchedulerKind::ZzxSched),
+        (PulseMethod::Dcg, SchedulerKind::ZzxSched),
+    ];
+    suite_requests(&cases, &configs, None)
+}
 
 fn run_pass(name: &str, dir: &std::path::Path) -> ServiceReport {
     // A fresh session *and* a fresh calibration cache: nothing carries

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_fleet::{DeviceProfile, DriftModel, Fleet, FleetConfig, FleetError};
+use zz_fleet::{DeviceProfile, DriftModel, Fleet, FleetConfig, FleetError, ScoreKind};
 use zz_service::{CompileOptions, CompileRequest, DiskStatus, Error};
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -43,7 +43,8 @@ fn job_stream() -> Vec<(BenchmarkKind, usize)> {
 }
 
 /// Runs the standard job stream (with one drift epoch in the middle)
-/// and records every decision bit-exactly.
+/// and records every decision bit-exactly, with the scoring path each
+/// winner took.
 fn run_stream(threads: usize) -> Vec<String> {
     let mut fleet = Fleet::standard(fast_config(threads)).expect("standard fleet builds");
     let mut decisions = Vec::new();
@@ -68,25 +69,60 @@ fn run_stream(threads: usize) -> Vec<String> {
                 candidate.score.to_bits()
             ));
         }
+        let winner = dispatch
+            .candidates
+            .iter()
+            .find(|c| c.device == dispatch.device)
+            .expect("the winner is a candidate");
         decisions.push(format!(
-            "dispatch {} -> {} {:016x}",
+            "dispatch {} -> {} {:016x} {:?}",
             dispatch.label,
             dispatch.device,
-            dispatch.score.to_bits()
+            dispatch.score.to_bits(),
+            winner.kind
         ));
     }
     decisions
 }
 
+/// `run_stream(1)`'s decisions, pinned across commits: a change that
+/// moves every score alike still agrees with itself at any thread
+/// count, but not with this list. The small jobs had three candidates,
+/// the 16-qubit job one.
+const PINNED_DECISIONS: [&str; 10] = [
+    "candidate paper-grid 3fed268f0db0205e",
+    "candidate tunable-coupler 3feffb7a3febc2a5",
+    "candidate heavy-hex-static 3f5c2ba7decfa88b",
+    "dispatch job-1-Pert+ZZXSched -> tunable-coupler 3feffb7a3febc2a5 Simulated",
+    "candidate heavy-hex-static 1ac0be35c2dadd1e",
+    "dispatch job-2-Pert+ZZXSched -> heavy-hex-static 1ac0be35c2dadd1e PlanMetrics",
+    "candidate paper-grid 3fefb848bbfdd462",
+    "candidate tunable-coupler 3fefff98bd94d457",
+    "candidate heavy-hex-static 3fc9e93742039be3",
+    "dispatch job-3-Pert+ZZXSched -> tunable-coupler 3fefff98bd94d457 Simulated",
+];
+
 #[test]
 fn dispatch_decisions_are_bit_identical_at_any_thread_count() {
     let single = run_stream(1);
+    assert_eq!(
+        single,
+        PINNED_DECISIONS,
+        "the dispatch decisions moved:\n{}",
+        single.join("\n")
+    );
     let pooled = run_stream(4);
     assert_eq!(single, pooled, "thread count changed a dispatch decision");
-    // The stream exercised both scoring paths and a real choice: the
-    // 20-qubit job had exactly one candidate, the small jobs three.
-    assert!(single.iter().any(|d| d.contains("heavy-hex-static")));
-    assert!(single.iter().filter(|d| d.starts_with("candidate")).count() >= 7);
+    // Both scoring paths won a job.
+    for kind in [ScoreKind::Simulated, ScoreKind::PlanMetrics] {
+        let suffix = format!(" {kind:?}");
+        assert!(
+            single
+                .iter()
+                .any(|d| d.starts_with("dispatch") && d.ends_with(&suffix)),
+            "no job was won through {kind:?} scoring"
+        );
+    }
 }
 
 #[test]
@@ -208,6 +244,37 @@ fn drift_invalidates_exactly_the_drifted_devices_and_leaves_other_shards_warm() 
     }
 
     let _ = std::fs::remove_dir_all(&dir);
+
+    // A fixed walk pinned across commits: which devices three epochs of
+    // seed 0x5eed at threshold 0.05 recalibrate, and to which λ. The
+    // walk needs no dispatch.
+    let mut walker = Fleet::standard(FleetConfig {
+        seed: 0x5eed,
+        invalidation_threshold: 0.05,
+        ..fast_config(1)
+    })
+    .expect("standard fleet builds");
+    let walk: Vec<String> = (0..3)
+        .map(|_| {
+            let epoch = walker.advance_epoch().expect("epoch advances");
+            let devices: Vec<String> = epoch
+                .invalidations
+                .iter()
+                .map(|i| format!("{} {:016x}", i.device, i.new_lambda.to_bits()))
+                .collect();
+            format!("epoch {}: [{}]", epoch.epoch, devices.join(", "))
+        })
+        .collect();
+    assert_eq!(
+        walk,
+        [
+            "epoch 1: [paper-grid 3f5381788dfb9925, tunable-coupler 3f1a083e09b05ba0]",
+            "epoch 2: []",
+            "epoch 3: [paper-grid 3f548d4c12c3d7c7]",
+        ],
+        "the drift partition moved:\n{}",
+        walk.join("\n")
+    );
 }
 
 #[test]
