@@ -10,8 +10,9 @@
 //! [`PlanSummary`](zz_sched::PlanSummary) metrics (layer count, total
 //! duration, residual-ZZ weight): the at-scale fidelity proxy. The
 //! ladder and its circuits are [`zz_bench::scale_devices`] and
-//! [`zz_bench::brickwork`]; `tests/scale_ladder.rs` pins their plans
-//! exactly, so this probe is about wall time, memory and completion.
+//! [`zz_bench::brickwork`]; `tests/scale.rs::scale_ladder_plans_are_pinned`
+//! pins their plans exactly, so this probe is about wall time, memory
+//! and completion.
 //!
 //! Per device the probe reports route/schedule/total wall time, each
 //! compile's own peak RSS (`VmHWM` from `/proc/self/status`, reset

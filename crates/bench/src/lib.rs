@@ -164,7 +164,7 @@ pub fn suite_requests(
 /// The compile-path scaling ladder: paper-scale grids, two at-scale
 /// grids, and two heavy-hex lattices (distance 9 ≈ 200 qubits,
 /// distance 21 > 1000). `bench_scale` times it and
-/// `tests/scale_ladder.rs` pins its plans.
+/// `tests/scale.rs::scale_ladder_plans_are_pinned` pins its plans.
 pub fn scale_devices() -> Vec<(String, zz_topology::Topology)> {
     use zz_topology::Topology;
 

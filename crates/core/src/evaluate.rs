@@ -9,7 +9,7 @@
 
 use zz_sim::density::{Decoherence, EXACT_MAX_QUBITS};
 use zz_sim::executor::{run_density, ZzErrorModel};
-use zz_sim::program::{PlanProgram, TrajectoryProgram};
+use zz_sim::program::{EngineStats, PlanProgram, TrajectoryProgram, DEFAULT_BATCH_LANES};
 use zz_topology::Topology;
 
 use crate::Compiled;
@@ -97,14 +97,21 @@ impl EvalConfig {
     }
 }
 
+/// [`evaluate`] without the engine's work counts: the mean fidelity.
+pub fn fidelity_of(compiled: &Compiled, cfg: &EvalConfig) -> f64 {
+    evaluate(compiled, cfg).0
+}
+
 /// Mean output-state fidelity of a compiled plan over the config's
-/// crosstalk samples (and decoherence, when enabled). Callers run
+/// crosstalk samples (and decoherence, when enabled), with the
+/// [`EngineStats`] of the programs it compiled and ran. Callers run
 /// [`EvalConfig::check`] first: a config it rejects yields NaN or
 /// panics here.
 ///
 /// The ideal reference state is computed once and reused across all
 /// crosstalk seeds; each seed's noisy execution runs through the
-/// precompiled programs of [`zz_sim::program`].
+/// precompiled programs of [`zz_sim::program`], each dropped as soon as
+/// it has run so that only one program's fused tables are alive at once.
 ///
 /// Monte-Carlo trajectories run sequentially here: every in-repo caller
 /// (the service layer's workers, fleet scoring) already fans evaluations
@@ -112,18 +119,24 @@ impl EvalConfig {
 /// would oversubscribe the machine quadratically. For a standalone
 /// parallel fan, call [`TrajectoryProgram::mean_fidelity`] with a thread
 /// count directly.
-pub fn fidelity_of(compiled: &Compiled, cfg: &EvalConfig) -> f64 {
+pub fn evaluate(compiled: &Compiled, cfg: &EvalConfig) -> (f64, EngineStats) {
     let topo = &compiled.topology;
-    let ideal = PlanProgram::ideal(&compiled.plan).run();
+    let mut stats = EngineStats::default();
+    let ideal = {
+        let program = PlanProgram::ideal(&compiled.plan);
+        stats.fused_diags += program.fused_diags();
+        program.run()
+    };
     let mut total = 0.0;
     for &seed in &cfg.crosstalk_seeds {
         let model = ZzErrorModel::sampled(topo, cfg.lambda_mean, cfg.lambda_std, seed)
             .with_residuals(compiled.residuals);
         total += match &cfg.decoherence {
             None => {
-                let noisy =
-                    PlanProgram::compile(&compiled.plan, topo, &model, &compiled.durations).run();
-                ideal.fidelity(&noisy)
+                let program =
+                    PlanProgram::compile(&compiled.plan, topo, &model, &compiled.durations);
+                stats.fused_diags += program.fused_diags();
+                ideal.fidelity(&program.run())
             }
             Some((deco, trajectories, mc_seed)) => {
                 if compiled.plan.qubit_count() <= EXACT_MAX_QUBITS {
@@ -131,19 +144,30 @@ pub fn fidelity_of(compiled: &Compiled, cfg: &EvalConfig) -> f64 {
                     let dm = run_density(&compiled.plan, topo, &model, deco, &compiled.durations);
                     dm.fidelity_to_pure(&ideal.to_vector())
                 } else {
-                    TrajectoryProgram::compile(
+                    let program = TrajectoryProgram::compile(
                         &compiled.plan,
                         topo,
                         &model,
                         deco,
                         &compiled.durations,
-                    )
-                    .mean_fidelity(&ideal, *trajectories, *mc_seed ^ seed, 1)
+                    );
+                    let (fidelity, fan) = program.mean_fidelity_batched(
+                        &ideal,
+                        *trajectories,
+                        *mc_seed ^ seed,
+                        1,
+                        DEFAULT_BATCH_LANES,
+                    );
+                    stats.fused_diags += program.fused_diags();
+                    stats.trajectories += fan.trajectories;
+                    stats.kernel_sweeps += fan.kernel_sweeps;
+                    stats.batch_walls.extend(fan.batch_walls);
+                    fidelity
                 }
             }
         };
     }
-    total / cfg.crosstalk_seeds.len() as f64
+    (total / cfg.crosstalk_seeds.len() as f64, stats)
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ use zz_graph::MultiGraph;
 use zz_obs::Registry;
 use zz_persist::{ArtifactKind, ArtifactStore};
 use zz_pulse::library::PulseMethod;
-use zz_sched::zzx::{zzx_schedule, Requirement, ZzxConfig};
+use zz_sched::zzx::{zzx_schedule_counted, Requirement, ZzxConfig};
 use zz_sched::{par_schedule, GateDurations, SchedulePlan};
 use zz_sim::executor::ResidualTable;
 use zz_topology::Topology;
@@ -569,8 +569,14 @@ pub trait SchedulerPass: fmt::Debug + Send + Sync {
     /// The pass's display name.
     fn name(&self) -> &'static str;
 
+    /// Schedules the native circuit on the device, and returns how many
+    /// qubit-pair distance lookups the scheduler made doing it.
+    fn schedule_counted(&self, topo: &Topology, native: &NativeCircuit) -> (SchedulePlan, u64);
+
     /// Schedules the native circuit on the device.
-    fn schedule(&self, topo: &Topology, native: &NativeCircuit) -> SchedulePlan;
+    fn schedule(&self, topo: &Topology, native: &NativeCircuit) -> SchedulePlan {
+        self.schedule_counted(topo, native).0
+    }
 }
 
 /// The maximal-parallelism ASAP baseline ([`zz_sched::par_schedule`]).
@@ -582,8 +588,8 @@ impl SchedulerPass for ParSchedPass {
         "par-sched"
     }
 
-    fn schedule(&self, topo: &Topology, native: &NativeCircuit) -> SchedulePlan {
-        par_schedule(topo, native)
+    fn schedule_counted(&self, topo: &Topology, native: &NativeCircuit) -> (SchedulePlan, u64) {
+        (par_schedule(topo, native), 0)
     }
 }
 
@@ -604,7 +610,7 @@ impl SchedulerPass for ZzxSchedPass {
         "zzx-sched"
     }
 
-    fn schedule(&self, topo: &Topology, native: &NativeCircuit) -> SchedulePlan {
+    fn schedule_counted(&self, topo: &Topology, native: &NativeCircuit) -> (SchedulePlan, u64) {
         let config = ZzxConfig {
             alpha: self.alpha,
             k: self.k,
@@ -612,7 +618,7 @@ impl SchedulerPass for ZzxSchedPass {
                 .requirement
                 .unwrap_or_else(|| Requirement::paper_default(topo)),
         };
-        zzx_schedule(topo, native, &config)
+        zzx_schedule_counted(topo, native, &config)
     }
 }
 
@@ -1093,7 +1099,7 @@ impl PassManager {
     fn schedule_and_pulse(&self, native: &NativeCircuit, trace: &mut PipelineTrace) -> Compiled {
         let in_items = native.ops().len();
         let t0 = Instant::now();
-        let plan = self.scheduler.schedule(&self.topology, native);
+        let (plan, queries) = self.scheduler.schedule_counted(&self.topology, native);
         let scheduled = Scheduled { plan };
         trace.passes.push(PassTrace {
             stage: Stage::Schedule,
@@ -1103,6 +1109,10 @@ impl PassManager {
             input_items: in_items,
             output_items: scheduled.items(),
         });
+        if let Some(registry) = &self.metrics {
+            registry.counter("sched.distance_queries").add(queries);
+            registry.counter("sched.schedules").inc();
+        }
 
         let in_items = scheduled.items();
         let t0 = Instant::now();
@@ -1254,9 +1264,10 @@ impl PassManagerBuilder {
         self
     }
 
-    /// Publishes per-stage wall times and cache-disposition counts into
-    /// a `zz_obs` [`Registry`] after every run (default: no metrics; the
-    /// per-request [`PipelineTrace`] is always produced either way).
+    /// Publishes per-stage wall times and cache-disposition counts, and
+    /// each schedule's `sched.schedules` / `sched.distance_queries`, into
+    /// a `zz_obs` [`Registry`] (default: no metrics; the per-request
+    /// [`PipelineTrace`] is always produced either way).
     pub fn metrics(mut self, registry: Arc<Registry>) -> Self {
         self.metrics = Some(registry);
         self

@@ -10,8 +10,8 @@
 //! exact `O(2ⁿ·n)` bitmask dynamic program for up to [`EXACT_LIMIT`]
 //! vertices (every device the paper evaluates produces far fewer odd
 //! vertices) and a greedy + 2-opt local-search fallback beyond that. The
-//! substitution is recorded in `DESIGN.md` and property-tested against brute
-//! force.
+//! DP is checked against brute force on pseudorandom costs by this
+//! module's `dp_matches_brute_force_on_pseudorandom_costs` test.
 
 /// Maximum vertex count for which the exact DP is used.
 pub const EXACT_LIMIT: usize = 20;

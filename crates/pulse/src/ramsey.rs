@@ -2,7 +2,7 @@
 //!
 //! The real device of the paper — three transmons `Q1–Q2–Q3` with always-on
 //! ZZ coupling — is replaced by Hamiltonian-level simulation of the same
-//! effective model (see `DESIGN.md`, substitution 1). The protocol measures
+//! effective model. The protocol measures
 //! the *effective ZZ strength*: perform a Ramsey experiment on `Q2`
 //! (`X90 · idle(τ) · Rz(δ·τ) · X90`, then measure `P(|1⟩)`) with the
 //! neighbors prepared in `|0⟩` or `|1⟩`; the difference of the two fringe

@@ -9,7 +9,8 @@
 //! * [`plan`] — scheduled layers with per-layer qubit status and durations,
 //! * [`zzx`] — **Algorithm 2**: the complete ZZXSched scheduler with the
 //!   Case-1 (single-qubit, complete suppression on bipartite devices) and
-//!   Case-2 (two-qubit distance heuristic) strategies,
+//!   Case-2 (two-qubit distance heuristic) strategies (the crate keeps no
+//!   counters: [`zzx::zzx_schedule_counted`] returns its query count),
 //! * [`parsched`] — the maximal-parallelism ASAP baseline used by current
 //!   compilers (the paper's `ParSched`).
 //!
@@ -35,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod obs;
 pub mod parsched;
 pub mod plan;
 pub mod render;
@@ -43,7 +43,6 @@ pub mod suppression;
 pub mod zzx;
 
 pub use metrics::{cut_metrics, CutMetrics};
-pub use obs::{register_sink, SchedSink};
 pub use plan::{GateDurations, Layer, PlanSummary, SchedulePlan};
 pub use render::{render_plan, summarize_plan};
 pub use suppression::{alpha_optimal_suppression, SuppressionPlan};

@@ -33,7 +33,8 @@ struct DistanceOracle<'t> {
     /// Cached rows; an empty row means "not yet computed" (a computed row
     /// always has `qubit_count ≥ 1` entries).
     rows: Vec<Vec<usize>>,
-    /// Number of `distance` lookups served (reported via [`crate::obs`]).
+    /// Number of `distance` lookups served (returned by
+    /// [`zzx_schedule_counted`]).
     queries: u64,
 }
 
@@ -143,6 +144,17 @@ impl ZzxConfig {
 /// assert!(plan.layers.iter().all(|l| l.metrics.nc == 0));
 /// ```
 pub fn zzx_schedule(topo: &Topology, circuit: &NativeCircuit, config: &ZzxConfig) -> SchedulePlan {
+    zzx_schedule_counted(topo, circuit, config).0
+}
+
+/// [`zzx_schedule`] (and panics like it), also returning the number of
+/// qubit-pair distance lookups its Case-2 heuristic made (0 when Case 2
+/// never ran), for the caller to record.
+pub fn zzx_schedule_counted(
+    topo: &Topology,
+    circuit: &NativeCircuit,
+    config: &ZzxConfig,
+) -> (SchedulePlan, u64) {
     assert!(
         circuit.qubit_count() <= topo.qubit_count(),
         "circuit does not fit on the device"
@@ -212,8 +224,7 @@ pub fn zzx_schedule(topo: &Topology, circuit: &NativeCircuit, config: &ZzxConfig
     }
     debug_assert_eq!(tracker.remaining(), 0, "all ops scheduled");
     debug_assert!(plan.validate().is_ok());
-    crate::obs::record_distance_queries(oracle.queries);
-    plan
+    (plan, oracle.queries)
 }
 
 /// Case 1: only single-qubit gates are schedulable.

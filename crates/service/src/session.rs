@@ -16,11 +16,11 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use zz_circuit::Circuit;
-use zz_core::evaluate::{fidelity_of, EvalConfig, MAX_EVAL_QUBITS};
+use zz_core::evaluate::{evaluate, EvalConfig, MAX_EVAL_QUBITS};
 use zz_core::pipeline::{shape_key, CacheDisposition, PassManager, RouteMemo, Stage};
 use zz_core::{CompileOptions, Compiled, PipelineTrace};
 use zz_obs::{
@@ -29,6 +29,7 @@ use zz_obs::{
 use zz_persist::{fnv1a, fnv1a_mix, Encode, Encoder};
 use zz_pool::{default_threads, TaskPool};
 use zz_sim::density::Decoherence;
+use zz_sim::program::EngineStats;
 use zz_topology::Topology;
 
 use crate::error::Error;
@@ -469,7 +470,7 @@ impl std::fmt::Display for ServiceReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} jobs ({} failed) in {:.1?} wall / {:.1?} cpu (queue wait {:.1?}); routing memo {} hit / {} miss; ",
+            "{} jobs ({} failed) in {:.1?} wall / {:.1?} cpu (queue wait {:.1?}); routing {} cached / {} routed; ",
             self.outcomes.len(),
             self.error_count(),
             self.wall_time,
@@ -521,13 +522,22 @@ struct SessionMetrics {
     queue_wait: Arc<Histogram>,
     /// `session.compile.wall_us` — per-request compile (+eval) time.
     compile_wall: Arc<Histogram>,
+    /// `engine.trajectories` — Monte-Carlo trajectories evaluated here.
+    trajectories: Arc<Counter>,
+    /// `engine.kernel_sweeps` — statevector sweeps of those trajectories.
+    kernel_sweeps: Arc<Counter>,
+    /// `engine.diag.fused` — diagonal sweeps fusion removed.
+    fused_diags: Arc<Counter>,
+    /// `engine.batch.run_us` — wall time per trajectory batch.
+    batch_run: Arc<Histogram>,
 }
 
 impl SessionMetrics {
     fn new() -> Self {
         let registry = Arc::new(Registry::new());
-        EngineBridge::install(&registry);
-        SchedBridge::install(&registry);
+        // Counted by the pipeline; listed at 0 before the first compile.
+        registry.counter("sched.distance_queries");
+        registry.counter("sched.schedules");
         SessionMetrics {
             requests: registry.counter("session.requests"),
             errors: registry.counter("session.errors"),
@@ -537,96 +547,22 @@ impl SessionMetrics {
             workers_busy: registry.gauge("session.workers.busy"),
             queue_wait: registry.histogram("session.queue.wait_us"),
             compile_wall: registry.histogram("session.compile.wall_us"),
+            trajectories: registry.counter("engine.trajectories"),
+            kernel_sweeps: registry.counter("engine.kernel_sweeps"),
+            fused_diags: registry.counter("engine.diag.fused"),
+            batch_run: registry.histogram("engine.batch.run_us"),
             registry,
         }
     }
-}
 
-/// Bridges engine-level events ([`zz_sim::metrics`]) into a session's
-/// registry: trajectory/sweep/fusion counters plus the per-batch run-time
-/// histogram, all under `engine.*` and therefore visible through
-/// [`Session::metrics`] snapshots and the `zz_net` Stats endpoint.
-///
-/// The bridge holds only *weak* handles. The registry keeps the metrics
-/// alive; once the session (and with it the registry) is dropped, the
-/// next engine event fails to upgrade and the engine prunes the sink —
-/// dead sessions cost nothing. Note the engine counters are
-/// process-wide: a session sees engine activity from every live session,
-/// not just its own queue.
-#[derive(Debug)]
-struct EngineBridge {
-    trajectories: Weak<Counter>,
-    kernel_sweeps: Weak<Counter>,
-    fused_diags: Weak<Counter>,
-    batch_run: Weak<Histogram>,
-}
-
-impl EngineBridge {
-    fn install(registry: &Arc<Registry>) {
-        zz_sim::metrics::register_sink(Arc::new(EngineBridge {
-            trajectories: Arc::downgrade(&registry.counter("engine.trajectories")),
-            kernel_sweeps: Arc::downgrade(&registry.counter("engine.kernel_sweeps")),
-            fused_diags: Arc::downgrade(&registry.counter("engine.diag.fused")),
-            batch_run: Arc::downgrade(&registry.histogram("engine.batch.run_us")),
-        }));
-    }
-}
-
-impl zz_sim::metrics::EngineSink for EngineBridge {
-    fn batch(&self, trajectories: u64, kernel_sweeps: u64, elapsed: Duration) -> bool {
-        let (Some(t), Some(k), Some(h)) = (
-            self.trajectories.upgrade(),
-            self.kernel_sweeps.upgrade(),
-            self.batch_run.upgrade(),
-        ) else {
-            return false;
-        };
-        t.add(trajectories);
-        k.add(kernel_sweeps);
-        h.observe_micros(elapsed);
-        true
-    }
-
-    fn fused_diags(&self, merges: u64) -> bool {
-        match self.fused_diags.upgrade() {
-            Some(c) => {
-                c.add(merges);
-                true
-            }
-            None => false,
+    /// Records one evaluation's engine work under `engine.*`.
+    fn record_engine(&self, stats: &EngineStats) {
+        self.trajectories.add(stats.trajectories);
+        self.kernel_sweeps.add(stats.kernel_sweeps);
+        self.fused_diags.add(stats.fused_diags);
+        for &wall in &stats.batch_walls {
+            self.batch_run.observe_micros(wall);
         }
-    }
-}
-
-/// Bridges scheduler-level events ([`zz_sched::obs`]) into a session's
-/// registry: the lazy distance oracle's query counter, under
-/// `sched.distance_queries` / `sched.schedules` and therefore visible
-/// through [`Session::metrics`] snapshots and the `zz_net` Stats
-/// endpoint. Same weak-handle lifecycle as [`EngineBridge`], and the
-/// counters are likewise process-wide.
-#[derive(Debug)]
-struct SchedBridge {
-    distance_queries: Weak<Counter>,
-    schedules: Weak<Counter>,
-}
-
-impl SchedBridge {
-    fn install(registry: &Arc<Registry>) {
-        zz_sched::obs::register_sink(Arc::new(SchedBridge {
-            distance_queries: Arc::downgrade(&registry.counter("sched.distance_queries")),
-            schedules: Arc::downgrade(&registry.counter("sched.schedules")),
-        }));
-    }
-}
-
-impl zz_sched::obs::SchedSink for SchedBridge {
-    fn distance_queries(&self, queries: u64) -> bool {
-        let (Some(q), Some(s)) = (self.distance_queries.upgrade(), self.schedules.upgrade()) else {
-            return false;
-        };
-        q.add(queries);
-        s.inc();
-        true
     }
 }
 
@@ -712,7 +648,9 @@ impl SessionCore {
                         ),
                     });
                 }
-                Some(fidelity_of(&compiled, &config))
+                let (fidelity, stats) = evaluate(&compiled, &config);
+                self.metrics.record_engine(&stats);
+                Some(fidelity)
             }
         };
 

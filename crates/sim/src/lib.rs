@@ -9,8 +9,7 @@
 //!   crosstalk the layer's pulses suppress (cross-region) use
 //!   `λ_eff = r·λ` with the method's calibrated residual factor `r`;
 //!   unsuppressed (intra-region) couplings use the full `λ`. This is the
-//!   circuit-level factorization of the paper's Hamiltonian-level model
-//!   (see `DESIGN.md`, substitution 2).
+//!   circuit-level factorization of the paper's Hamiltonian-level model.
 //! * **Decoherence** — amplitude damping (`T1`) and pure dephasing (from
 //!   `T2`) per qubit per layer, simulated exactly on density matrices
 //!   ([`executor::run_density`], up to [`density::EXACT_MAX_QUBITS`]
@@ -24,9 +23,10 @@
 //! of trajectories per amplitude visit. A deterministic
 //! [`program::PlanProgram`] is the decoherence-free case, replayed on one
 //! lane; a [`program::TrajectoryProgram`] fans Monte-Carlo trajectories
-//! out with thread-count- and batch-width-independent results.
-//! [`metrics`] forwards engine counters to the observability stack
-//! through registered sinks. [`executor`] holds the error model
+//! out with thread-count- and batch-width-independent results. The
+//! engine keeps no counters: programs report their fused diagonals and
+//! the trajectory fan returns its work as [`program::EngineStats`], for
+//! the caller to record. [`executor`] holds the error model
 //! ([`executor::ZzErrorModel`]) the programs compile against.
 //! [`StateVector`] keeps the scalar kernels the reference executor of
 //! `zz_bench` runs on.
@@ -60,7 +60,6 @@
 pub mod batch;
 pub mod density;
 pub mod executor;
-pub mod metrics;
 pub mod program;
 pub mod statevector;
 

@@ -37,6 +37,11 @@
 //! the plan runs more than once (disorder averages, trajectory fans,
 //! parameter sweeps).
 //!
+//! The engine publishes no metrics. Each program reports how many
+//! diagonal sweeps its compilation fused away, and the trajectory fan
+//! returns its batches' counts and wall times as [`EngineStats`]; the
+//! caller records them wherever it keeps its metrics.
+//!
 //! # Example
 //!
 //! ```
@@ -59,7 +64,7 @@
 //! assert!(f > 0.0 && f <= 1.0 + 1e-9);
 //! ```
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -72,7 +77,7 @@ use zz_topology::Topology;
 use crate::batch::BatchedState;
 use crate::density::Decoherence;
 use crate::executor::{coupling_residual, driven_couplings, ZzErrorModel};
-use crate::{metrics, StateVector};
+use crate::StateVector;
 use zz_pool::parallel_map;
 
 /// Largest register whose fused layer diagonals are tabulated as dense
@@ -90,6 +95,20 @@ pub const DIAG_TABLE_MAX_QUBITS: usize = 16;
 /// Monte-Carlo workload, throughput improves steadily up to 16 lanes
 /// and is flat beyond.
 pub const DEFAULT_BATCH_LANES: usize = 16;
+
+/// What the engine did for one caller — returned to it, never recorded
+/// globally, so each caller counts only its own work.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct EngineStats {
+    /// Monte-Carlo trajectories run.
+    pub trajectories: u64,
+    /// Full-statevector kernel sweeps the trajectory batches executed.
+    pub kernel_sweeps: u64,
+    /// Diagonal sweeps removed by fusion in the programs compiled.
+    pub fused_diags: u64,
+    /// Wall time of each trajectory batch, in batch order.
+    pub batch_walls: Vec<Duration>,
+}
 
 /// One resolved gate application: matrix entries unpacked into a fixed
 /// array and qubit indices pre-translated to amplitude bit masks.
@@ -409,6 +428,9 @@ struct Steps {
     /// Trailing diagonal: the plan's final virtual rotations plus every
     /// phase still carried after the last layer.
     tail: Option<Diag>,
+    /// Diagonal sweeps fusion removed: how many a fusion-free build
+    /// would have emitted, minus how many this one did.
+    fused: u64,
 }
 
 impl Steps {
@@ -431,8 +453,7 @@ impl Steps {
         let mut carry_rz: Vec<(usize, f64)> = Vec::new();
         let mut carry_zz: Vec<(usize, usize, f64)> = Vec::new();
         // Diagonal sweeps a fusion-free compilation would have emitted,
-        // vs the number actually emitted — the difference feeds the
-        // `engine.diag.fused` counter.
+        // vs the number actually emitted — the difference is `fused`.
         let mut naive = 0u64;
         let mut emitted = 0u64;
         for layer in &plan.layers {
@@ -486,8 +507,13 @@ impl Steps {
         carry_rz.extend(final_rz);
         let tail = Diag::build(n, carry_rz, carry_zz);
         emitted += tail.is_some() as u64;
-        metrics::record_fused(naive.saturating_sub(emitted));
-        Steps { n, layers, tail }
+        let fused = naive.saturating_sub(emitted);
+        Steps {
+            n,
+            layers,
+            tail,
+            fused,
+        }
     }
 
     /// Replays the steps from `|0…0⟩` on a single lane, drawing from
@@ -631,6 +657,11 @@ impl PlanProgram {
         self.steps.n
     }
 
+    /// Diagonal sweeps this program's compilation fused away.
+    pub fn fused_diags(&self) -> u64 {
+        self.steps.fused
+    }
+
     /// Executes the program from `|0…0⟩` on the batched engine at width 1.
     pub fn run(&self) -> StateVector {
         self.steps.run_lane(&mut [])
@@ -665,6 +696,11 @@ impl TrajectoryProgram {
         self.steps.n
     }
 
+    /// Diagonal sweeps this program's compilation fused away.
+    pub fn fused_diags(&self) -> u64 {
+        self.steps.fused
+    }
+
     /// Runs one trajectory: ZZ phases exactly, decoherence by sampling
     /// Kraus operators per qubit per layer, on the batched engine at
     /// width 1 — the same replay the trajectory fan runs per batch.
@@ -673,12 +709,19 @@ impl TrajectoryProgram {
     }
 
     /// Runs trajectories `first..first + width` in one batched sweep and
-    /// returns their fidelities against `ideal`, in trajectory order.
+    /// returns their fidelities against `ideal`, in trajectory order,
+    /// with the batch's kernel sweeps and wall time.
     ///
     /// Lane `t` draws from its own generator seeded by
     /// [`trajectory_seed`]`(seed, first + t)`, exactly as [`run`](Self::run)
     /// draws when handed that generator.
-    fn run_batch(&self, ideal: &[c64], seed: u64, first: usize, width: usize) -> Vec<f64> {
+    fn run_batch(
+        &self,
+        ideal: &[c64],
+        seed: u64,
+        first: usize,
+        width: usize,
+    ) -> (Vec<f64>, u64, Duration) {
         let started = Instant::now();
         let mut batch = BatchedState::zero(self.steps.n, width);
         let mut rngs: Vec<StdRng> = (0..width)
@@ -687,8 +730,7 @@ impl TrajectoryProgram {
         let sweeps = self.steps.evolve(&mut batch, &mut rngs) + 1;
         let mut fidelities = vec![0.0; width];
         batch.fidelity_against(ideal, &mut fidelities);
-        metrics::record_batch(width as u64, sweeps, started.elapsed());
-        fidelities
+        (fidelities, sweeps, started.elapsed())
     }
 
     /// Mean fidelity against `ideal` over `trajectories` Monte-Carlo runs,
@@ -711,6 +753,7 @@ impl TrajectoryProgram {
         threads: usize,
     ) -> f64 {
         self.mean_fidelity_batched(ideal, trajectories, seed, threads, DEFAULT_BATCH_LANES)
+            .0
     }
 
     /// [`mean_fidelity`](Self::mean_fidelity) with an explicit batch
@@ -718,7 +761,10 @@ impl TrajectoryProgram {
     /// out over the thread pool, and the ordered per-trajectory reduction
     /// is unchanged — so the result is bit-identical for any `threads`
     /// *and* any `lanes` (each lane's arithmetic never mixes with its
-    /// neighbours; see [`crate::batch`]).
+    /// neighbours; see [`crate::batch`]). Also returns the fan's
+    /// [`EngineStats`]: trajectories, kernel sweeps and one wall time per
+    /// batch (`fused_diags` stays 0; it is the program's
+    /// [`fused_diags`](Self::fused_diags)).
     ///
     /// # Panics
     ///
@@ -730,7 +776,7 @@ impl TrajectoryProgram {
         seed: u64,
         threads: usize,
         lanes: usize,
-    ) -> f64 {
+    ) -> (f64, EngineStats) {
         assert!(trajectories > 0, "at least one trajectory is required");
         assert!(lanes > 0, "at least one batch lane is required");
         let ideal_amps = ideal.amplitudes();
@@ -741,12 +787,18 @@ impl TrajectoryProgram {
             self.run_batch(ideal_amps, seed, first, width)
         });
         let mut sum = 0.0;
-        for batch in &per_batch {
-            for f in batch {
+        let mut stats = EngineStats {
+            trajectories: trajectories as u64,
+            ..EngineStats::default()
+        };
+        for (fidelities, sweeps, wall) in per_batch {
+            for f in fidelities {
                 sum += f;
             }
+            stats.kernel_sweeps += sweeps;
+            stats.batch_walls.push(wall);
         }
-        sum / trajectories as f64
+        (sum / trajectories as f64, stats)
     }
 }
 
@@ -984,15 +1036,21 @@ mod tests {
         let program =
             TrajectoryProgram::compile(&plan, &topo, &model, &deco, &GateDurations::standard());
         let ideal = PlanProgram::ideal(&plan).run();
-        let reference = program.mean_fidelity_batched(&ideal, 16, 7, 1, 8);
+        let (reference, _) = program.mean_fidelity_batched(&ideal, 16, 7, 1, 8);
         for lanes in [1, 3, 8, 16] {
+            let (_, single) = program.mean_fidelity_batched(&ideal, 16, 7, 1, lanes);
             for threads in [1, 2, 8] {
-                let f = program.mean_fidelity_batched(&ideal, 16, 7, threads, lanes);
+                let (f, stats) = program.mean_fidelity_batched(&ideal, 16, 7, threads, lanes);
                 assert_eq!(
                     reference.to_bits(),
                     f.to_bits(),
                     "lanes={lanes} threads={threads}"
                 );
+                // The fan's counts describe its batches, not its threads.
+                assert_eq!(stats.trajectories, 16);
+                assert_eq!(stats.batch_walls.len(), 16usize.div_ceil(lanes));
+                assert_eq!(stats.kernel_sweeps, single.kernel_sweeps);
+                assert_eq!(stats.fused_diags, 0);
             }
         }
         // The default entry point is the same computation at width 8.
@@ -1013,7 +1071,7 @@ mod tests {
             TrajectoryProgram::compile(&plan, &topo, &model, &deco, &GateDurations::standard());
         let ideal = PlanProgram::ideal(&plan).run();
         let trajectories = 5;
-        let batched = program.mean_fidelity_batched(&ideal, trajectories, 11, 1, 3);
+        let (batched, _) = program.mean_fidelity_batched(&ideal, trajectories, 11, 1, 3);
         let mut scalar_sum = 0.0;
         for i in 0..trajectories {
             let mut rng = StdRng::seed_from_u64(trajectory_seed(11, i));

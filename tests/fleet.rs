@@ -1,7 +1,8 @@
 //! Fleet-level integration tests: dispatch determinism across thread
 //! counts, drift-driven calibration invalidation (no stale disk
-//! artifact is ever reused), per-device shard isolation, and typed
-//! errors for degenerate scoring configs and device profiles.
+//! artifact is ever reused), per-device shard isolation and per-device
+//! engine and scheduler counters, and typed errors for degenerate
+//! scoring configs and device profiles.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -351,6 +352,45 @@ fn fleet_metrics_track_dispatch_and_invalidation() {
     let snap = drifty.registry().snapshot();
     assert_eq!(snap.counter("fleet.drift.invalidations"), Some(3));
     assert_eq!(snap.gauge("fleet.epoch"), Some(1));
+}
+
+/// Each device's session counts only its own work: one QFT-4 dispatch
+/// schedules once on every candidate, and only the two devices scored
+/// by simulation run trajectories (4 each at one eval seed).
+#[test]
+fn engine_and_scheduler_counters_are_scoped_to_each_device() {
+    let mut fleet = Fleet::standard(fast_config(1)).expect("builds");
+    fleet
+        .submit(
+            generate(BenchmarkKind::Qft, 4, 5),
+            CompileOptions::default(),
+        )
+        .expect("dispatches");
+
+    let got: Vec<String> = fleet
+        .devices()
+        .into_iter()
+        .map(|device| {
+            let snap = fleet
+                .session(device)
+                .expect("registered")
+                .metrics()
+                .snapshot();
+            format!(
+                "{device}: {} trajectories, {} schedules",
+                snap.counter("engine.trajectories").unwrap_or(0),
+                snap.counter("sched.schedules").unwrap_or(0)
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            "paper-grid: 4 trajectories, 1 schedules",
+            "tunable-coupler: 4 trajectories, 1 schedules",
+            "heavy-hex-static: 0 trajectories, 1 schedules",
+        ]
+    );
 }
 
 /// Asserts a fleet failure is the service's typed evaluation error on

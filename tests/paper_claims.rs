@@ -2,7 +2,7 @@
 //!
 //! These tests pin the *shape* of the paper's results: who wins, what gets
 //! suppressed, and the scalability properties — not the absolute numbers,
-//! which depend on the substituted simulation substrate (see DESIGN.md).
+//! which depend on the substituted simulation substrate.
 
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::native::{NativeCircuit, NativeOp};

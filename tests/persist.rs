@@ -96,6 +96,11 @@ fn warm_start_is_bit_identical_with_zero_calibration_and_routing() {
     assert_eq!(warm.route_misses, 0, "{warm}");
     assert_eq!(warm.disk_hits, jobs, "{warm}");
     assert_eq!(warm.disk_misses, 0, "{warm}");
+    assert!(
+        warm.to_string()
+            .contains(&format!("routing {jobs} cached / 0 routed")),
+        "{warm}"
+    );
 
     // The stage traces agree: every warm job is a whole-plan disk hit,
     // so no stage beyond validation executed anywhere in the batch.

@@ -1,8 +1,9 @@
 //! Integration tests of the compile-path scaling work: large devices
 //! compile through the full service stack, evaluation stays gated at
-//! the density-matrix ceiling, and the scale-facing observability
-//! counters (`route.graph_reuse`, `sched.distance_queries`) surface in
-//! the session's metrics registry.
+//! the density-matrix ceiling, the scale-facing observability counters
+//! (`route.graph_reuse`, `sched.distance_queries`) surface in the
+//! session's metrics registry, and the `bench_scale` device ladder's
+//! plans are pinned exactly.
 //!
 //! The compile/eval split these tests pin down: a [`Target`] may be as
 //! large as topology construction allows — routing and scheduling are
@@ -11,6 +12,7 @@
 //! typed [`Error::Eval`] at evaluation time, never at target
 //! construction or compile time.
 
+use zz_bench::{brickwork, scale_devices};
 use zz_circuit::{Circuit, Gate};
 use zz_core::{CompileOptions, SchedulerKind};
 use zz_service::{CompileRequest, Error, EvalSpec, Session, Target};
@@ -112,6 +114,10 @@ fn scale_counters_surface_in_the_session_registry() {
     session
         .compile(&CompileRequest::new(other).with_label("reuse"))
         .expect("compiles");
+    // A schedule on another session counts there, not here.
+    Session::new(Target::for_qubits(4).expect("builds"))
+        .compile(&CompileRequest::new(shallow_circuit(4)).with_label("elsewhere"))
+        .expect("compiles");
 
     let snapshot = session.metrics().snapshot();
     assert!(
@@ -122,8 +128,74 @@ fn scale_counters_surface_in_the_session_registry() {
         snapshot.counter("sched.distance_queries").unwrap_or(0) >= 1,
         "ZZXSched must report its lazy distance-oracle traffic"
     );
-    assert!(
-        snapshot.counter("sched.schedules").unwrap_or(0) >= 2,
+    assert_eq!(
+        snapshot.counter("sched.schedules"),
+        Some(2),
         "each compile runs one schedule"
     );
+}
+
+/// The rungs ZZXSched is pinned on.
+const ZZX_RUNGS: [&str; 2] = ["grid-4x4", "grid-8x8"];
+
+/// The `bench_scale` device ladder ([`zz_bench::scale_devices`], each
+/// rung compiling [`zz_bench::brickwork`]), pinned exactly: for every
+/// rung × scheduler, the plan's layer count, its residual-ZZ weight and
+/// the `sched.distance_queries` the compile made. These are
+/// deterministic counts, so any change to routing, scheduling or the
+/// plan metrics shows here as an exact diff.
+///
+/// ParSched runs on all six rungs, up to the 1071-qubit heavy-hex
+/// lattice; ZZXSched runs on the two grids a debug build compiles in
+/// well under a second (under ZZXSched, grid-16×16 and heavy-hex-d9
+/// take 5–9 s each in debug). Each session counts only its own
+/// schedules, so the other tests in this binary cannot move the pins.
+#[test]
+fn scale_ladder_plans_are_pinned() {
+    let mut got = Vec::new();
+    for (name, topo) in scale_devices() {
+        let circuit = brickwork(topo.qubit_count());
+        let target = Target::builder()
+            .topology(topo)
+            .build()
+            .expect("in-memory targets always build");
+        let session = Session::with_threads(target, 1);
+        let queries = || {
+            session
+                .metrics()
+                .snapshot()
+                .counter("sched.distance_queries")
+                .unwrap_or(0)
+        };
+        for scheduler in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
+            if scheduler == SchedulerKind::ZzxSched && !ZZX_RUNGS.contains(&name.as_str()) {
+                continue;
+            }
+            let before = queries();
+            let response = session
+                .compile(
+                    &CompileRequest::new(circuit.clone())
+                        .with_options(CompileOptions::default().with_scheduler(scheduler)),
+                )
+                .unwrap_or_else(|e| panic!("{name}/{scheduler} failed to compile: {e}"));
+            let plan = response.plan_metrics();
+            got.push(format!(
+                "{name} {scheduler}: {} layers, residual-ZZ {:?}, {} distance queries",
+                plan.layers,
+                plan.residual_zz_weight,
+                queries() - before
+            ));
+        }
+    }
+    let expected = [
+        "grid-4x4 ParSched: 18 layers, residual-ZZ 5800.0, 0 distance queries",
+        "grid-4x4 ZZXSched: 31 layers, residual-ZZ 2880.0, 1264 distance queries",
+        "grid-8x8 ParSched: 52 layers, residual-ZZ 104540.0, 0 distance queries",
+        "grid-8x8 ZZXSched: 157 layers, residual-ZZ 137520.0, 103268 distance queries",
+        "grid-16x16 ParSched: 88 layers, residual-ZZ 800380.0, 0 distance queries",
+        "grid-31x31 ParSched: 288 layers, residual-ZZ 10605860.0, 0 distance queries",
+        "heavy-hex-d9 ParSched: 343 layers, residual-ZZ 1278860.0, 0 distance queries",
+        "heavy-hex-d21 ParSched: 509 layers, residual-ZZ 12266960.0, 0 distance queries",
+    ];
+    assert_eq!(got, expected, "the scale ladder moved:\n{}", got.join("\n"));
 }

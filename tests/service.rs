@@ -162,10 +162,13 @@ fn degenerate_decoherence_specs_are_typed_eval_errors() {
 /// A Monte-Carlo in-queue evaluation (9 qubits forces the trajectory
 /// path) must surface the batched engine's counters — trajectories,
 /// kernel sweeps, per-batch run-time histogram — in the session registry
-/// that `Client::stats()` ships.
+/// that `Client::stats()` ships, and only there: an idle session on the
+/// same target counts none of that work.
 #[test]
 fn engine_metrics_surface_in_the_session_registry() {
-    let session = Session::new(Target::for_qubits(9).expect("fits"));
+    let target = Target::for_qubits(9).expect("fits");
+    let session = Session::new(target.clone());
+    let idle = Session::new(target);
     let circuit = generate(BenchmarkKind::Qaoa, 9, 7);
     let trajectories = 24;
     let spec = EvalSpec::paper_default()
@@ -182,10 +185,10 @@ fn engine_metrics_surface_in_the_session_registry() {
     assert!(response.fidelity.is_some(), "eval was requested");
 
     let snapshot = session.metrics().snapshot();
-    let simulated = snapshot.counter("engine.trajectories").unwrap_or(0);
-    assert!(
-        simulated >= trajectories as u64,
-        "expected ≥{trajectories} trajectories in the registry, saw {simulated}"
+    assert_eq!(
+        snapshot.counter("engine.trajectories"),
+        Some(trajectories as u64),
+        "one seed of {trajectories} trajectories"
     );
     assert!(
         snapshot.counter("engine.kernel_sweeps").unwrap_or(0) > 0,
@@ -195,11 +198,25 @@ fn engine_metrics_surface_in_the_session_registry() {
         .histogram("engine.batch.run_us")
         .expect("batch run-time histogram registered");
     // 24 trajectories at the default batch width of 16 is two batches.
-    assert!(hist.count >= 2, "expected ≥2 batches, saw {}", hist.count);
+    assert_eq!(hist.count, 2, "expected 2 batches, saw {}", hist.count);
     assert!(
         snapshot.counter("engine.diag.fused").is_some(),
         "fused-diagonal counter registered"
     );
+
+    let idle = idle.metrics().snapshot();
+    for name in [
+        "engine.trajectories",
+        "engine.kernel_sweeps",
+        "sched.distance_queries",
+        "sched.schedules",
+    ] {
+        assert_eq!(
+            idle.counter(name),
+            Some(0),
+            "the idle session counted {name}"
+        );
+    }
 }
 
 #[test]

@@ -143,10 +143,10 @@ fn monte_carlo_fidelity_is_bit_identical_across_batch_widths() {
         TrajectoryProgram::compile(&plan, &topo, &model, &deco, &GateDurations::standard());
     let ideal = PlanProgram::ideal(&plan).run();
 
-    let reference = program.mean_fidelity_batched(&ideal, trajectories, 17, 1, 1);
+    let (reference, _) = program.mean_fidelity_batched(&ideal, trajectories, 17, 1, 1);
     for lanes in [1, 3, 8, trajectories] {
         for threads in [1, 2, 8] {
-            let f = program.mean_fidelity_batched(&ideal, trajectories, 17, threads, lanes);
+            let (f, _) = program.mean_fidelity_batched(&ideal, trajectories, 17, threads, lanes);
             assert_eq!(
                 reference.to_bits(),
                 f.to_bits(),
@@ -186,7 +186,7 @@ fn batched_trajectories_match_reference_across_the_compile_matrix() {
             let noisy_ref =
                 reference::run_with_zz(&compiled.plan, topo, &model, &compiled.durations);
             let f_ref = ideal_ref.fidelity(&noisy_ref);
-            let f_batched = program.mean_fidelity_batched(&ideal_ref, 6, 3, 1, 4);
+            let (f_batched, _) = program.mean_fidelity_batched(&ideal_ref, 6, 3, 1, 4);
             assert!(
                 (f_batched - f_ref).abs() <= 1e-12,
                 "{method}+{scheduler}: batched {f_batched} vs reference {f_ref}"
