@@ -113,12 +113,13 @@ pub fn fidelity_of(compiled: &Compiled, cfg: &EvalConfig) -> f64 {
 /// precompiled programs of [`zz_sim::program`], each dropped as soon as
 /// it has run so that only one program's fused tables are alive at once.
 ///
-/// Monte-Carlo trajectories run sequentially here: every in-repo caller
-/// (the service layer's workers, fleet scoring) already fans evaluations
-/// out at the job level, and nesting a second full-width pool per seed
-/// would oversubscribe the machine quadratically. For a standalone
-/// parallel fan, call [`TrajectoryProgram::mean_fidelity`] with a thread
-/// count directly.
+/// Monte-Carlo trajectories run sequentially here. A session's worker
+/// pool runs submitted jobs side by side, and nesting a second
+/// full-width pool per seed would oversubscribe the machine
+/// quadratically. Fleet scoring gets no such fan: `Fleet::submit`
+/// compiles and scores each candidate in turn on the caller thread, one
+/// evaluation at a time. For a standalone parallel fan, call
+/// [`TrajectoryProgram::mean_fidelity`] with a thread count directly.
 pub fn evaluate(compiled: &Compiled, cfg: &EvalConfig) -> (f64, EngineStats) {
     let topo = &compiled.topology;
     let mut stats = EngineStats::default();

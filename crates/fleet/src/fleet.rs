@@ -103,8 +103,11 @@ pub struct FleetConfig {
     /// calibrated one beyond which an epoch invalidates the device's
     /// calibration and re-characterizes.
     pub invalidation_threshold: f64,
-    /// Worker threads per backend session (throughput only; dispatch
-    /// decisions are thread-count-invariant).
+    /// Worker threads per backend session. [`Fleet::submit`] compiles
+    /// and scores each candidate in turn on the caller thread through
+    /// `Session::compile`, so these pools serve only jobs submitted to a
+    /// device session directly; dispatch decisions are
+    /// thread-count-invariant.
     pub threads_per_device: usize,
     /// Disorder seeds for simulation-based scoring of small devices.
     pub eval_seeds: Vec<u64>,

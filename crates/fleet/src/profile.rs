@@ -104,9 +104,10 @@ impl DeviceProfile {
     /// A heavy-hex device with strong always-on ZZ of the kind
     /// cancellation-drive experiments target (arXiv 2106.00675):
     /// `λ ~ N(2π·350 kHz, (2π·90 kHz)²)`, a slower cross-resonance
-    /// `ZX90` and a tighter dephasing budget. At distance 3 (25 qubits)
-    /// it sits above the density-matrix evaluation ceiling, so dispatch
-    /// scores it through plan metrics rather than simulation.
+    /// `ZX90` and a tighter dephasing budget. At distance 3 (18 qubits)
+    /// it sits above the 12-device-qubit evaluation ceiling
+    /// ([`zz_core::evaluate::MAX_EVAL_QUBITS`]), so dispatch scores it
+    /// through plan metrics rather than simulation.
     pub fn heavy_hex_static() -> Self {
         DeviceProfile {
             name: "heavy-hex-static".into(),

@@ -232,9 +232,10 @@ impl CompileResponse {
     /// Aggregate scheduler metrics of the compiled plan under its
     /// durations — layer count, total duration, mean/max `NQ`/`NC` and
     /// the residual-ZZ weight. This is the fidelity proxy for devices
-    /// above the density-matrix evaluation ceiling (where requesting an
-    /// [`EvalSpec`] is an [`Error::Eval`]): it is `O(layers)` at any
-    /// device size and needs nothing beyond the already-computed plan.
+    /// above the evaluation ceiling of [`MAX_EVAL_QUBITS`] device qubits
+    /// (where requesting an [`EvalSpec`] is an [`Error::Eval`]): it is
+    /// `O(layers)` at any device size and needs nothing beyond the
+    /// already-computed plan.
     pub fn plan_metrics(&self) -> zz_sched::PlanSummary {
         self.compiled.plan.summary(&self.compiled.durations)
     }
@@ -633,18 +634,18 @@ impl SessionCore {
                     job: request.label.clone(),
                     detail,
                 })?;
-                // Compilation scales to any device; density-matrix
-                // evaluation is exponential and stays capped. The check
-                // sits here — at evaluation time, not validation — so
-                // large devices compile freely without an EvalSpec.
+                // Compilation scales to any device; simulating the
+                // device register is exponential and stays capped. The
+                // check sits here — at evaluation time, not validation —
+                // so large devices compile freely without an EvalSpec.
                 let device_qubits = compiled.topology.qubit_count();
                 if device_qubits > MAX_EVAL_QUBITS {
                     return Err(Error::Eval {
                         job: request.label.clone(),
                         detail: format!(
-                            "device has {device_qubits} qubits but density-matrix evaluation \
-                             tops out at {MAX_EVAL_QUBITS}; use CompileResponse::plan_metrics \
-                             as the at-scale fidelity proxy"
+                            "device has {device_qubits} qubits but evaluation simulates at \
+                             most {MAX_EVAL_QUBITS} device qubits; use \
+                             CompileResponse::plan_metrics as the at-scale fidelity proxy"
                         ),
                     });
                 }

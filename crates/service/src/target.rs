@@ -24,10 +24,13 @@ use crate::error::Error;
 /// routing and scheduling are polynomial, so compilation through a
 /// session works at any of these sizes, and the schedule's
 /// [`zz_sched::PlanSummary`] metrics serve as the at-scale fidelity
-/// proxy. Only *density-matrix evaluation* is exponential and stays
-/// capped at [`zz_core::evaluate::MAX_EVAL_QUBITS`] — a request carrying
-/// an `EvalSpec` on a larger device fails at evaluation time with a
-/// typed `Error::Eval`, never at target construction.
+/// proxy. Only *evaluation* is exponential: it simulates the device
+/// register — statevectors and Monte-Carlo trajectories, with exact
+/// density matrices up to [`zz_sim::density::EXACT_MAX_QUBITS`] qubits —
+/// and stays capped at [`zz_core::evaluate::MAX_EVAL_QUBITS`] device
+/// qubits. A request carrying an `EvalSpec` on a larger device fails at
+/// evaluation time with a typed `Error::Eval`, never at target
+/// construction.
 ///
 /// # Example
 ///

@@ -250,9 +250,15 @@ impl BatchedState {
 
     /// One Rz phase term `(mask, θ/2)`: per block, one contiguous chunk
     /// of clear-bit rows gets `cis(-θ/2)` and one chunk of set-bit rows
-    /// gets `cis(θ/2)`; two `cis` evaluations for the whole sweep.
+    /// gets `cis(θ/2)`; two `cis` evaluations for the whole sweep. Mask 0
+    /// names a qubit outside the register, whose bit is always clear:
+    /// every row gets `cis(-θ/2)`.
     pub fn apply_rz_term(&mut self, mask: usize, half: f64) {
         let (lo, hi) = (c64::cis(-half), c64::cis(half));
+        if mask == 0 {
+            Self::scale_chunk(&mut self.re, &mut self.im, lo);
+            return;
+        }
         let chunk = mask * self.lanes;
         let stride = chunk << 1;
         let mut off = 0;
@@ -268,8 +274,14 @@ impl BatchedState {
     /// One ZZ phase term `(mask_u, mask_v, φ)`: the four chunk regions
     /// of each `(outer, mid)` cell (neither bit, low bit, high bit,
     /// both bits) get the equal-parity or differing-parity factor as a
-    /// whole — two `cis` evaluations and no per-row parity test.
+    /// whole — two `cis` evaluations and no per-row parity test. A mask
+    /// of 0 is a bit that is always clear, so the term's parity is the
+    /// other bit's: it applies as the Rz term `(other mask, φ)`.
     pub fn apply_zz_term(&mut self, mu: usize, mv: usize, phi: f64) {
+        if mu == 0 || mv == 0 {
+            self.apply_rz_term(mu | mv, phi);
+            return;
+        }
         let (same, diff) = (c64::cis(-phi), c64::cis(phi));
         let lanes = self.lanes;
         let (lo, hi) = if mu < mv { (mu, mv) } else { (mv, mu) };

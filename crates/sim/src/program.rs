@@ -22,6 +22,16 @@
 //! * with decoherence, each layer also carries its damping and
 //!   phase-flip probabilities.
 //!
+//! The steps act on the **driven register**: the `k` qubits some `X90`
+//! or `ZX90` acts on, in device order. Every other qubit stays in `|0⟩`
+//! (virtual rotations and ZZ phases are diagonal, identity pulses
+//! vanish), so its phase terms keep their places at mask 0 — a bit that
+//! is always clear — and it never jumps. It still makes its decoherence
+//! draws, so each trajectory's stream is the device register's. A sweep
+//! costs `2^k` amplitudes per lane instead of `2^n`, and every fidelity
+//! is bit-identical to a replay of the whole device register; the runs
+//! scatter their result back into it.
+//!
 //! One replay loop runs those steps on [`BatchedState`]. A
 //! [`PlanProgram`] is the decoherence-free case: its layers never draw,
 //! and [`PlanProgram::run`] replays them on one lane. A
@@ -80,10 +90,11 @@ use crate::executor::{coupling_residual, driven_couplings, ZzErrorModel};
 use crate::StateVector;
 use zz_pool::parallel_map;
 
-/// Largest register whose fused layer diagonals are tabulated as dense
-/// `2^n` complex tables (16 qubits = 1 MiB per layer). Larger registers
-/// evaluate the fused phase terms on the fly — still one pass per layer,
-/// but with an `O(terms)` phase sum per amplitude instead of a lookup.
+/// Largest replayed (driven) register whose fused layer diagonals are
+/// tabulated as dense `2^k` complex tables (16 qubits = 1 MiB per
+/// layer). Larger registers evaluate the fused phase terms on the fly —
+/// still one pass per layer, but with an `O(terms)` phase sum per
+/// amplitude instead of a lookup.
 pub const DIAG_TABLE_MAX_QUBITS: usize = 16;
 
 /// Default trajectory-batch width for [`TrajectoryProgram::mean_fidelity`]:
@@ -102,7 +113,8 @@ pub const DEFAULT_BATCH_LANES: usize = 16;
 pub struct EngineStats {
     /// Monte-Carlo trajectories run.
     pub trajectories: u64,
-    /// Full-statevector kernel sweeps the trajectory batches executed.
+    /// Kernel sweeps the trajectory batches executed, each over the
+    /// driven register (`2^k` amplitudes per lane for `k` driven qubits).
     pub kernel_sweeps: u64,
     /// Diagonal sweeps removed by fusion in the programs compiled.
     pub fused_diags: u64,
@@ -326,7 +338,7 @@ fn mat16(m: &Matrix) -> [c64; 16] {
 /// with every pulse of its own layer and fuses exactly into the layer's
 /// pre-gate diagonal instead of costing a sweep of its own.
 fn resolve_gates(
-    n: usize,
+    masks: &[usize],
     layer: &Layer,
     x90: &[c64; 4],
     zx90: &[c64; 16],
@@ -337,16 +349,16 @@ fn resolve_gates(
         match *op {
             NativeOp::Rz { qubit, theta } => {
                 if theta != 0.0 {
-                    rz.push((mask_of(n, qubit), theta / 2.0));
+                    rz.push((masks[qubit], theta / 2.0));
                 }
             }
             NativeOp::X90 { qubit } => gates.push(GateApp::Single {
-                mask: mask_of(n, qubit),
+                mask: masks[qubit],
                 m: *x90,
             }),
             NativeOp::Zx90 { control, target } => gates.push(GateApp::Two {
-                ba: mask_of(n, control),
-                bb: mask_of(n, target),
+                ba: masks[control],
+                bb: masks[target],
                 m: *zx90,
             }),
             NativeOp::Id { .. } => {}
@@ -357,17 +369,17 @@ fn resolve_gates(
 
 /// Converts `(qubit, θ)` rotations to `(mask, θ/2)` phase terms, dropping
 /// exact zeros (which the executor's `apply_rz` applies as exactly 1).
-fn rz_terms(n: usize, rz: &[(usize, f64)]) -> Vec<(usize, f64)> {
+fn rz_terms(masks: &[usize], rz: &[(usize, f64)]) -> Vec<(usize, f64)> {
     rz.iter()
         .filter(|&&(_, theta)| theta != 0.0)
-        .map(|&(q, theta)| (mask_of(n, q), theta / 2.0))
+        .map(|&(q, theta)| (masks[q], theta / 2.0))
         .collect()
 }
 
 /// The layer's undriven-coupling ZZ phase terms: residual factors are
 /// resolved here, once per program, instead of once per coupling per run.
 fn zz_terms(
-    n: usize,
+    masks: &[usize],
     layer: &Layer,
     topo: &Topology,
     model: &ZzErrorModel,
@@ -386,7 +398,7 @@ fn zz_terms(
         };
         let phi = model.lambdas[e] * factor * duration;
         if phi != 0.0 {
-            terms.push((mask_of(n, u), mask_of(n, v), phi));
+            terms.push((masks[u], masks[v], phi));
         }
     }
     terms
@@ -420,10 +432,18 @@ struct Step {
     p_flip: f64,
 }
 
-/// A plan resolved to the steps both programs replay.
+/// A plan resolved to the steps both programs replay, on the register
+/// of the qubits its pulses act on.
 #[derive(Clone, Debug)]
 struct Steps {
+    /// Device qubits.
     n: usize,
+    /// Each device qubit's bit in the replayed register, 0 for a qubit
+    /// no pulse acts on: the driven qubits keep their device order, most
+    /// significant first.
+    masks: Vec<usize>,
+    /// Replayed register width: the number of driven qubits.
+    k: usize,
     layers: Vec<Step>,
     /// Trailing diagonal: the plan's final virtual rotations plus every
     /// phase still carried after the last layer.
@@ -437,12 +457,35 @@ impl Steps {
     /// The one builder behind [`PlanProgram`] and [`TrajectoryProgram`]:
     /// ZZ phases come from `noise` (none for the ideal program), per-layer
     /// γ and p_flip from `deco` (zero without it, so no layer draws).
+    ///
+    /// Only the qubits some `X90` or `ZX90` acts on are replayed. Every
+    /// other qubit stays in `|0⟩` — virtual rotations and ZZ phases are
+    /// diagonal and identity pulses vanish — so each of its terms keeps
+    /// its place in its list at mask 0, where it contributes its
+    /// clear-bit factor, exactly as the device register would at every
+    /// index the plan reaches.
     fn build(
         plan: &SchedulePlan,
         noise: Option<(&Topology, &ZzErrorModel, &GateDurations)>,
         deco: Option<&Decoherence>,
     ) -> Self {
         let n = plan.qubit_count();
+        let mut driven = vec![false; n];
+        for op in plan.layers.iter().flat_map(|layer| &layer.ops) {
+            match *op {
+                NativeOp::X90 { qubit } => driven[qubit] = true,
+                NativeOp::Zx90 { control, target } => {
+                    driven[control] = true;
+                    driven[target] = true;
+                }
+                NativeOp::Rz { .. } | NativeOp::Id { .. } => {}
+            }
+        }
+        let k = driven.iter().filter(|&&d| d).count();
+        let mut masks = vec![0usize; n];
+        for (rank, q) in (0..n).filter(|&q| driven[q]).enumerate() {
+            masks[q] = mask_of(k, rank);
+        }
         let x90 = mat4(&zz_quantum::gates::x90());
         let zx90 = mat16(&zz_quantum::gates::zx90());
         let mut layers = Vec::with_capacity(plan.layers.len());
@@ -462,12 +505,12 @@ impl Steps {
                     let dt = layer.duration(durations);
                     let (gamma, p_flip) =
                         deco.map_or((0.0, 0.0), |d| (d.gamma(dt), d.phase_flip(dt)));
-                    (zz_terms(n, layer, topo, model, dt), gamma, p_flip)
+                    (zz_terms(&masks, layer, topo, model, dt), gamma, p_flip)
                 }
                 None => (Vec::new(), 0.0, 0.0),
             };
-            let (gates, inline_rz) = resolve_gates(n, layer, &x90, &zx90);
-            let before = rz_terms(n, &layer.rz_before);
+            let (gates, inline_rz) = resolve_gates(&masks, layer, &x90, &zx90);
+            let before = rz_terms(&masks, &layer.rz_before);
             naive +=
                 !before.is_empty() as u64 + !inline_rz.is_empty() as u64 + !zz.is_empty() as u64;
             carry_rz.extend(before);
@@ -479,7 +522,7 @@ impl Steps {
                 continue;
             }
             let pre = Diag::build(
-                n,
+                k,
                 std::mem::take(&mut carry_rz),
                 std::mem::take(&mut carry_zz),
             );
@@ -489,7 +532,7 @@ impl Steps {
                 carry_zz = zz;
                 None
             } else {
-                let d = Diag::build(n, Vec::new(), zz);
+                let d = Diag::build(k, Vec::new(), zz);
                 emitted += d.is_some() as u64;
                 d
             };
@@ -502,27 +545,45 @@ impl Steps {
                 p_flip,
             });
         }
-        let final_rz = rz_terms(n, &plan.final_rz);
+        let final_rz = rz_terms(&masks, &plan.final_rz);
         naive += !final_rz.is_empty() as u64;
         carry_rz.extend(final_rz);
-        let tail = Diag::build(n, carry_rz, carry_zz);
+        let tail = Diag::build(k, carry_rz, carry_zz);
         emitted += tail.is_some() as u64;
         let fused = naive.saturating_sub(emitted);
         Steps {
             n,
+            masks,
+            k,
             layers,
             tail,
             fused,
         }
     }
 
+    /// The device-register index of every replayed-register index, in
+    /// ascending order of both.
+    fn device_indices(&self) -> Vec<usize> {
+        let mut indices = vec![0usize];
+        for q in (0..self.n).filter(|&q| self.masks[q] != 0) {
+            let bit = mask_of(self.n, q);
+            indices = indices.iter().flat_map(|&i| [i, i | bit]).collect();
+        }
+        indices
+    }
+
     /// Replays the steps from `|0…0⟩` on a single lane, drawing from
     /// `rngs` — empty for a decoherence-free program, whose layers never
-    /// draw.
+    /// draw — and scatters the lane into the device register, whose
+    /// undriven-qubit amplitudes are all zero.
     fn run_lane(&self, rngs: &mut [StdRng]) -> StateVector {
-        let mut batch = BatchedState::zero(self.n, 1);
+        let mut batch = BatchedState::zero(self.k, 1);
         self.evolve(&mut batch, rngs);
-        StateVector::from_vector(Vector::from_vec(batch.lane_amplitudes(0)))
+        let mut amplitudes = vec![c64::ZERO; 1usize << self.n];
+        for (j, i) in self.device_indices().into_iter().enumerate() {
+            amplitudes[i] = batch.amplitude(j, 0);
+        }
+        StateVector::from_vector(Vector::from_vec(amplitudes))
     }
 
     /// The one replay loop: applies every layer's diagonals, gates and
@@ -531,26 +592,32 @@ impl Steps {
     ///
     /// Per noisy layer the decoherence channel costs **three** sweeps
     /// regardless of the qubit count: one read pass collects every
-    /// qubit's excited population, the per-qubit Kraus draws happen in
-    /// coefficient space, and one factored pass applies all damping
-    /// normalizations, dephasing signs and jump permutations at once
-    /// (see [`BatchedState::apply_factored_noise`]). Jump probabilities
-    /// and normalizations both read the layer-entry populations, so the
-    /// probability of each sampled Kraus branch still cancels its
-    /// normalization exactly — the fidelity estimator stays unbiased.
+    /// driven qubit's excited population, the per-qubit Kraus draws
+    /// happen in coefficient space, and one factored pass applies all
+    /// damping normalizations, dephasing signs and jump permutations at
+    /// once (see [`BatchedState::apply_factored_noise`]). Jump
+    /// probabilities and normalizations both read the layer-entry
+    /// populations, so the probability of each sampled Kraus branch
+    /// still cancels its normalization exactly — the fidelity estimator
+    /// stays unbiased.
     ///
     /// Every per-lane arithmetic sequence — draws, coefficients, factor
     /// products, amplitude updates — depends only on that lane's own
     /// stream and is independent of the batch width, which is what makes
     /// [`TrajectoryProgram::mean_fidelity_batched`] bit-identical across
     /// widths.
+    ///
+    /// An undriven qubit is in `|0⟩`: its excited population is exactly
+    /// 0, so it never jumps and its clear-bit factor is exactly 1 — it
+    /// has no row in the register. It still makes its draws, in device
+    /// qubit order, so each lane's stream is the device register's.
     fn evolve(&self, batch: &mut BatchedState, rngs: &mut [StdRng]) -> u64 {
-        let n = self.n;
+        let k = self.k;
         let width = batch.lanes();
         let mut sweeps = 0u64;
-        let mut pops = vec![0.0; n * width];
+        let mut pops = vec![0.0; k * width];
         let mut row = vec![0.0; width];
-        let mut coeffs = vec![1.0; n * 2 * width];
+        let mut coeffs = vec![1.0; k * 2 * width];
         let mut jumps = vec![0usize; width];
         let (mut factors, mut tmp) = (Vec::new(), Vec::new());
         let (mut scratch_re, mut scratch_im) = (Vec::new(), Vec::new());
@@ -578,12 +645,24 @@ impl Steps {
                 sweeps += 1;
             }
             jumps.fill(0);
-            for q in 0..n {
-                let mask = mask_of(n, q);
-                let pair = &mut coeffs[q * 2 * width..(q + 1) * 2 * width];
+            let mut r = 0;
+            for &mask in &self.masks {
+                if mask == 0 {
+                    // Undriven: no jump and factors of 1, but the draws.
+                    for rng in rngs.iter_mut() {
+                        if layer.gamma > 0.0 {
+                            rng.gen_range(0.0..1.0);
+                        }
+                        if layer.p_flip > 0.0 {
+                            rng.gen_range(0.0..1.0);
+                        }
+                    }
+                    continue;
+                }
+                let pair = &mut coeffs[r * 2 * width..(r + 1) * 2 * width];
                 let (c_lo, c_hi) = pair.split_at_mut(width);
                 if layer.gamma > 0.0 {
-                    let p_row = &pops[q * width..(q + 1) * width];
+                    let p_row = &pops[r * width..(r + 1) * width];
                     for t in 0..width {
                         let p_exc = p_row[t];
                         if rngs[t].gen_range(0.0..1.0) < layer.gamma * p_exc {
@@ -607,8 +686,9 @@ impl Steps {
                         }
                     }
                 }
+                r += 1;
             }
-            BatchedState::expand_factors(n, width, &coeffs, &mut factors, &mut tmp);
+            BatchedState::expand_factors(k, width, &coeffs, &mut factors, &mut tmp);
             batch.apply_factored_noise(&factors, &jumps, &mut scratch_re, &mut scratch_im);
             sweeps += 1;
         }
@@ -709,8 +789,9 @@ impl TrajectoryProgram {
     }
 
     /// Runs trajectories `first..first + width` in one batched sweep and
-    /// returns their fidelities against `ideal`, in trajectory order,
-    /// with the batch's kernel sweeps and wall time.
+    /// returns their fidelities against `ideal` — the reference's entries
+    /// on the replayed register, the only ones a trajectory reaches — in
+    /// trajectory order, with the batch's kernel sweeps and wall time.
     ///
     /// Lane `t` draws from its own generator seeded by
     /// [`trajectory_seed`]`(seed, first + t)`, exactly as [`run`](Self::run)
@@ -723,7 +804,7 @@ impl TrajectoryProgram {
         width: usize,
     ) -> (Vec<f64>, u64, Duration) {
         let started = Instant::now();
-        let mut batch = BatchedState::zero(self.steps.n, width);
+        let mut batch = BatchedState::zero(self.steps.k, width);
         let mut rngs: Vec<StdRng> = (0..width)
             .map(|t| StdRng::seed_from_u64(trajectory_seed(seed, first + t)))
             .collect();
@@ -779,12 +860,23 @@ impl TrajectoryProgram {
     ) -> (f64, EngineStats) {
         assert!(trajectories > 0, "at least one trajectory is required");
         assert!(lanes > 0, "at least one batch lane is required");
-        let ideal_amps = ideal.amplitudes();
+        let ideal = ideal.amplitudes();
+        assert_eq!(
+            ideal.len(),
+            1usize << self.steps.n,
+            "reference length must be 2^n"
+        );
+        let ideal_amps: Vec<c64> = self
+            .steps
+            .device_indices()
+            .into_iter()
+            .map(|i| ideal[i])
+            .collect();
         let batches = trajectories.div_ceil(lanes);
         let per_batch = parallel_map(batches, threads, |b| {
             let first = b * lanes;
             let width = lanes.min(trajectories - first);
-            self.run_batch(ideal_amps, seed, first, width)
+            self.run_batch(&ideal_amps, seed, first, width)
         });
         let mut sum = 0.0;
         let mut stats = EngineStats {
@@ -816,8 +908,8 @@ pub fn trajectory_seed(seed: u64, index: usize) -> u64 {
 mod tests {
     use super::*;
     use zz_circuit::native::compile_to_native;
-    use zz_circuit::{bench, route};
-    use zz_sched::{zzx::ZzxConfig, zzx_schedule};
+    use zz_circuit::{bench, route, Circuit, Gate};
+    use zz_sched::{par_schedule, zzx::ZzxConfig, zzx_schedule};
 
     /// One lane with a Hadamard on each of `qubits`.
     fn uniform_superposition(n: usize, qubits: impl IntoIterator<Item = usize>) -> BatchedState {
@@ -830,9 +922,24 @@ mod tests {
     }
 
     fn qaoa_plan(topo: &Topology) -> SchedulePlan {
-        let c = bench::generate(bench::BenchmarkKind::Qaoa, topo.qubit_count(), 9);
+        qaoa_plan_of(topo.qubit_count(), topo)
+    }
+
+    /// QAOA-`n` routed onto `topo` and scheduled by ZZXSched.
+    fn qaoa_plan_of(n: usize, topo: &Topology) -> SchedulePlan {
+        let c = bench::generate(bench::BenchmarkKind::Qaoa, n, 9);
         let native = compile_to_native(&route(&c, topo));
         zzx_schedule(topo, &native, &ZzxConfig::paper_default(topo))
+    }
+
+    /// QAOA-4 on the 3×3 grid: a plan whose pulses leave device qubits
+    /// undriven, so its steps replay on a register narrower than `topo`.
+    fn narrow_plan() -> (Topology, SchedulePlan) {
+        let topo = Topology::grid(3, 3);
+        let plan = qaoa_plan_of(4, &topo);
+        let k = PlanProgram::ideal(&plan).steps.k;
+        assert!(k < topo.qubit_count(), "QAOA-4 drives {k} of 9 qubits");
+        (topo, plan)
     }
 
     #[test]
@@ -967,17 +1074,44 @@ mod tests {
 
     #[test]
     fn trajectory_with_no_decoherence_matches_deterministic_run() {
-        let topo = Topology::grid(2, 3);
-        let plan = qaoa_plan(&topo);
-        let model = ZzErrorModel::uniform(&topo, crate::khz(200.0)).with_residual(0.05);
+        let full = Topology::grid(2, 3);
+        let full_plan = qaoa_plan(&full);
+        for (topo, plan) in [(full, full_plan), narrow_plan()] {
+            let model = ZzErrorModel::uniform(&topo, crate::khz(200.0)).with_residual(0.05);
+            let d = GateDurations::standard();
+            // Infinite T1/T2 ⇒ γ = p = 0 ⇒ no random draws at all, and the
+            // shared builder emits the deterministic program's steps.
+            let deco = Decoherence::new(f64::INFINITY, f64::INFINITY);
+            let det = PlanProgram::compile(&plan, &topo, &model, &d).run();
+            let mut rng = StdRng::seed_from_u64(3);
+            let traj = TrajectoryProgram::compile(&plan, &topo, &model, &deco, &d).run(&mut rng);
+            assert_eq!(det.amplitudes(), traj.amplitudes());
+        }
+    }
+
+    /// A plan of virtual rotations only drives no qubit: it replays on a
+    /// one-amplitude register, and both programs reproduce the ideal
+    /// state. Rotations by π and π/2 leave that amplitude at modulus 1
+    /// exactly, so the fidelity is exactly 1.
+    #[test]
+    fn rz_only_plan_replays_on_an_empty_register() {
+        let topo = Topology::grid(3, 3);
+        let mut c = Circuit::new(3);
+        c.push(Gate::Rz(std::f64::consts::PI), &[0])
+            .push(Gate::Rz(std::f64::consts::FRAC_PI_2), &[2]);
+        let plan = par_schedule(&topo, &compile_to_native(&route(&c, &topo)));
+        let model = ZzErrorModel::uniform(&topo, crate::khz(200.0));
         let d = GateDurations::standard();
-        // Infinite T1/T2 ⇒ γ = p = 0 ⇒ no random draws at all, and the
-        // shared builder emits the deterministic program's steps.
-        let deco = Decoherence::new(f64::INFINITY, f64::INFINITY);
-        let det = PlanProgram::compile(&plan, &topo, &model, &d).run();
-        let mut rng = StdRng::seed_from_u64(3);
-        let traj = TrajectoryProgram::compile(&plan, &topo, &model, &deco, &d).run(&mut rng);
-        assert_eq!(det.amplitudes(), traj.amplitudes());
+        let ideal_program = PlanProgram::ideal(&plan);
+        assert_eq!(ideal_program.steps.k, 0);
+        let ideal = ideal_program.run();
+        assert_eq!(ideal.amplitudes().len(), 1 << 9);
+        let noisy = PlanProgram::compile(&plan, &topo, &model, &d).run();
+        assert_eq!(ideal.fidelity(&noisy).to_bits(), 1.0f64.to_bits());
+        let deco = Decoherence::equal_us(50.0);
+        let trajectories = TrajectoryProgram::compile(&plan, &topo, &model, &deco, &d);
+        let f = trajectories.mean_fidelity(&ideal, 5, 7, 2);
+        assert_eq!(f.to_bits(), 1.0f64.to_bits());
     }
 
     #[test]
@@ -1002,10 +1136,15 @@ mod tests {
     #[test]
     fn diag_fallback_matches_phase_at_above_table_limit() {
         let n = DIAG_TABLE_MAX_QUBITS + 1;
-        let rz = vec![(mask_of(n, 2), 0.4), (mask_of(n, 16), -0.15)];
+        // Mask 0 is a qubit outside the register: an Rz term on it, a
+        // one-sided ZZ term and a ZZ term with both ends outside.
+        let rz = vec![(mask_of(n, 2), 0.4), (0, 0.55), (mask_of(n, 16), -0.15)];
         let zz = vec![
             (mask_of(n, 0), mask_of(n, 9), 0.27),
+            (0, mask_of(n, 5), 0.12),
             (mask_of(n, 5), mask_of(n, 16), -0.08),
+            (mask_of(n, 9), 0, -0.31),
+            (0, 0, 0.19),
         ];
         let diag = Diag::build(n, rz, zz).unwrap();
         assert!(diag.table.is_none(), "17 qubits must use the term fallback");
@@ -1029,33 +1168,35 @@ mod tests {
 
     #[test]
     fn mean_fidelity_is_batch_width_and_thread_invariant() {
-        let topo = Topology::grid(2, 2);
-        let plan = qaoa_plan(&topo);
-        let model = ZzErrorModel::uniform(&topo, crate::khz(200.0)).with_residual(0.05);
-        let deco = Decoherence::equal_us(50.0);
-        let program =
-            TrajectoryProgram::compile(&plan, &topo, &model, &deco, &GateDurations::standard());
-        let ideal = PlanProgram::ideal(&plan).run();
-        let (reference, _) = program.mean_fidelity_batched(&ideal, 16, 7, 1, 8);
-        for lanes in [1, 3, 8, 16] {
-            let (_, single) = program.mean_fidelity_batched(&ideal, 16, 7, 1, lanes);
-            for threads in [1, 2, 8] {
-                let (f, stats) = program.mean_fidelity_batched(&ideal, 16, 7, threads, lanes);
-                assert_eq!(
-                    reference.to_bits(),
-                    f.to_bits(),
-                    "lanes={lanes} threads={threads}"
-                );
-                // The fan's counts describe its batches, not its threads.
-                assert_eq!(stats.trajectories, 16);
-                assert_eq!(stats.batch_walls.len(), 16usize.div_ceil(lanes));
-                assert_eq!(stats.kernel_sweeps, single.kernel_sweeps);
-                assert_eq!(stats.fused_diags, 0);
+        let full = Topology::grid(2, 2);
+        let full_plan = qaoa_plan(&full);
+        for (topo, plan) in [(full, full_plan), narrow_plan()] {
+            let model = ZzErrorModel::uniform(&topo, crate::khz(200.0)).with_residual(0.05);
+            let deco = Decoherence::equal_us(50.0);
+            let program =
+                TrajectoryProgram::compile(&plan, &topo, &model, &deco, &GateDurations::standard());
+            let ideal = PlanProgram::ideal(&plan).run();
+            let (reference, _) = program.mean_fidelity_batched(&ideal, 16, 7, 1, 8);
+            for lanes in [1, 3, 8, 16] {
+                let (_, single) = program.mean_fidelity_batched(&ideal, 16, 7, 1, lanes);
+                for threads in [1, 2, 8] {
+                    let (f, stats) = program.mean_fidelity_batched(&ideal, 16, 7, threads, lanes);
+                    assert_eq!(
+                        reference.to_bits(),
+                        f.to_bits(),
+                        "lanes={lanes} threads={threads}"
+                    );
+                    // The fan's counts describe its batches, not its threads.
+                    assert_eq!(stats.trajectories, 16);
+                    assert_eq!(stats.batch_walls.len(), 16usize.div_ceil(lanes));
+                    assert_eq!(stats.kernel_sweeps, single.kernel_sweeps);
+                    assert_eq!(stats.fused_diags, 0);
+                }
             }
+            // The default entry point is the same computation at width 8.
+            let default = program.mean_fidelity(&ideal, 16, 7, 2);
+            assert_eq!(reference.to_bits(), default.to_bits());
         }
-        // The default entry point is the same computation at width 8.
-        let default = program.mean_fidelity(&ideal, 16, 7, 2);
-        assert_eq!(reference.to_bits(), default.to_bits());
     }
 
     /// The batched fan replays exactly the draws of single-trajectory

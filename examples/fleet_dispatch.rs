@@ -5,10 +5,11 @@
 //! grid, a tunable-coupler grid with order-of-magnitude weaker residual
 //! ZZ, and an always-on heavy-hex lattice) receives a mixed job stream.
 //! Each job is compiled and scored on every backend that can hold it —
-//! simulated fidelity where the device fits under the density-matrix
-//! ceiling, a plan-metrics proxy above it — and dispatched to the best
-//! predicted backend. An [`advance_epoch`](Fleet::advance_epoch) call
-//! then drifts every device's ground-truth λ; any device past the
+//! simulated fidelity where the device fits under the 12-qubit
+//! evaluation ceiling, a plan-metrics proxy above it — and dispatched to
+//! the best predicted backend. An
+//! [`advance_epoch`](Fleet::advance_epoch) call then drifts every
+//! device's ground-truth λ; any device past the
 //! invalidation threshold is re-characterized (fresh calibration cache,
 //! epoch-salted artifact keys) before the stream continues.
 //!

@@ -34,7 +34,7 @@ use zz_core::pipeline::shape_key;
 use zz_core::Compiled;
 use zz_persist::fnv1a;
 use zz_pool::{default_threads, parallel_map};
-use zz_service::{CompileRequest, Session, Target};
+use zz_service::{CompileOptions, CompileRequest, PulseMethod, SchedulerKind, Session, Target};
 use zz_sim::executor::ZzErrorModel;
 use zz_sim::program::PlanProgram;
 use zz_sim::{khz, StateVector};
@@ -310,6 +310,148 @@ fn simulator_outputs_are_pinned() {
     }
 }
 
+/// Circuits narrower than their device, so their plans drive only some
+/// of the device's qubits: QFT-4 and HiddenShift-6 on the 3×4 grid under
+/// both ends of the method × scheduler matrix, and QAOA-4 on the 3×3
+/// grid.
+fn narrow_cases() -> Vec<(String, Compiled)> {
+    use BenchmarkKind::{HiddenShift, Qaoa, Qft};
+    let gau_par = CompileOptions::new(PulseMethod::Gaussian, SchedulerKind::ParSched);
+    let pert_zzx = CompileOptions::new(PulseMethod::Pert, SchedulerKind::ZzxSched);
+    let (grid_3x4, grid_3x3) = (Topology::grid(3, 4), Topology::grid(3, 3));
+    [
+        ("qft-4@3x4", &grid_3x4, Qft, 4, gau_par),
+        ("qft-4@3x4", &grid_3x4, Qft, 4, pert_zzx),
+        ("hs-6@3x4", &grid_3x4, HiddenShift, 6, gau_par),
+        ("hs-6@3x4", &grid_3x4, HiddenShift, 6, pert_zzx),
+        ("qaoa-4@3x3", &grid_3x3, Qaoa, 4, pert_zzx),
+    ]
+    .into_iter()
+    .map(|(name, topology, kind, n, options)| {
+        assert!(
+            n < topology.qubit_count(),
+            "{name} must leave qubits undriven"
+        );
+        let target = Target::builder()
+            .topology(topology.clone())
+            .build()
+            .expect("no store");
+        let compiled = Session::with_threads(target, 1)
+            .compile(&CompileRequest::new(generate(kind, n, 7)).with_options(options))
+            .expect("fits")
+            .compiled;
+        (format!("{name}/{}", options.default_label()), compiled)
+    })
+    .collect()
+}
+
+/// Appends every amplitude's bits like [`push_amplitude_bits`], with
+/// both signed zeros written as `+0.0`: amplitudes a plan never reaches
+/// are exact zeros whose sign carries no value.
+fn push_value_bits(bytes: &mut Vec<u8>, state: &StateVector) {
+    let unsigned_zero = |x: f64| if x == 0.0 { 0.0f64 } else { x };
+    for a in state.amplitudes() {
+        bytes.extend(unsigned_zero(a.re).to_bits().to_le_bytes());
+        bytes.extend(unsigned_zero(a.im).to_bits().to_le_bytes());
+    }
+}
+
+/// `(case, amplitude digest, fidelity bits, decoherent fidelity bits)`
+/// for every case of [`narrow_cases`], measured as in
+/// [`simulator_outputs`] but with signed zeros folded in the digest. The
+/// 9- and 12-qubit devices are above the exact density-matrix size, so
+/// the decoherent fidelity comes from 24 Monte-Carlo trajectories.
+fn narrow_simulator_outputs() -> Vec<(String, u64, u64, u64)> {
+    let cases = narrow_cases();
+    parallel_map(cases.len(), default_threads(), |i| {
+        let (label, compiled) = &cases[i];
+        let topo = &compiled.topology;
+        let model = ZzErrorModel::sampled(topo, khz(200.0), khz(50.0), 11)
+            .with_residuals(compiled.residuals);
+        let mut bytes = Vec::new();
+        push_value_bits(&mut bytes, &PlanProgram::ideal(&compiled.plan).run());
+        push_value_bits(
+            &mut bytes,
+            &PlanProgram::compile(&compiled.plan, topo, &model, &compiled.durations).run(),
+        );
+        let paper = EvalConfig::paper_default();
+        let clean = fidelity_of(compiled, &paper);
+        let decoherent = fidelity_of(compiled, &paper.with_decoherence_us(60.0, 24));
+        (
+            label.clone(),
+            fnv1a(&bytes),
+            clean.to_bits(),
+            decoherent.to_bits(),
+        )
+    })
+}
+
+/// `(case, amplitude digest, fidelity bits, decoherent fidelity bits)`
+/// for every case of [`narrow_simulator_outputs`], in order.
+const PINNED_NARROW_SIMULATIONS: [(&str, u64, u64, u64); 5] = [
+    (
+        "qft-4@3x4/Gaussian+ParSched",
+        0x03498f9ca9fa22ff,
+        0x3fc210abf91f067f,
+        0x3fc20dd0d0ecbac3,
+    ),
+    (
+        "qft-4@3x4/Pert+ZZXSched",
+        0x3d537fae7f8db1b6,
+        0x3fed0e4ceaa8b50f,
+        0x3fecd269a1aac484,
+    ),
+    (
+        "hs-6@3x4/Gaussian+ParSched",
+        0x2b92a53faf5cb44c,
+        0x3fea8fc98626d0ef,
+        0x3fe8dca50658ba9f,
+    ),
+    (
+        "hs-6@3x4/Pert+ZZXSched",
+        0x5dc0bf6fc8c9e39b,
+        0x3fefd65e444b428c,
+        0x3fee12eed556edf3,
+    ),
+    (
+        "qaoa-4@3x3/Pert+ZZXSched",
+        0xaf2d8aed0fd76119,
+        0x3fef46b82d0544a0,
+        0x3fedf873d268bce8,
+    ),
+];
+
+#[test]
+fn driven_register_outputs_are_pinned() {
+    let actual = narrow_simulator_outputs();
+    assert_eq!(actual.len(), PINNED_NARROW_SIMULATIONS.len());
+    for (
+        (label, amplitudes, clean, decoherent),
+        (pinned_label, pinned_amps, pinned_clean, pinned_deco),
+    ) in actual.iter().zip(PINNED_NARROW_SIMULATIONS)
+    {
+        assert_eq!(label, pinned_label);
+        assert_eq!(
+            *amplitudes, pinned_amps,
+            "{label}: program amplitudes drifted"
+        );
+        assert_eq!(
+            *clean,
+            pinned_clean,
+            "{label}: fidelity drifted ({} vs pinned {})",
+            f64::from_bits(*clean),
+            f64::from_bits(pinned_clean)
+        );
+        assert_eq!(
+            *decoherent,
+            pinned_deco,
+            "{label}: decoherent fidelity drifted ({} vs pinned {})",
+            f64::from_bits(*decoherent),
+            f64::from_bits(pinned_deco)
+        );
+    }
+}
+
 #[test]
 #[ignore = "helper for regenerating pinned values after an intentional schema bump"]
 fn print_current_keys() {
@@ -339,6 +481,9 @@ fn print_current_keys() {
         println!("    (\"{label}\", {plan:#018x}, {residuals:#018x}, {compiled:#018x}),");
     }
     for (label, amplitudes, clean, decoherent) in simulator_outputs() {
+        println!("    (\"{label}\", {amplitudes:#018x}, {clean:#018x}, {decoherent:#018x}),");
+    }
+    for (label, amplitudes, clean, decoherent) in narrow_simulator_outputs() {
         println!("    (\"{label}\", {amplitudes:#018x}, {clean:#018x}, {decoherent:#018x}),");
     }
 }

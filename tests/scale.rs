@@ -1,16 +1,16 @@
 //! Integration tests of the compile-path scaling work: large devices
 //! compile through the full service stack, evaluation stays gated at
-//! the density-matrix ceiling, the scale-facing observability counters
+//! the 12-device-qubit ceiling, the scale-facing observability counters
 //! (`route.graph_reuse`, `sched.distance_queries`) surface in the
 //! session's metrics registry, and the `bench_scale` device ladder's
 //! plans are pinned exactly.
 //!
 //! The compile/eval split these tests pin down: a [`Target`] may be as
 //! large as topology construction allows — routing and scheduling are
-//! polynomial — while density-matrix *evaluation* is exponential and
-//! refuses devices above `zz_core::evaluate::MAX_EVAL_QUBITS` with a
-//! typed [`Error::Eval`] at evaluation time, never at target
-//! construction or compile time.
+//! polynomial — while *evaluation*, which simulates the device
+//! register, is exponential and refuses devices above
+//! `zz_core::evaluate::MAX_EVAL_QUBITS` with a typed [`Error::Eval`] at
+//! evaluation time, never at target construction or compile time.
 
 use zz_bench::{brickwork, scale_devices};
 use zz_circuit::{Circuit, Gate};
