@@ -94,23 +94,24 @@ fn main() {
             .with_options(options)
             .with_label(label)
     };
+    let mut requests = Vec::new();
     for alpha in alphas {
-        session.submit(request(
+        requests.push(request(
             format!("{alpha:4.2}"),
             CompileOptions::default().with_alpha(alpha),
         ));
     }
     for k in ks {
-        session.submit(request(format!("{k}"), CompileOptions::default().with_k(k)));
+        requests.push(request(format!("{k}"), CompileOptions::default().with_k(k)));
     }
     for (name, req) in &reqs {
         let mut options = CompileOptions::default();
         if let Some(req) = req {
             options = options.with_requirement(*req);
         }
-        session.submit(request(name.to_string(), options));
+        requests.push(request(name.to_string(), options));
     }
-    let report = session.drain();
+    let report = session.run(requests);
     eprintln!("[service] {report}");
     let responses: Vec<&CompileResponse> = report
         .outcomes

@@ -20,9 +20,7 @@
 //! the session's `route.graph_reuse` /
 //! `sched.distance_queries` counters — the observability trail of the
 //! CSR coupling-graph cache and the lazy distance oracle — and the
-//! [`ServiceReport::plan_metric_stats`](zz_service::ServiceReport::plan_metric_stats)
-//! residual-ZZ summary of the drained sweep, the same aggregation fleet
-//! dispatch scores large devices with.
+//! min/mean/max residual-ZZ weight over the device's scheduler sweep.
 //!
 //! Results are written as `BENCH_scale.json` (override the path with
 //! the `BENCH_SCALE_OUT` environment variable) so the CI workflow can
@@ -81,10 +79,10 @@ struct DeviceCounters {
     device: String,
     graph_reuse: u64,
     distance_queries: u64,
-    /// Min/max/mean residual-ZZ weight over the device's scheduler
-    /// sweep, from the shared `ServiceReport::plan_metric_stats` path
-    /// (the same summary fleet dispatch scores large devices with).
-    plan_stats: zz_service::PlanMetricStats,
+    /// Plans in the device's scheduler sweep.
+    plan_jobs: usize,
+    /// Min/mean/max residual-ZZ weight over those plans.
+    residual_zz: [f64; 3],
 }
 
 fn row_json(row: &Row) -> String {
@@ -129,36 +127,28 @@ fn main() {
         // exercises the memo's device-graph cache (`route.graph_reuse`).
         let session = Session::with_threads(target, 1);
 
-        // Submit the scheduler sweep one compile at a time and drain it
-        // through the session report: the per-device summary below comes
-        // from the same `plan_metric_stats` path fleet dispatch scores
-        // with. Each compile runs alone between a peak-RSS reset and the
-        // read, so its row's peak is its own.
-        const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::ParSched, SchedulerKind::ZzxSched];
-        let mut peaks = Vec::new();
-        for scheduler in SCHEDULERS {
+        // Submit the scheduler sweep one compile at a time through the
+        // session queue. Each compile runs alone between a peak-RSS reset
+        // and the read, so its row's peak is its own.
+        let first_row = rows.len();
+        for scheduler in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
             let reset = reset_peak_rss();
-            let handle = session.submit(
-                CompileRequest::new(circuit.clone())
-                    .with_options(CompileOptions::default().with_scheduler(scheduler))
-                    .with_label(format!("{name}/{scheduler}")),
-            );
-            // The outcome stays in the session for `drain` below.
-            let _ = handle.wait();
-            peaks.push(if reset { peak_rss_kb() } else { None });
-        }
-        let report = session.drain();
-        let runs = SCHEDULERS.iter().zip(&report.outcomes).zip(peaks);
-        for ((scheduler, outcome), peak_rss_kb) in runs {
-            let response = outcome
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{name}/{scheduler} failed to compile: {e}"));
+            let outcome = session
+                .submit(
+                    CompileRequest::new(circuit.clone())
+                        .with_options(CompileOptions::default().with_scheduler(scheduler))
+                        .with_label(format!("{name}/{scheduler}")),
+                )
+                .wait();
+            let peak_rss_kb = if reset { peak_rss_kb() } else { None };
+            let response =
+                outcome.unwrap_or_else(|e| panic!("{name}/{scheduler} failed to compile: {e}"));
             let trace = response.trace.as_ref().expect("tracing is on by default");
             let summary = response.plan_metrics();
             let row = Row {
                 device: name.clone(),
                 qubits,
-                scheduler: *scheduler,
+                scheduler,
                 gates,
                 route_ms: ms(trace.stage_wall(Stage::Route)),
                 schedule_ms: ms(trace.stage_wall(Stage::Schedule)),
@@ -184,9 +174,15 @@ fn main() {
             );
             rows.push(row);
         }
-        let plan_stats = report
-            .plan_metric_stats()
-            .unwrap_or_else(|| panic!("{name}: the scheduler sweep had successes"));
+        let weights: Vec<f64> = rows[first_row..]
+            .iter()
+            .map(|r| r.residual_zz_weight)
+            .collect();
+        let residual_zz = [
+            weights.iter().copied().fold(f64::INFINITY, f64::min),
+            weights.iter().sum::<f64>() / weights.len() as f64,
+            weights.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        ];
 
         // A second circuit shape on the same device: its route pass must
         // pull the cached CSR coupling graph instead of rebuilding it.
@@ -204,7 +200,8 @@ fn main() {
             device: name.clone(),
             graph_reuse: snapshot.counter("route.graph_reuse").unwrap_or(0),
             distance_queries: snapshot.counter("sched.distance_queries").unwrap_or(0),
-            plan_stats,
+            plan_jobs: weights.len(),
+            residual_zz,
         };
         println!(
             "[{:>14}] counters: route.graph_reuse {} sched.distance_queries {} \
@@ -212,9 +209,9 @@ fn main() {
             device.device,
             device.graph_reuse,
             device.distance_queries,
-            device.plan_stats.min_residual_zz_weight,
-            device.plan_stats.mean_residual_zz_weight,
-            device.plan_stats.max_residual_zz_weight,
+            device.residual_zz[0],
+            device.residual_zz[1],
+            device.residual_zz[2],
         );
         assert!(
             device.graph_reuse >= 1,
@@ -256,10 +253,10 @@ fn main() {
             c.device,
             c.graph_reuse,
             c.distance_queries,
-            c.plan_stats.jobs,
-            c.plan_stats.min_residual_zz_weight,
-            c.plan_stats.mean_residual_zz_weight,
-            c.plan_stats.max_residual_zz_weight,
+            c.plan_jobs,
+            c.residual_zz[0],
+            c.residual_zz[1],
+            c.residual_zz[2],
             if i + 1 == counters.len() { "" } else { "," }
         );
     }

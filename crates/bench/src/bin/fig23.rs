@@ -29,6 +29,7 @@ fn main() {
     ];
 
     let session = Session::new(Target::for_qubits(6).expect("6 qubits fit the paper devices"));
+    let mut requests = Vec::new();
     for kind in BenchmarkKind::CORE {
         let circuit = Arc::new(generate(kind, 6, CIRCUIT_SEED));
         for &t in &times_us {
@@ -36,7 +37,7 @@ fn main() {
                 let eval = EvalSpec::paper_default()
                     .with_seeds(vec![11, 23])
                     .with_decoherence_us(t, trajectories);
-                session.submit(
+                requests.push(
                     CompileRequest::shared(Arc::clone(&circuit))
                         .with_options(CompileOptions::new(m, s))
                         .with_eval(eval)
@@ -45,7 +46,7 @@ fn main() {
             }
         }
     }
-    let report = session.drain();
+    let report = session.run(requests);
     eprintln!("[service] {report}");
     let fidelities = report
         .fidelities()

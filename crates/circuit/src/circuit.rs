@@ -123,10 +123,12 @@ impl Circuit {
     /// A 64-bit structural digest of the circuit: qubit count, gate kinds,
     /// exact angle bits, and qubit operands, in program order.
     ///
-    /// Two circuits have equal digests exactly when they are structurally
-    /// identical (up to the vanishing probability of an FNV collision), so
-    /// the digest can key compilation caches — structurally identical
-    /// circuits route and translate identically.
+    /// Structurally identical circuits have equal digests, so the digest
+    /// can key compilation caches. Equal digests do not imply equal
+    /// circuits: the word-wise FNV-1a never carries a difference in a
+    /// word's high bits into its low bits, so circuits that differ only
+    /// in their angles' signs can collide. Every consumer therefore
+    /// compares the circuits before serving a cached result.
     ///
     /// # Example
     ///

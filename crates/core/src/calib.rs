@@ -137,14 +137,6 @@ impl CalibCache {
         epoch_salted(residual_artifact_key_at(method, self.lambda()), self.epoch)
     }
 
-    /// The on-disk key of this cache's whole-snapshot artifact (same
-    /// `λ` + epoch keying as [`residual_key`](Self::residual_key)).
-    pub fn snapshot_key(&self) -> u64 {
-        let mut bytes = b"calib-snapshot".to_vec();
-        bytes.extend_from_slice(&self.lambda().to_bits().to_le_bytes());
-        epoch_salted(fnv1a(&bytes), self.epoch)
-    }
-
     /// Salts a whole-`Compiled` artifact key with this cache's identity.
     /// The default cache (paper `λ`, epoch 0) is the identity function,
     /// keeping the legacy key space; any customized cache mixes its `λ`
@@ -181,66 +173,6 @@ impl CalibCache {
         self.runs.load(Ordering::Relaxed)
     }
 
-    /// The cached table for `method` if it is already present, without
-    /// triggering a measurement.
-    pub fn peek(&self, method: PulseMethod) -> Option<ResidualTable> {
-        self.slots[slot_index(method)].get().copied()
-    }
-
-    /// Exports every filled slot as `(method, table)` pairs — the artifact
-    /// payload behind [`save_to`](Self::save_to).
-    pub fn snapshot(&self) -> Vec<(PulseMethod, ResidualTable)> {
-        PulseMethod::ALL
-            .iter()
-            .filter_map(|&m| self.peek(m).map(|t| (m, t)))
-            .collect()
-    }
-
-    /// Imports a snapshot, filling *empty* slots only (already-measured
-    /// tables win, and nothing counts as a calibration run). Returns how
-    /// many slots the import filled.
-    pub fn import(&self, entries: &[(PulseMethod, ResidualTable)]) -> usize {
-        let mut filled = 0;
-        for &(method, table) in entries {
-            let slot = &self.slots[slot_index(method)];
-            let mut fresh = false;
-            slot.get_or_init(|| {
-                fresh = true;
-                table
-            });
-            filled += fresh as usize;
-        }
-        filled
-    }
-
-    /// Persists the current snapshot to `store` (one `CalibSnapshot`
-    /// artifact, plus one per-method `Calibration` artifact so partial
-    /// caches can still warm individual methods). Returns the number of
-    /// methods written; write failures degrade silently to 0.
-    pub fn save_to(&self, store: &ArtifactStore) -> usize {
-        let snapshot = self.snapshot();
-        store.put(ArtifactKind::CalibSnapshot, self.snapshot_key(), &snapshot);
-        snapshot
-            .iter()
-            .filter(|&&(method, ref table)| {
-                store.put(ArtifactKind::Calibration, self.residual_key(method), table)
-            })
-            .count()
-    }
-
-    /// Imports the snapshot persisted in `store`, if any (empty slots only;
-    /// a missing or damaged snapshot is simply a no-op). Returns how many
-    /// slots were filled from disk.
-    pub fn load_from(&self, store: &ArtifactStore) -> usize {
-        match store.get::<Vec<(PulseMethod, ResidualTable)>>(
-            ArtifactKind::CalibSnapshot,
-            self.snapshot_key(),
-        ) {
-            Some(snapshot) => self.import(&snapshot),
-            None => 0,
-        }
-    }
-
     /// The cached residual table for `method`, consulting `store` before
     /// measuring: on a disk hit the table loads without counting as a
     /// calibration run; on a miss the measurement runs and its result is
@@ -259,7 +191,7 @@ impl CalibCache {
     /// records this in its [`crate::pipeline::PipelineTrace`]:
     ///
     /// * [`MemoryHit`](crate::pipeline::CacheDisposition::MemoryHit) —
-    ///   the slot was already measured (or imported) in this cache;
+    ///   the slot was already measured (or loaded) in this cache;
     /// * [`DiskHit`](crate::pipeline::CacheDisposition::DiskHit) — the
     ///   table loaded from the store, no measurement ran;
     /// * [`Miss`](crate::pipeline::CacheDisposition::Miss) — a store was
@@ -331,13 +263,6 @@ pub fn residual_artifact_key_at(method: PulseMethod, lambda: f64) -> u64 {
     // on-disk format, like the golden-keyed digests.
     let mut bytes = method.to_string().into_bytes();
     bytes.extend_from_slice(&lambda.to_bits().to_le_bytes());
-    fnv1a(&bytes)
-}
-
-/// On-disk key of the whole-cache snapshot artifact.
-pub fn snapshot_artifact_key() -> u64 {
-    let mut bytes = b"calib-snapshot".to_vec();
-    bytes.extend_from_slice(&calibration_lambda().to_bits().to_le_bytes());
     fnv1a(&bytes)
 }
 
@@ -439,7 +364,6 @@ mod tests {
         for m in PulseMethod::ALL {
             assert_eq!(cache.residual_key(m), residual_artifact_key(m), "{m}");
         }
-        assert_eq!(cache.snapshot_key(), snapshot_artifact_key());
         assert_eq!(CalibCache::new().residual_key(PulseMethod::Pert), {
             residual_artifact_key(PulseMethod::Pert)
         });
@@ -454,11 +378,11 @@ mod tests {
             assert_ne!(base.residual_key(m), bumped.residual_key(m), "{m}");
             assert_ne!(bumped.residual_key(m), drifted.residual_key(m), "{m}");
         }
-        assert_ne!(base.snapshot_key(), bumped.snapshot_key());
-        assert_ne!(bumped.snapshot_key(), drifted.snapshot_key());
         // Epochs are distinct from each other, not just from 0.
         let later = CalibCache::at(calibration_lambda(), 2);
-        assert_ne!(bumped.snapshot_key(), later.snapshot_key());
+        for m in PulseMethod::ALL {
+            assert_ne!(bumped.residual_key(m), later.residual_key(m), "{m}");
+        }
     }
 
     #[test]

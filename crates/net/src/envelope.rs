@@ -207,12 +207,12 @@ pub struct CompiledEnvelope {
 }
 
 impl CompiledEnvelope {
-    /// Wraps a service response for the wire.
-    pub fn from_response(response: &CompileResponse) -> Self {
+    /// Wraps a service response for the wire (the plan moves, uncopied).
+    pub fn from_response(response: CompileResponse) -> Self {
         CompiledEnvelope {
             request_id: response.request_id,
-            label: response.label.clone(),
-            compiled: response.compiled.clone(),
+            label: response.label,
+            compiled: response.compiled,
             route_cache_hit: response.route_cache_hit,
             disk: response.disk,
             // Saturate, never `as`-truncate: a pathological wait must

@@ -365,7 +365,7 @@ fn respond(request: Request, session: &Session, shared: &Shared) -> Response {
             shared.release();
             match outcome {
                 Ok(response) => {
-                    Response::Compiled(Box::new(CompiledEnvelope::from_response(&response)))
+                    Response::Compiled(Box::new(CompiledEnvelope::from_response(response)))
                 }
                 Err(error) => Response::Error(WireError::from(&error)),
             }

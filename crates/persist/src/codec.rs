@@ -45,8 +45,6 @@ pub enum ArtifactKind {
     Native,
     /// A fully compiled plan (`zz_core`'s `Compiled`).
     Compiled,
-    /// A calibration-cache snapshot (`Vec<(PulseMethod, ResidualTable)>`).
-    CalibSnapshot,
     /// A `zz_net` request envelope (one frame of the wire protocol; never
     /// stored on disk, but stamped with the same magic/version/checksum
     /// container so damaged frames fail typed).
@@ -61,12 +59,13 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// Stable on-disk tag of the kind (part of the container header).
+    /// Tag 4 is retired (it named a whole-cache calibration snapshot) and
+    /// is never reused.
     pub fn tag(self) -> u32 {
         match self {
             ArtifactKind::Calibration => 1,
             ArtifactKind::Native => 2,
             ArtifactKind::Compiled => 3,
-            ArtifactKind::CalibSnapshot => 4,
             ArtifactKind::NetRequest => 5,
             ArtifactKind::NetResponse => 6,
             ArtifactKind::Metrics => 7,
@@ -79,7 +78,6 @@ impl ArtifactKind {
             ArtifactKind::Calibration => "calib",
             ArtifactKind::Native => "native",
             ArtifactKind::Compiled => "compiled",
-            ArtifactKind::CalibSnapshot => "calib-snapshot",
             ArtifactKind::NetRequest => "net-request",
             ArtifactKind::NetResponse => "net-response",
             ArtifactKind::Metrics => "metrics",

@@ -14,10 +14,12 @@
 //!   [`Target::builder`].
 //! * **[`Session`]** — a long-lived service over one target, owning the
 //!   worker pool, routing memo and caches. Submit typed
-//!   [`CompileRequest`]s synchronously ([`Session::compile`]) or as
-//!   non-blocking [`JobHandle`]s ([`Session::submit`] /
-//!   [`Session::drain`]); responses carry the compiled plan, pipeline
-//!   trace, cache dispositions and optional evaluated fidelity.
+//!   [`CompileRequest`]s synchronously ([`Session::compile`]), as
+//!   non-blocking [`JobHandle`]s ([`Session::submit`]) or as a batch
+//!   ([`Session::run`]); responses carry the compiled plan, pipeline
+//!   trace, cache dispositions and optional evaluated fidelity. The
+//!   session keeps no finished job: each result is handed to the caller
+//!   that asked for it.
 //!
 //! Every failure is a typed [`Error`] with the job label attached — no
 //! public path panics on user input. A session is the one compile path:
@@ -41,14 +43,16 @@
 //! let response = session.compile(&request)?;
 //! assert!(response.fidelity.expect("eval requested") > 0.5);
 //!
-//! // Non-blocking: queue a sweep, then collect everything in order.
-//! for alpha in [0.0, 0.5, 1.0] {
-//!     let sweep = CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7))
+//! // Non-blocking: queue one job and wait on its handle.
+//! let handle = session.submit(request.clone());
+//! assert_eq!(handle.wait()?.fidelity, response.fidelity);
+//!
+//! // A batch: run a sweep and collect its results in order.
+//! let report = session.run([0.0, 0.5, 1.0].map(|alpha| {
+//!     CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7))
 //!         .with_options(CompileOptions::default().with_alpha(alpha))
-//!         .with_label(format!("alpha-{alpha}"));
-//!     session.submit(sweep);
-//! }
-//! let report = session.drain();
+//!         .with_label(format!("alpha-{alpha}"))
+//! }));
 //! assert_eq!(report.outcomes.len(), 3);
 //! assert_eq!(report.error_count(), 0);
 //! // The whole sweep replays the routing pass the synchronous compile
@@ -66,8 +70,8 @@ mod target;
 
 pub use error::Error;
 pub use session::{
-    CompileRequest, CompileResponse, DiskStatus, EvalSpec, JobHandle, PlanMetricStats,
-    ServiceReport, Session, StageStats,
+    CompileRequest, CompileResponse, DiskStatus, EvalSpec, JobHandle, ServiceReport, Session,
+    StageStats,
 };
 pub use target::{Target, TargetBuilder};
 

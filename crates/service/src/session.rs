@@ -4,12 +4,14 @@
 //! lifetime, the machinery every request shares: the worker pool, the
 //! routing/native-translation memo, the calibration cache and the
 //! optional on-disk artifact store. Callers hand it typed
-//! [`CompileRequest`]s — synchronously ([`Session::compile`]) or as
-//! non-blocking [`JobHandle`]s ([`Session::submit`] / [`Session::drain`])
-//! — and get back [`CompileResponse`]s carrying the compiled plan, the
-//! pipeline trace, cache dispositions and (when the request asked for
-//! it) the evaluated fidelity. Batch suites, parameter sweeps and figure
-//! workloads all go through this one queue.
+//! [`CompileRequest`]s — synchronously ([`Session::compile`]), as
+//! non-blocking [`JobHandle`]s ([`Session::submit`]) or as a whole batch
+//! ([`Session::run`]) — and get back [`CompileResponse`]s carrying the
+//! compiled plan, the pipeline trace, cache dispositions and (when the
+//! request asked for it) the evaluated fidelity. Batch suites, parameter
+//! sweeps and figure workloads all go through this one queue. The session
+//! keeps no finished job: each result belongs to the handle that asked
+//! for it.
 //!
 //! Every failure is a typed [`Error`]; no path panics on user input.
 
@@ -182,7 +184,7 @@ pub enum DiskStatus {
 }
 
 /// One row of [`ServiceReport::stage_stats`]: a pipeline stage's
-/// aggregate execution counts and wall time across a drained batch.
+/// aggregate execution counts and wall time across one [`Session::run`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StageStats {
     /// The pipeline stage.
@@ -241,12 +243,10 @@ impl CompileResponse {
     }
 }
 
-/// A non-blocking handle to a submitted request. Obtain the result with
-/// [`wait`](JobHandle::wait), or collect every outstanding handle at
-/// once with [`Session::drain`].
+/// A non-blocking handle to a submitted request and the one owner of its
+/// result: [`wait`](JobHandle::wait) hands the result over.
 #[derive(Debug)]
 pub struct JobHandle {
-    label: String,
     state: Arc<HandleState>,
 }
 
@@ -254,6 +254,10 @@ pub struct JobHandle {
 struct HandleState {
     slot: Mutex<Option<Result<CompileResponse, Error>>>,
     ready: Condvar,
+    /// Live [`JobHandle`]s on this slot: the submitter's plus one per
+    /// coalesced follower. Followers join only while the job is in
+    /// flight, so once the slot is filled the count can only fall.
+    handles: AtomicUsize,
 }
 
 impl HandleState {
@@ -261,6 +265,7 @@ impl HandleState {
         HandleState {
             slot: Mutex::new(None),
             ready: Condvar::new(),
+            handles: AtomicUsize::new(1),
         }
     }
 
@@ -269,29 +274,28 @@ impl HandleState {
         *slot = Some(result);
         self.ready.notify_all();
     }
+}
 
-    fn wait(&self) -> Result<CompileResponse, Error> {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
+impl JobHandle {
+    /// Blocks until the worker finishes this request and returns its
+    /// result. The result moves out uncopied, unless a coalesced
+    /// follower still shares it; then this handle gets a clone.
+    ///
+    /// # Errors
+    ///
+    /// Returns the job's typed [`Error`] when it failed.
+    pub fn wait(self) -> Result<CompileResponse, Error> {
+        let mut slot = self.state.slot.lock().unwrap_or_else(|e| e.into_inner());
         while slot.is_none() {
-            slot = self.ready.wait(slot).unwrap_or_else(|e| e.into_inner());
+            slot = self
+                .state
+                .ready
+                .wait(slot)
+                .unwrap_or_else(|e| e.into_inner());
         }
-        slot.as_ref().expect("filled above").clone()
-    }
-
-    /// Like [`wait`](Self::wait), but *moves* the result out when this
-    /// state is uniquely owned — the drain path's no-copy fast path for
-    /// handles the caller dropped. The slot is refilled with a clone
-    /// only when a [`JobHandle`] still exists (so a post-drain `wait`
-    /// keeps working).
-    fn wait_take(self: &Arc<Self>) -> Result<CompileResponse, Error> {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        while slot.is_none() {
-            slot = self.ready.wait(slot).unwrap_or_else(|e| e.into_inner());
-        }
-        // Handles are not cloneable, so the count is 1 exactly when the
-        // caller dropped its JobHandle: the compiled plan need not be
-        // deep-copied for the report.
-        if Arc::strong_count(self) == 1 {
+        // Every follower joined before the fill (under the in-flight
+        // lock), so a count of 1 means no other handle reads this slot.
+        if self.state.handles.load(Ordering::SeqCst) == 1 {
             slot.take().expect("filled above")
         } else {
             slot.as_ref().expect("filled above").clone()
@@ -299,42 +303,20 @@ impl HandleState {
     }
 }
 
-impl JobHandle {
-    /// The label of the submitted request.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Blocks until the worker finishes this request and returns its
-    /// result. The result stays available to a later
-    /// [`Session::drain`], so waiting on individual handles does not
-    /// disturb the aggregate report.
-    ///
-    /// # Errors
-    ///
-    /// Returns the job's typed [`Error`] when it failed.
-    pub fn wait(&self) -> Result<CompileResponse, Error> {
-        self.state.wait()
-    }
-
-    /// The result, if the worker already finished (never blocks).
-    pub fn poll(&self) -> Option<Result<CompileResponse, Error>> {
-        self.state
-            .slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+impl Drop for JobHandle {
+    fn drop(&mut self) {
+        self.state.handles.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Aggregate outcome of every request submitted since the previous
-/// [`Session::drain`], in submission order.
+/// The outcome of one [`Session::run`]: its requests' results in
+/// submission order, with aggregate cache statistics.
 #[derive(Clone, Debug)]
 pub struct ServiceReport {
     /// Per-request results, in submission order.
     pub outcomes: Vec<Result<CompileResponse, Error>>,
-    /// Wall-clock time from the first submission of this batch until
-    /// every result was available.
+    /// Wall-clock time from the start of the run until every result was
+    /// available.
     pub wall_time: Duration,
     /// Requests whose routing was served from the session memo or the
     /// disk store.
@@ -345,8 +327,9 @@ pub struct ServiceReport {
     pub disk_hits: usize,
     /// Requests that consulted the disk store and missed.
     pub disk_misses: usize,
-    /// Pulse-level calibration measurements that ran during this batch's
-    /// window (at most one per pulse method per calibration cache).
+    /// Pulse-level calibration measurements the target's calibration
+    /// cache ran while the run lasted (at most one per pulse method per
+    /// cache).
     pub calibration_runs: usize,
 }
 
@@ -421,47 +404,6 @@ impl ServiceReport {
             })
             .collect()
     }
-
-    /// Min/max/mean residual-ZZ weight ([`zz_sched::PlanSummary::
-    /// residual_zz_weight`]) across the batch's successful responses, or
-    /// `None` when nothing succeeded. This is the shared at-scale
-    /// fidelity-proxy summary: fleet dispatch scores large devices with
-    /// it and the scale bench reports it, through one code path.
-    pub fn plan_metric_stats(&self) -> Option<PlanMetricStats> {
-        let mut stats: Option<PlanMetricStats> = None;
-        let mut sum = 0.0;
-        for response in self.successes() {
-            let weight = response.plan_metrics().residual_zz_weight;
-            sum += weight;
-            let s = stats.get_or_insert(PlanMetricStats {
-                jobs: 0,
-                min_residual_zz_weight: weight,
-                max_residual_zz_weight: weight,
-                mean_residual_zz_weight: 0.0,
-            });
-            s.jobs += 1;
-            s.min_residual_zz_weight = s.min_residual_zz_weight.min(weight);
-            s.max_residual_zz_weight = s.max_residual_zz_weight.max(weight);
-        }
-        if let Some(s) = &mut stats {
-            s.mean_residual_zz_weight = sum / s.jobs as f64;
-        }
-        stats
-    }
-}
-
-/// Aggregate residual-ZZ statistics of one drained batch (see
-/// [`ServiceReport::plan_metric_stats`]).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PlanMetricStats {
-    /// Successful responses contributing to the statistics.
-    pub jobs: usize,
-    /// Smallest per-plan residual-ZZ weight in the batch.
-    pub min_residual_zz_weight: f64,
-    /// Largest per-plan residual-ZZ weight in the batch.
-    pub max_residual_zz_weight: f64,
-    /// Mean per-plan residual-ZZ weight across the batch.
-    pub mean_residual_zz_weight: f64,
 }
 
 /// One summary line (jobs, wall/cpu/queue time, cache hit rates,
@@ -523,6 +465,8 @@ struct SessionMetrics {
     queue_wait: Arc<Histogram>,
     /// `session.compile.wall_us` — per-request compile (+eval) time.
     compile_wall: Arc<Histogram>,
+    /// `session.eval.wall_us` — per-request evaluation time alone.
+    eval_wall: Arc<Histogram>,
     /// `engine.trajectories` — Monte-Carlo trajectories evaluated here.
     trajectories: Arc<Counter>,
     /// `engine.kernel_sweeps` — statevector sweeps of those trajectories.
@@ -548,6 +492,7 @@ impl SessionMetrics {
             workers_busy: registry.gauge("session.workers.busy"),
             queue_wait: registry.histogram("session.queue.wait_us"),
             compile_wall: registry.histogram("session.compile.wall_us"),
+            eval_wall: registry.histogram("session.eval.wall_us"),
             trajectories: registry.counter("engine.trajectories"),
             kernel_sweeps: registry.counter("engine.kernel_sweeps"),
             fused_diags: registry.counter("engine.diag.fused"),
@@ -649,7 +594,9 @@ impl SessionCore {
                         ),
                     });
                 }
+                let started = Instant::now();
                 let (fidelity, stats) = evaluate(&compiled, &config);
+                self.metrics.eval_wall.observe_micros(started.elapsed());
                 self.metrics.record_engine(&stats);
                 Some(fidelity)
             }
@@ -711,27 +658,43 @@ impl SessionCore {
 pub struct Session {
     core: Arc<SessionCore>,
     pool: TaskPool,
-    pending: Mutex<PendingBatch>,
-    calib_mark: AtomicUsize,
     inflight: Arc<Inflight>,
-    coalesced: AtomicUsize,
 }
 
-/// The in-flight job index behind request coalescing: one entry per
-/// distinct coalescing key currently compiling. Shared with the worker
-/// task (which removes its entry on completion), so it lives behind its
-/// own `Arc` rather than inside the session.
+/// The in-flight job index behind request coalescing: one leader per
+/// coalescing key currently compiling. Shared with the worker task
+/// (which removes its entry on completion), so it lives behind its own
+/// `Arc` rather than inside the session.
 #[derive(Debug, Default)]
 struct Inflight {
-    map: Mutex<HashMap<u64, Arc<HandleState>>>,
+    map: Mutex<HashMap<u64, Leader>>,
 }
 
-/// The identity of a request for coalescing purposes: everything that
-/// determines the bits of its [`CompileResponse`] *except* the label —
-/// circuit content, device shape, the full option set, the trace flag and
-/// the evaluation spec. Two concurrent requests with equal keys would
-/// compute identical responses, so they may share one compile job.
-fn coalesce_key(request: &CompileRequest, topology: &Topology) -> u64 {
+/// A job in flight that identical requests may adopt: the exact request
+/// it computes (everything that determines the bits of its
+/// [`CompileResponse`] except the label) and the slot its followers
+/// share.
+#[derive(Debug)]
+struct Leader {
+    circuit: Arc<Circuit>,
+    device: Topology,
+    spec: Vec<u8>,
+    state: Arc<HandleState>,
+}
+
+impl Leader {
+    /// Whether a request for `circuit` on `device` with encoded `spec`
+    /// computes exactly this job. The coalescing key is a digest, and
+    /// equal digests do not imply equal requests.
+    fn computes(&self, circuit: &Circuit, device: &Topology, spec: &[u8]) -> bool {
+        self.spec == spec && *self.circuit == *circuit && self.device == *device
+    }
+}
+
+/// The encoded option set, trace flag and evaluation spec of a request —
+/// the part of its coalescing identity that is neither the circuit nor
+/// the device.
+fn coalesce_spec(request: &CompileRequest) -> Vec<u8> {
     let mut enc = Encoder::new();
     request.options.method.encode(&mut enc);
     request.options.scheduler.encode(&mut enc);
@@ -756,19 +719,7 @@ fn coalesce_key(request: &CompileRequest, topology: &Topology) -> u64 {
             }
         }
     }
-    let mut h = fnv1a(&enc.finish());
-    h = fnv1a_mix(h, request.circuit.content_digest());
-    h = fnv1a_mix(h, shape_key(&request.circuit, topology));
-    h
-}
-
-/// The handles submitted since the last drain plus the batch's start
-/// instant — one mutex, so a concurrent `submit` can never land its
-/// handle in one batch and its timestamp in another.
-#[derive(Debug, Default)]
-struct PendingBatch {
-    jobs: Vec<Arc<HandleState>>,
-    started: Option<Instant>,
+    enc.finish()
 }
 
 impl Session {
@@ -779,7 +730,6 @@ impl Session {
 
     /// Opens a session with an explicit worker count (clamped to ≥ 1).
     pub fn with_threads(target: Target, threads: usize) -> Self {
-        let calib_runs = target.calib().calibration_runs();
         Session {
             core: Arc::new(SessionCore {
                 target,
@@ -789,10 +739,7 @@ impl Session {
                 ids: IdSource::new(),
             }),
             pool: TaskPool::new(threads),
-            pending: Mutex::new(PendingBatch::default()),
-            calib_mark: AtomicUsize::new(calib_runs),
             inflight: Arc::new(Inflight::default()),
-            coalesced: AtomicUsize::new(0),
         }
     }
 
@@ -816,8 +763,7 @@ impl Session {
 
     /// Compiles one request synchronously on the caller's thread, using
     /// the session caches (workers keep serving submitted jobs in the
-    /// meantime). Synchronous calls are not tracked by
-    /// [`drain`](Self::drain).
+    /// meantime).
     ///
     /// # Errors
     ///
@@ -830,16 +776,12 @@ impl Session {
     }
 
     /// Enqueues a request on the worker pool and returns immediately.
-    /// The handle resolves when a worker finishes the job;
-    /// [`drain`](Self::drain) collects every outstanding handle in
-    /// submission order.
+    /// The handle resolves when a worker finishes the job.
     pub fn submit(&self, request: CompileRequest) -> JobHandle {
         let id = self.admit();
         let state = Arc::new(HandleState::new());
-        let label = request.label.clone();
-        self.track(&state);
         self.enqueue(request, id, Arc::clone(&state), None);
-        JobHandle { label, state }
+        JobHandle { state }
     }
 
     /// Mints an id and counts the submission (every submission path
@@ -850,67 +792,65 @@ impl Session {
     }
 
     /// Like [`submit`](Self::submit), with **request coalescing**:
-    /// requests submitted while an identical one (same circuit content,
-    /// device shape, options, trace flag and eval spec — the label is
-    /// deliberately excluded) is still in flight share that job instead
-    /// of compiling again, and every caller gets its own [`JobHandle`]
-    /// resolving to the shared [`CompileResponse`]. This is the shape
-    /// network front ends want: a thundering herd of identical
-    /// content-addressed compiles costs one pipeline execution.
+    /// requests submitted while an identical one (same circuit, device,
+    /// options, trace flag and eval spec — the label is deliberately
+    /// excluded) is still in flight share that job instead of compiling
+    /// again, and every caller gets its own [`JobHandle`] resolving to
+    /// the shared [`CompileResponse`]. This is the shape network front
+    /// ends want: a thundering herd of identical content-addressed
+    /// compiles costs one pipeline execution.
     ///
     /// Coalesced followers adopt the leader's response verbatim —
-    /// including its `label` and `queue_wait` — and appear in
-    /// [`drain`](Self::drain) like any other submission. Requests
-    /// submitted *after* the leader finished start a fresh job (which the
-    /// session caches then serve).
+    /// including its `label` and `queue_wait`. A request adopts a job
+    /// only after comparing the whole request, not just its coalescing
+    /// key; one whose key collides with a different in-flight request
+    /// runs as its own job. Requests submitted *after* the leader
+    /// finished start a fresh job (which the session caches then serve).
     pub fn submit_shared(&self, request: CompileRequest) -> JobHandle {
-        let topology = request
+        let device = request
             .device
             .as_ref()
             .unwrap_or_else(|| self.core.target.topology());
-        let key = coalesce_key(&request, topology);
-        let label = request.label.clone();
+        let spec = coalesce_spec(&request);
+        let key = fnv1a_mix(fnv1a(&spec), shape_key(&request.circuit, device));
 
         // Decide leader-vs-follower and (for a leader) publish the slot
         // under one lock, so two identical concurrent submissions can
-        // never both become leaders.
-        let state = {
+        // never both become leaders and no follower joins a filled slot.
+        let (state, retire) = {
             let mut map = self.inflight.map.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(existing) = map.get(&key) {
-                let state = Arc::clone(existing);
-                drop(map);
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                self.core.metrics.requests.inc();
-                self.core.metrics.coalesce_follower.inc();
-                self.core
-                    .events
-                    .emit(&Event::new("session.coalesced").field("label", label.as_str()));
-                self.track(&state);
-                return JobHandle { label, state };
+            match map.get(&key) {
+                Some(leader) if leader.computes(&request.circuit, device, &spec) => {
+                    leader.state.handles.fetch_add(1, Ordering::SeqCst);
+                    let state = Arc::clone(&leader.state);
+                    drop(map);
+                    self.core.metrics.requests.inc();
+                    self.core.metrics.coalesce_follower.inc();
+                    self.core.events.emit(
+                        &Event::new("session.coalesced").field("label", request.label.as_str()),
+                    );
+                    return JobHandle { state };
+                }
+                // A different request under the same key: it runs on its
+                // own, outside the index.
+                Some(_) => (Arc::new(HandleState::new()), None),
+                None => {
+                    let state = Arc::new(HandleState::new());
+                    let leader = Leader {
+                        circuit: Arc::clone(&request.circuit),
+                        device: device.clone(),
+                        spec,
+                        state: Arc::clone(&state),
+                    };
+                    map.insert(key, leader);
+                    (state, Some(key))
+                }
             }
-            let state = Arc::new(HandleState::new());
-            map.insert(key, Arc::clone(&state));
-            state
         };
         let id = self.admit();
         self.core.metrics.coalesce_leader.inc();
-        self.track(&state);
-        self.enqueue(request, id, Arc::clone(&state), Some(key));
-        JobHandle { label, state }
-    }
-
-    /// Number of requests that were coalesced onto another job's compile
-    /// (followers only — the job itself is not counted) since the session
-    /// opened.
-    pub fn coalesced_jobs(&self) -> usize {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Registers a handle in the current drain batch.
-    fn track(&self, state: &Arc<HandleState>) {
-        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        pending.started.get_or_insert_with(Instant::now);
-        pending.jobs.push(Arc::clone(state));
+        self.enqueue(request, id, Arc::clone(&state), retire);
+        JobHandle { state }
     }
 
     /// Hands a request to the worker pool. `retire` carries the coalescing
@@ -969,68 +909,34 @@ impl Session {
         }
     }
 
-    /// Submits a whole batch, returning one handle per request in order.
-    pub fn submit_all(&self, requests: impl IntoIterator<Item = CompileRequest>) -> Vec<JobHandle> {
-        requests.into_iter().map(|r| self.submit(r)).collect()
-    }
-
-    /// Blocks until every request submitted since the previous drain has
-    /// finished and returns their results (in submission order) with
-    /// aggregate cache statistics. The session stays open: submitting
-    /// after a drain starts the next batch.
-    pub fn drain(&self) -> ServiceReport {
-        let batch = {
-            let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-            std::mem::take(&mut *pending)
-        };
-        let outcomes: Vec<Result<CompileResponse, Error>> = batch
-            .jobs
-            .into_iter()
-            .map(|state| state.wait_take())
-            .collect();
-        let wall_time = batch.started.map(|t| t.elapsed()).unwrap_or(Duration::ZERO);
-
-        let route_hits = outcomes
-            .iter()
-            .filter(|o| o.as_ref().is_ok_and(|r| r.route_cache_hit))
-            .count();
-        let route_misses = outcomes
-            .iter()
-            .filter(|o| o.as_ref().is_ok_and(|r| !r.route_cache_hit))
-            .count();
-        let disk_hits = outcomes
-            .iter()
-            .filter(|o| o.as_ref().is_ok_and(|r| r.disk == DiskStatus::Hit))
-            .count();
-        let disk_misses = outcomes
-            .iter()
-            .filter(|o| o.as_ref().is_ok_and(|r| r.disk == DiskStatus::Miss))
-            .count();
-
-        // Publish every measured residual table — including ones measured
-        // outside this batch — so the next process starts warm.
-        if let Some(store) = self.core.target.store() {
-            self.core.target.calib().save_to(store);
-        }
-        let calib_runs = self.core.target.calib().calibration_runs();
-        let calibration_runs = calib_runs - self.calib_mark.swap(calib_runs, Ordering::Relaxed);
-
-        ServiceReport {
-            outcomes,
-            wall_time,
-            route_hits,
-            route_misses,
-            disk_hits,
-            disk_misses,
-            calibration_runs,
-        }
-    }
-
-    /// Convenience: [`submit_all`](Self::submit_all) followed by
-    /// [`drain`](Self::drain) — the one-call shape suite workloads use.
+    /// Submits `requests`, waits on exactly their handles and returns
+    /// their results in submission order with aggregate cache
+    /// statistics — the one-call shape suite workloads use. Each run
+    /// reports only its own jobs, so concurrent runs on one session never
+    /// see each other's.
     pub fn run(&self, requests: impl IntoIterator<Item = CompileRequest>) -> ServiceReport {
-        self.submit_all(requests);
-        self.drain()
+        let started = Instant::now();
+        let calib = self.core.target.calib();
+        let calib_before = calib.calibration_runs();
+        let handles: Vec<JobHandle> = requests.into_iter().map(|r| self.submit(r)).collect();
+        let outcomes: Vec<Result<CompileResponse, Error>> =
+            handles.into_iter().map(JobHandle::wait).collect();
+        let wall_time = started.elapsed();
+        let count = |pick: fn(&CompileResponse) -> bool| {
+            outcomes
+                .iter()
+                .filter(|o| o.as_ref().is_ok_and(pick))
+                .count()
+        };
+        ServiceReport {
+            wall_time,
+            route_hits: count(|r| r.route_cache_hit),
+            route_misses: count(|r| !r.route_cache_hit),
+            disk_hits: count(|r| r.disk == DiskStatus::Hit),
+            disk_misses: count(|r| r.disk == DiskStatus::Miss),
+            calibration_runs: calib.calibration_runs() - calib_before,
+            outcomes,
+        }
     }
 
     /// Number of distinct circuit × device shapes the session's routing
@@ -1072,6 +978,21 @@ mod tests {
         )
     }
 
+    fn followers(session: &Session) -> Option<u64> {
+        session
+            .metrics()
+            .snapshot()
+            .counter("session.coalesce.follower")
+    }
+
+    fn labels(report: &ServiceReport) -> Vec<&str> {
+        report
+            .outcomes
+            .iter()
+            .map(|o| o.as_ref().expect("compiled").label.as_str())
+            .collect()
+    }
+
     #[test]
     fn synchronous_compile_round_trips() {
         let session = session();
@@ -1085,24 +1006,53 @@ mod tests {
     }
 
     #[test]
-    fn submit_and_drain_preserve_submission_order() {
+    fn run_reports_its_own_jobs_in_submission_order() {
         let session = session();
-        for i in 0..6 {
-            session.submit(CompileRequest::new(small_circuit()).with_label(format!("job-{i}")));
-        }
-        let report = session.drain();
+        // A job submitted outside the run is not part of its report.
+        let outside = session.submit(CompileRequest::new(small_circuit()).with_label("outside"));
+        let report = session.run(
+            (0..6).map(|i| CompileRequest::new(small_circuit()).with_label(format!("job-{i}"))),
+        );
         assert_eq!(report.error_count(), 0);
-        let labels: Vec<&str> = report
-            .outcomes
-            .iter()
-            .map(|o| o.as_ref().expect("compiled").label.as_str())
-            .collect();
         assert_eq!(
-            labels,
+            labels(&report),
             ["job-0", "job-1", "job-2", "job-3", "job-4", "job-5"]
         );
-        // Draining again without new submissions is an empty batch.
-        assert!(session.drain().outcomes.is_empty());
+        assert_eq!(outside.wait().expect("fits").label, "outside");
+        // A run of nothing is an empty report.
+        assert!(session.run([]).outcomes.is_empty());
+    }
+
+    #[test]
+    fn concurrent_runs_each_report_only_their_own_jobs() {
+        let session = session();
+        let batch =
+            |prefix: &str| -> Vec<String> { (0..8).map(|i| format!("{prefix}-{i}")).collect() };
+        // Each run's request stream ends only once both runs have
+        // submitted every request, so both batches are queued before
+        // either run starts waiting.
+        let submitted = std::sync::Barrier::new(2);
+        let requests = |labels: &[String]| {
+            let batch: Vec<CompileRequest> = labels
+                .iter()
+                .map(|label| CompileRequest::new(small_circuit()).with_label(label.as_str()))
+                .collect();
+            batch.into_iter().chain(std::iter::from_fn(|| {
+                submitted.wait();
+                None
+            }))
+        };
+        let (a, b) = (batch("a"), batch("b"));
+        let (report_a, report_b) = std::thread::scope(|scope| {
+            let first = scope.spawn(|| session.run(requests(&a)));
+            let second = scope.spawn(|| session.run(requests(&b)));
+            (
+                first.join().expect("no panic"),
+                second.join().expect("no panic"),
+            )
+        });
+        assert_eq!(labels(&report_a), a);
+        assert_eq!(labels(&report_b), b);
     }
 
     #[test]
@@ -1113,20 +1063,37 @@ mod tests {
             Err(Error::Validate { job, .. }) => assert_eq!(job, "too-big"),
             other => panic!("expected Validate, got {other:?}"),
         }
-        let handle = session.submit(request);
+        let handle = session.submit(request.clone());
         assert!(matches!(handle.wait(), Err(Error::Validate { .. })));
-        let report = session.drain();
-        assert_eq!(report.error_count(), 1);
+        assert_eq!(session.run([request]).error_count(), 1);
     }
 
     #[test]
-    fn wait_then_drain_sees_the_same_result() {
-        let session = session();
-        let handle = session.submit(CompileRequest::new(small_circuit()));
-        let waited = handle.wait().expect("fits");
-        let report = session.drain();
-        let drained = report.outcomes[0].as_ref().expect("fits");
-        assert_eq!(waited.compiled, drained.compiled);
+    fn wait_moves_the_result_unless_a_follower_shares_it() {
+        // One worker busy with an unrelated job, so all three shared
+        // submissions find the leader in flight.
+        let session = Session::with_threads(
+            Target::builder()
+                .topology(Topology::grid(2, 2))
+                .build()
+                .expect("no store"),
+            1,
+        );
+        let stuffer = session.submit(CompileRequest::new(small_circuit()).with_label("stuffer"));
+        let leader = session.submit_shared(CompileRequest::new(small_circuit()));
+        let dropped = session.submit_shared(CompileRequest::new(small_circuit()));
+        let follower = session.submit_shared(CompileRequest::new(small_circuit()));
+        let slot = Arc::clone(&leader.state);
+        drop(dropped);
+        stuffer.wait().expect("fits");
+
+        // The leader's handle still shares the slot: the follower copies.
+        let copied = follower.wait().expect("fits");
+        assert!(slot.slot.lock().expect("not poisoned").is_some());
+        // The last handle moves the result out, leaving the slot empty.
+        let moved = leader.wait().expect("fits");
+        assert!(slot.slot.lock().expect("not poisoned").is_none());
+        assert_eq!(copied.compiled, moved.compiled);
     }
 
     #[test]
@@ -1141,20 +1108,16 @@ mod tests {
                 .expect("no store"),
             1,
         );
-        session.submit(CompileRequest::new(small_circuit()).with_label("stuffer"));
+        let stuffer = session.submit(CompileRequest::new(small_circuit()).with_label("stuffer"));
         let leader = session.submit_shared(CompileRequest::new(small_circuit()));
         let follower = session.submit_shared(CompileRequest::new(small_circuit()));
-        assert_eq!(session.coalesced_jobs(), 1);
+        assert_eq!(followers(&session), Some(1));
 
         let a = leader.wait().expect("fits");
         let b = follower.wait().expect("fits");
         assert_eq!(a.compiled, b.compiled);
         assert_eq!(a.compile_time, b.compile_time, "one execution, one clock");
-
-        // Both appear in the drain batch — coalescing drops no request.
-        let report = session.drain();
-        assert_eq!(report.outcomes.len(), 3);
-        assert_eq!(report.error_count(), 0);
+        stuffer.wait().expect("fits");
 
         // The slot retired with the job: a later identical request is a
         // fresh (cache-served) job, not a stale adoption.
@@ -1162,7 +1125,7 @@ mod tests {
             .submit_shared(CompileRequest::new(small_circuit()))
             .wait()
             .expect("fits");
-        assert_eq!(session.coalesced_jobs(), 1);
+        assert_eq!(followers(&session), Some(1));
     }
 
     #[test]
@@ -1174,7 +1137,7 @@ mod tests {
         let b = session.submit_shared(CompileRequest::new(other));
         let (a, b) = (a.wait().expect("fits"), b.wait().expect("fits"));
         assert_ne!(a.compiled.plan, b.compiled.plan);
-        assert_eq!(session.coalesced_jobs(), 0);
+        assert_eq!(followers(&session), Some(0));
     }
 
     #[test]

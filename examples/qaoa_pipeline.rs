@@ -4,9 +4,9 @@
 //! pulses nor ZZ-aware scheduling alone recovers the fidelity that the
 //! co-optimization reaches.
 //!
-//! The four configurations go through one non-blocking [`Session`] queue
-//! and come back in submission order with their fidelities evaluated by
-//! the workers.
+//! The four configurations go through one [`Session::run`] on the
+//! session's worker queue and come back in submission order with their
+//! fidelities evaluated by the workers.
 //!
 //! Run with: `cargo run --example qaoa_pipeline --release`
 
@@ -35,16 +35,17 @@ fn main() -> Result<(), zz_service::Error> {
         "configuration", "layers", "time (ns)", "fidelity"
     );
 
+    let mut requests = Vec::new();
     for method in [PulseMethod::Gaussian, PulseMethod::Pert] {
         for sched in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
-            session.submit(
+            requests.push(
                 CompileRequest::shared(Arc::clone(&circuit))
                     .with_options(CompileOptions::new(method, sched))
                     .with_eval(EvalSpec::paper_default()),
             );
         }
     }
-    for outcome in session.drain().outcomes {
+    for outcome in session.run(requests).outcomes {
         let response = outcome?;
         println!(
             "{:<32} {:>8} {:>10.0} {:>10.4}",

@@ -19,22 +19,19 @@
 //! # Ok::<(), zz_service::Error>(())
 //! ```
 //!
-//! For many circuits at once, submit non-blocking requests and collect
-//! them in order — the session's workers share one calibration cache and
-//! one routing memo:
+//! For many circuits at once, run them as one batch and collect the
+//! results in order — the session's workers share one calibration cache
+//! and one routing memo:
 //!
 //! ```
 //! use zz_circuit::bench::{BenchmarkKind, generate};
 //! use zz_service::{CompileOptions, CompileRequest, PulseMethod, Session, Target};
 //!
 //! let session = Session::new(Target::paper_default());
-//! for m in [PulseMethod::Gaussian, PulseMethod::Pert] {
-//!     session.submit(
-//!         CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7))
-//!             .with_options(CompileOptions::default().with_method(m)),
-//!     );
-//! }
-//! let report = session.drain();
+//! let report = session.run([PulseMethod::Gaussian, PulseMethod::Pert].map(|m| {
+//!     CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7))
+//!         .with_options(CompileOptions::default().with_method(m))
+//! }));
 //! assert_eq!(report.error_count(), 0);
 //! println!("{report}");
 //! ```

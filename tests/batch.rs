@@ -102,8 +102,7 @@ fn calibration_runs_at_most_once_per_method_per_process() {
         runs_before <= PulseMethod::ALL.len(),
         "at most one measurement per method per process, got {runs_before}"
     );
-    // A session's report counts the measurements since it opened (or
-    // last drained), so it opens after the slots are filled.
+    // A run's report counts the measurements made while it lasted.
     let session = session(Topology::grid(2, 2));
 
     // First batch: every method is already cached — zero new measurements,

@@ -215,35 +215,6 @@ fn unwritable_cache_dir_degrades_to_in_memory_compilation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn calib_cache_snapshots_roundtrip_through_a_store() {
-    let dir = scratch_dir("calib-snapshot");
-    let store = ArtifactStore::at(&dir);
-
-    let source = CalibCache::new();
-    source.residuals(PulseMethod::Gaussian);
-    source.residuals(PulseMethod::Pert);
-    assert_eq!(source.calibration_runs(), 2);
-    assert_eq!(source.save_to(&store), 2);
-
-    // A fresh cache imports both tables from disk without measuring.
-    let restored = CalibCache::new();
-    assert_eq!(restored.load_from(&store), 2);
-    assert_eq!(restored.calibration_runs(), 0);
-    for m in [PulseMethod::Gaussian, PulseMethod::Pert] {
-        assert_eq!(restored.peek(m), Some(source.residuals(m)), "{m}");
-    }
-    // Unmeasured methods stay empty, and importing over a filled slot is a
-    // no-op (already-measured tables win).
-    assert_eq!(restored.peek(PulseMethod::Dcg), None);
-    assert_eq!(restored.import(&source.snapshot()), 0);
-
-    // A store without a snapshot is a silent no-op.
-    let empty = ArtifactStore::at(dir.join("empty"));
-    assert_eq!(CalibCache::new().load_from(&empty), 0);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Recursively lists the files under `dir`.
 fn walk(dir: &PathBuf) -> Vec<PathBuf> {
     let mut out = Vec::new();

@@ -51,10 +51,9 @@ fn hundred_qubit_circuits_compile_through_the_session() {
     assert!(summary.residual_zz_weight >= 0.0);
     assert!(summary.mean_nq >= 0.0 && summary.mean_nc >= 0.0);
 
-    // Queued path: the same request through submit/drain.
+    // Queued path: the same request through submit/wait.
     let handle = session.submit(request);
     assert!(handle.wait().is_ok());
-    session.drain();
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! * **Typed error paths** — oversized circuits, unwritable cache
 //!   directories, degenerate evaluation specs and failing jobs inside
-//!   `drain` come back as typed `zz_service::Error` variants, never as
+//!   `run` come back as typed `zz_service::Error` variants, never as
 //!   panics, through both the synchronous and the queued paths.
 //! * **Legacy equivalence** — one shared session compiles the full
 //!   `(PulseMethod, SchedulerKind)` matrix and non-default (α, k, R)
@@ -11,6 +11,10 @@
 //!   through both the synchronous and the submit/wait paths.
 //! * **Evaluation equivalence** — a request's in-queue fidelity matches
 //!   `evaluate::fidelity_of` exactly.
+//! * **Digest collisions** — two circuits that differ only in their
+//!   angles' signs share `content_digest` and `shape_key`; coalescing,
+//!   the route memo and the whole-plan store each still give every
+//!   circuit its own plan.
 //!
 //! What the pipeline compiles is also checked against the pre-pipeline
 //! reference in `tests/pipeline.rs`.
@@ -21,10 +25,12 @@ use std::sync::Arc;
 
 use common::{codec_digest, matrix_cases, parameter_cases, CompileCase, PINNED_COMPILES};
 use zz_circuit::bench::{generate, BenchmarkKind};
-use zz_circuit::Circuit;
+use zz_circuit::{Circuit, Gate};
+use zz_core::calib::CalibCache;
 use zz_core::evaluate::{fidelity_of, EvalConfig};
+use zz_core::pipeline::shape_key;
 use zz_core::{CoOptError, CompileOptions};
-use zz_service::{CompileRequest, Error, EvalSpec, Session, Target};
+use zz_service::{CompileRequest, DiskStatus, Error, EvalSpec, Session, Target};
 use zz_sim::density::Decoherence;
 use zz_topology::Topology;
 
@@ -47,7 +53,6 @@ fn assert_session_matches_the_legacy_facades(cases: Vec<CompileCase>) {
         let request = CompileRequest::new(circuit).with_options(options);
         let via_session = session.compile(&request).expect("fits").compiled;
         let via_queue = session.submit(request).wait().expect("fits").compiled;
-        session.drain();
 
         let legacy = PINNED_COMPILES
             .iter()
@@ -142,9 +147,9 @@ fn degenerate_decoherence_specs_are_typed_eval_errors() {
             other => panic!("expected Eval naming {field}, got {other:?}"),
         };
         check(session.compile(&request));
-        check(session.submit(request).wait());
+        check(session.submit(request.clone()).wait());
+        check(session.run([request]).outcomes.remove(0));
     }
-    assert_eq!(session.drain().error_count(), 4);
 
     // Infinite times mean no decoherence and stay valid.
     let infinite = Decoherence {
@@ -247,7 +252,6 @@ fn oversized_circuits_are_typed_validate_errors_never_panics() {
     // Queued path: the same typed error through the handle.
     let handle = session.submit(request);
     assert!(matches!(handle.wait(), Err(Error::Validate { .. })));
-    session.drain();
 
     // Target construction no longer rejects large devices: beyond the
     // paper's 12-qubit evaluation sub-grids, `for_qubits` scales to a
@@ -272,18 +276,18 @@ fn unwritable_cache_dir_is_a_typed_persist_error() {
 }
 
 #[test]
-fn failing_jobs_inside_drain_are_reported_in_order_not_panicking() {
+fn failing_jobs_inside_run_are_reported_in_order_not_panicking() {
     let session = Session::new(
         Target::builder()
             .topology(Topology::grid(2, 2))
             .build()
             .expect("no store"),
     );
-    session.submit(CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7)).with_label("ok-1"));
-    session.submit(CompileRequest::new(Circuit::new(9)).with_label("too-big"));
-    session.submit(CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7)).with_label("ok-2"));
-
-    let report = session.drain();
+    let report = session.run([
+        CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7)).with_label("ok-1"),
+        CompileRequest::new(Circuit::new(9)).with_label("too-big"),
+        CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7)).with_label("ok-2"),
+    ]);
     assert_eq!(report.outcomes.len(), 3);
     assert_eq!(report.error_count(), 1);
     assert!(report.outcomes[0].is_ok());
@@ -310,16 +314,154 @@ fn sweeps_share_one_routing_pass_through_the_session_memo() {
         1, // deterministic hit/miss split
     );
     let circuit = Arc::new(generate(BenchmarkKind::Qaoa, 9, 7));
-    for alpha in [0.0, 0.25, 0.5, 1.0] {
-        session.submit(
-            CompileRequest::shared(Arc::clone(&circuit))
-                .with_options(CompileOptions::default().with_alpha(alpha))
-                .with_label(format!("alpha-{alpha}")),
-        );
-    }
-    let report = session.drain();
+    let report = session.run([0.0, 0.25, 0.5, 1.0].map(|alpha| {
+        CompileRequest::shared(Arc::clone(&circuit))
+            .with_options(CompileOptions::default().with_alpha(alpha))
+            .with_label(format!("alpha-{alpha}"))
+    }));
     assert_eq!(report.error_count(), 0, "{report}");
     assert_eq!(report.route_misses, 1, "{report}");
     assert_eq!(report.route_hits, 3, "{report}");
     assert_eq!(session.memoized_shapes(), 1);
+}
+
+/// A session with no store on the 2×2 grid.
+fn grid_session(threads: usize) -> Session {
+    Session::with_threads(
+        Target::builder()
+            .topology(Topology::grid(2, 2))
+            .build()
+            .expect("no store"),
+        threads,
+    )
+}
+
+/// `H q0; Rz(0.3) q0; CX q0,q1; Rz(0.7) q1` and the same circuit with
+/// both angles negated. Word-wise FNV-1a never carries a difference in a
+/// word's high bits (here the sign) into its low bits, so the two
+/// circuits share `content_digest` and `shape_key`.
+fn colliding_pair() -> (Circuit, Circuit) {
+    let build = |sign: f64| {
+        let mut c = Circuit::new(2);
+        c.push(Gate::H, &[0])
+            .push(Gate::Rz(sign * 0.3), &[0])
+            .push(Gate::Cnot, &[0, 1])
+            .push(Gate::Rz(sign * 0.7), &[1]);
+        c
+    };
+    let (a, b) = (build(1.0), build(-1.0));
+    assert_ne!(a, b);
+    let grid = Topology::grid(2, 2);
+    assert_eq!(shape_key(&a, &grid), shape_key(&b, &grid), "no collision");
+    (a, b)
+}
+
+/// The plan a fresh, store-less session compiles for `circuit`.
+fn fresh_plan(circuit: &Circuit) -> zz_service::Compiled {
+    grid_session(1)
+        .compile(&CompileRequest::new(circuit.clone()))
+        .expect("fits")
+        .compiled
+}
+
+#[test]
+fn coalescing_adopts_only_an_identical_request() {
+    let (a, b) = colliding_pair();
+    // One worker busy with an unrelated job: the second shared request
+    // finds the first still in flight under the same coalescing key.
+    let session = grid_session(1);
+    let stuffer = session.submit(CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7)));
+    let first = session.submit_shared(CompileRequest::new(a.clone()).with_label("a"));
+    let second = session.submit_shared(CompileRequest::new(b.clone()).with_label("b"));
+    stuffer.wait().expect("fits");
+    let (first, second) = (first.wait().expect("fits"), second.wait().expect("fits"));
+
+    assert_eq!(first.label, "a");
+    assert_eq!(second.label, "b", "b adopted a's job");
+    assert_eq!(
+        session
+            .metrics()
+            .snapshot()
+            .counter("session.coalesce.follower"),
+        Some(0)
+    );
+    assert_eq!(first.compiled, fresh_plan(&a));
+    assert_eq!(second.compiled, fresh_plan(&b));
+    assert_ne!(first.compiled, second.compiled);
+}
+
+#[test]
+fn route_memo_keeps_colliding_circuits_apart() {
+    let (a, b) = colliding_pair();
+    let session = grid_session(1);
+    let report = session.run([&a, &b].map(|c| CompileRequest::new(c.clone())));
+    assert_eq!(report.error_count(), 0, "{report}");
+    assert_eq!(report.route_misses, 2, "{report}");
+    assert_eq!(session.memoized_shapes(), 2, "one memo slot per circuit");
+    for (response, circuit) in report.successes().zip([&a, &b]) {
+        assert_eq!(response.compiled, fresh_plan(circuit));
+    }
+}
+
+#[test]
+fn whole_plan_store_rejects_a_colliding_artifact() {
+    let (a, b) = colliding_pair();
+    let dir = std::env::temp_dir().join(format!("zz-service-it-collision-{}", std::process::id()));
+    let session = Session::new(
+        Target::builder()
+            .topology(Topology::grid(2, 2))
+            .store_dir(&dir)
+            .calib_cache(Arc::new(CalibCache::new()))
+            .build()
+            .expect("scratch directory is writable"),
+    );
+    let first = session
+        .compile(&CompileRequest::new(a.clone()))
+        .expect("fits");
+    assert_eq!(first.disk, DiskStatus::Miss);
+    // Both circuits key the same artifact: the second reads the first
+    // one's, rejects it and compiles (and publishes) its own plan.
+    let second = session
+        .compile(&CompileRequest::new(b.clone()))
+        .expect("fits");
+    let artifacts = std::fs::read_dir(dir.join("compiled"))
+        .expect("plans were published")
+        .count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(artifacts, 1, "the pair shares one artifact key");
+    assert_eq!(second.disk, DiskStatus::Miss);
+    assert_eq!(first.compiled, fresh_plan(&a));
+    assert_eq!(second.compiled, fresh_plan(&b));
+}
+
+/// Evaluation is timed on its own, so a density-matrix evaluation (≤ 8
+/// device qubits with decoherence), which reports no engine work, still
+/// shows in the session registry.
+#[test]
+fn evaluation_time_is_recorded_on_its_own() {
+    let session = grid_session(1);
+    let circuit = generate(BenchmarkKind::Qft, 4, 7);
+    let eval_count = |session: &Session| {
+        session
+            .metrics()
+            .snapshot()
+            .histogram("session.eval.wall_us")
+            .expect("eval histogram registered")
+            .count
+    };
+    session
+        .compile(&CompileRequest::new(circuit.clone()))
+        .expect("fits");
+    assert_eq!(eval_count(&session), 0, "a compile alone evaluates nothing");
+
+    let spec = EvalSpec::paper_default()
+        .with_seeds(vec![11])
+        .with_decoherence_us(50.0, 24);
+    let response = session
+        .compile(&CompileRequest::new(circuit).with_eval(spec))
+        .expect("fits");
+    assert!(response.fidelity.is_some());
+    assert_eq!(eval_count(&session), 1);
+    let snapshot = session.metrics().snapshot();
+    assert_eq!(snapshot.counter("engine.trajectories"), Some(0));
 }
