@@ -10,9 +10,9 @@ use crate::{Circuit, Gate};
 /// A routing failure: no coupling path exists between two physical qubits.
 ///
 /// [`Topology`] validates connectivity at construction, so this cannot occur
-/// for in-tree devices — it exists so a violated invariant (e.g. a buggy
-/// pluggable routing backend handing over a disconnected graph) surfaces as
-/// a typed error instead of panicking a service worker.
+/// for in-tree devices — it exists so a violated invariant (e.g. a
+/// disconnected coupling graph handed to [`try_route_with`]) surfaces as a
+/// typed error instead of panicking a service worker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RouteError {
     /// The physical qubit the two-qubit gate starts from.

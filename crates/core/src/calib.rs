@@ -19,7 +19,7 @@ use std::sync::OnceLock;
 use zz_persist::{fnv1a, ArtifactKind, ArtifactStore};
 use zz_pulse::khz;
 use zz_pulse::library::{id_drive, x90_drive, zx90_drive, PulseMethod};
-use zz_pulse::systems::{infidelity_2q, residual_zz_rate, residual_zz_rate_2q, GateSide};
+use zz_pulse::systems::{residual_zz_rate, residual_zz_rate_2q, GateSide};
 use zz_sim::executor::ResidualTable;
 
 /// The calibration crosstalk strength (the paper's device value).
@@ -27,22 +27,16 @@ pub fn calibration_lambda() -> f64 {
     khz(200.0)
 }
 
-/// Measures the full residual table of a method from scratch at the
-/// paper's calibration strength (pulse-level simulation; a few ms per
-/// call).
+/// Measures the full residual table of a method from scratch at
+/// crosstalk strength `lambda` (pulse-level simulation; a few ms per
+/// call). The fleet layer characterizes each backend at *its*
+/// currently-believed `λ`, so physically distinct devices (and drifted
+/// recalibrations of the same device) get genuinely different tables.
 ///
 /// Each entry is a conditional-phase residual normalized by `λ`: the
 /// fraction of crosstalk a neighbor still sees while the given pulse plays.
 /// DCG has no two-qubit sequence (paper Sec 7.2.2); its `ZX90` entries fall
 /// back to the Gaussian pulse's.
-pub fn measure_residuals(method: PulseMethod) -> ResidualTable {
-    measure_residuals_at(method, calibration_lambda())
-}
-
-/// Like [`measure_residuals`], at an explicit crosstalk strength — the
-/// fleet layer characterizes each backend at *its* currently-believed
-/// `λ`, so physically distinct devices (and drifted recalibrations of
-/// the same device) get genuinely different tables.
 pub fn measure_residuals_at(method: PulseMethod, lambda: f64) -> ResidualTable {
     let x90 = x90_drive(method);
     let id = id_drive(method);
@@ -101,11 +95,15 @@ impl CalibCache {
     }
 
     /// Creates an empty cache that characterizes at the given crosstalk
-    /// strength and calibration epoch. Epoch 0 with the paper's
-    /// [`calibration_lambda`] reproduces [`new`](Self::new) exactly
-    /// (same measurements, same disk keys); any other `(λ, epoch)` pair
-    /// measures at `λ` and keys its artifacts by both, so recalibrating
-    /// a drifted device can never serve — or be served — stale tables.
+    /// strength and calibration epoch. It measures at `λ` and keys its
+    /// residual tables by `λ` and epoch, and it salts every compiled-plan
+    /// key with both ([`salt_compiled_key`](Self::salt_compiled_key)), so
+    /// recalibrating a drifted device can never serve — or be served —
+    /// stale tables or plans. That holds at every `(λ, epoch)`: epoch 0 at
+    /// the paper's [`calibration_lambda`] (the fleet's `paper-grid`
+    /// backend before any drift) measures the same tables as
+    /// [`new`](Self::new) under the same residual keys, but its compiled
+    /// keys are salted where `new()`'s are not.
     pub fn at(lambda: f64, epoch: u64) -> Self {
         assert!(lambda > 0.0, "calibration strength must be positive");
         CalibCache {
@@ -138,10 +136,11 @@ impl CalibCache {
     }
 
     /// Salts a whole-`Compiled` artifact key with this cache's identity.
-    /// The default cache (paper `λ`, epoch 0) is the identity function,
-    /// keeping the legacy key space; any customized cache mixes its `λ`
-    /// bits and epoch in, because the compiled plan embeds the residual
-    /// table this cache measured.
+    /// For a cache from [`new`](Self::new) (its `λ` sentinel, epoch 0)
+    /// this is the identity function, keeping the legacy key space; a
+    /// cache from [`at`](Self::at) mixes its `λ` bits and epoch in, even
+    /// at the paper `λ` and epoch 0, because the compiled plan embeds the
+    /// residual table this cache measured.
     pub fn salt_compiled_key(&self, key: u64) -> u64 {
         if self.lambda == 0.0 && self.epoch == 0 {
             return key;
@@ -176,19 +175,10 @@ impl CalibCache {
     /// The cached residual table for `method`, consulting `store` before
     /// measuring: on a disk hit the table loads without counting as a
     /// calibration run; on a miss the measurement runs and its result is
-    /// persisted for the next process. With no store this is exactly
-    /// [`residuals`](Self::residuals).
-    pub fn residuals_via_store(
-        &self,
-        method: PulseMethod,
-        store: Option<&ArtifactStore>,
-    ) -> ResidualTable {
-        self.residuals_traced(method, store).0
-    }
-
-    /// Like [`residuals_via_store`](Self::residuals_via_store), but also
-    /// reports *how* the table was obtained — the pipeline's pulse stage
-    /// records this in its [`crate::pipeline::PipelineTrace`]:
+    /// persisted for the next process. With no store this measures
+    /// exactly as [`residuals`](Self::residuals) does. Also reports *how*
+    /// the table was obtained — the pipeline's pulse stage records this
+    /// in its [`crate::pipeline::PipelineTrace`]:
     ///
     /// * [`MemoryHit`](crate::pipeline::CacheDisposition::MemoryHit) —
     ///   the slot was already measured (or loaded) in this cache;
@@ -288,14 +278,6 @@ pub fn residual_factor(method: PulseMethod) -> f64 {
     (t.x90 + t.id) / 2.0
 }
 
-/// Spectator infidelity of the method's `ZX90` pulse at the calibration
-/// strength (diagnostic; `None` when the method has no two-qubit pulse).
-pub fn zx90_spectator_infidelity(method: PulseMethod) -> Option<f64> {
-    let drive = zx90_drive(method)?;
-    let lambda = calibration_lambda();
-    Some(infidelity_2q(&drive.as_drive(), lambda, lambda, lambda))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,6 +349,20 @@ mod tests {
         assert_eq!(CalibCache::new().residual_key(PulseMethod::Pert), {
             residual_artifact_key(PulseMethod::Pert)
         });
+    }
+
+    #[test]
+    fn every_cache_built_at_a_strength_salts_compiled_keys() {
+        let key = 0x1234_5678_9abc_def0;
+        assert_eq!(CalibCache::new().salt_compiled_key(key), key);
+        // Epoch 0 at the paper strength shares `new()`'s residual keys
+        // (above) but not its compiled keys.
+        let paper = CalibCache::at(calibration_lambda(), 0);
+        assert_ne!(paper.salt_compiled_key(key), key);
+        assert_ne!(
+            paper.salt_compiled_key(key),
+            CalibCache::at(calibration_lambda(), 1).salt_compiled_key(key)
+        );
     }
 
     #[test]

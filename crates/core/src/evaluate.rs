@@ -17,6 +17,12 @@ use crate::Compiled;
 /// The largest evaluation device of the paper (the 3×4 grid).
 pub const MAX_EVAL_QUBITS: usize = 12;
 
+/// The Monte-Carlo trajectory seed of every built-in decoherence spec:
+/// [`EvalConfig::with_decoherence_us`], the service's `EvalSpec` and the
+/// fleet's scoring and ground truth. Each crosstalk seed is XORed into
+/// it, so every disorder sample draws its own trajectories.
+pub const DECOHERENCE_SEED: u64 = 97;
+
 /// The smallest evaluation sub-grid holding `n` qubits, or `None` when
 /// `n` exceeds the paper's largest device ([`MAX_EVAL_QUBITS`]).
 ///
@@ -72,7 +78,7 @@ impl EvalConfig {
     /// Adds decoherence (`T1 = T2 = t` µs) with the given trajectory count
     /// (used only above the exact-density-matrix register size).
     pub fn with_decoherence_us(mut self, t: f64, trajectories: usize) -> Self {
-        self.decoherence = Some((Decoherence::equal_us(t), trajectories, 97));
+        self.decoherence = Some((Decoherence::equal_us(t), trajectories, DECOHERENCE_SEED));
         self
     }
 
@@ -174,7 +180,7 @@ pub fn evaluate(compiled: &Compiled, cfg: &EvalConfig) -> (f64, EngineStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PassManager, PulseMethod, SchedulerKind};
+    use crate::{CompileOptions, PassManager, PulseMethod, SchedulerKind};
     use std::sync::Arc;
     use zz_circuit::bench::{generate, BenchmarkKind};
 
@@ -196,8 +202,7 @@ mod tests {
     ) -> f64 {
         let compiled = PassManager::builder()
             .topology(try_device_for(n).expect("paper size"))
-            .pulse_method(method)
-            .scheduler(scheduler)
+            .options(CompileOptions::new(method, scheduler))
             .build()
             .run(Arc::new(generate(kind, n, cfg.circuit_seed)))
             .expect("fits")

@@ -29,7 +29,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use zz_core::{PassManager, PulseMethod, SchedulerKind};
+//! use zz_core::{CompileOptions, PassManager, PulseMethod, SchedulerKind};
 //! use zz_circuit::bench::{generate, BenchmarkKind};
 //! use zz_topology::Topology;
 //!
@@ -37,8 +37,7 @@
 //! let compile = |method, scheduler| {
 //!     PassManager::builder()
 //!         .topology(Topology::grid(3, 4))
-//!         .pulse_method(method)
-//!         .scheduler(scheduler)
+//!         .options(CompileOptions::new(method, scheduler))
 //!         .build()
 //!         .run(Arc::clone(&circuit))
 //! };

@@ -7,17 +7,17 @@
 //! engine default" ([`DEFAULT_ALPHA`], [`DEFAULT_K`], and the
 //! topology-derived paper requirement respectively), so a request
 //! overrides just the knobs it names.
+//!
+//! The same struct configures a `PassManager`, keys and verifies the
+//! whole-plan disk artifact, and crosses the wire: its one codec
+//! (`zz_core::persist`) writes method, scheduler, α, k and R in that
+//! order, each knob as given.
 
 use zz_pulse::library::PulseMethod;
 use zz_sched::zzx::Requirement;
+pub use zz_sched::zzx::{DEFAULT_ALPHA, DEFAULT_K};
 
 use crate::SchedulerKind;
-
-/// The default NQ-vs-NC weight α of Algorithm 1.
-pub const DEFAULT_ALPHA: f64 = 0.5;
-
-/// The default top-k path-relaxing budget of Algorithm 1.
-pub const DEFAULT_K: usize = 3;
 
 /// The pulse/scheduling configuration of one compile request (carried by
 /// the service layer's `CompileRequest`).

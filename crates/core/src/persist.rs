@@ -4,15 +4,17 @@
 //!
 //! The codec and store themselves live in [`zz_persist`]; this module only
 //! contributes what the orphan rule requires to live here (impls for
-//! [`Compiled`] and [`SchedulerKind`]) plus the key functions that bind
+//! [`Compiled`], [`SchedulerKind`] and [`CompileOptions`], the wire and
+//! coalescing form of a request) plus the key functions that bind
 //! artifacts to the *meaning* of a compilation request:
 //!
 //! * a **native artifact** is keyed by [`crate::pipeline::shape_key`]
 //!   (circuit digest × device shape) — routing depends on nothing else;
 //! * a **compiled artifact** additionally mixes in every scheduling
-//!   parameter ([`compiled_artifact_key`]) — pulse method, scheduler,
-//!   `α`, `k` and the suppression requirement — so two jobs share a cached
-//!   plan exactly when a sequential compile would produce identical bits.
+//!   parameter of the [`CompileOptions`] ([`compiled_artifact_key`]) —
+//!   pulse method, scheduler, `α`, `k` and the suppression requirement —
+//!   so two jobs share a cached plan exactly when a sequential compile
+//!   would produce identical bits.
 //!
 //! The schema version of `zz_persist` stamps every container; key meaning
 //! is additionally pinned by `tests/golden_keys.rs`, which fails whenever
@@ -25,7 +27,7 @@ use zz_sched::{GateDurations, SchedulePlan};
 use zz_sim::executor::ResidualTable;
 use zz_topology::Topology;
 
-use crate::{Compiled, PulseMethod, SchedulerKind};
+use crate::{CompileOptions, Compiled, PulseMethod, SchedulerKind};
 
 /// Revision stamp of the *compilation pipeline's observable output*,
 /// mixed into every disk key that caches pipeline results. Bump it when
@@ -49,6 +51,30 @@ impl Decode for SchedulerKind {
             0 => SchedulerKind::ParSched,
             1 => SchedulerKind::ZzxSched,
             _ => return Err(DecodeError::Invalid("scheduler tag")),
+        })
+    }
+}
+
+/// Each knob as given: an unset α, k or R encodes as `None`, not as the
+/// default it resolves to.
+impl Encode for CompileOptions {
+    fn encode(&self, out: &mut Encoder) {
+        self.method.encode(out);
+        self.scheduler.encode(out);
+        self.alpha.encode(out);
+        self.k.encode(out);
+        self.requirement.encode(out);
+    }
+}
+
+impl Decode for CompileOptions {
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(CompileOptions {
+            method: Decode::decode(r)?,
+            scheduler: Decode::decode(r)?,
+            alpha: Decode::decode(r)?,
+            k: Decode::decode(r)?,
+            requirement: Decode::decode(r)?,
         })
     }
 }
@@ -93,7 +119,8 @@ impl Decode for Compiled {
 }
 
 /// The payload of an on-disk `compiled/` artifact: the [`Compiled`] plan
-/// *plus the full request that produced it*. The request fields are
+/// *plus the full request that produced it*, with α and k resolved to
+/// the values the scheduler ran with. The request fields are
 /// re-verified on every load ([`matches`](Self::matches)), so a 64-bit
 /// key collision — between circuits or between scheduling parameters —
 /// costs a recompile, never a wrong plan (the same guarantee the
@@ -116,27 +143,35 @@ pub struct CompiledArtifact {
 }
 
 impl CompiledArtifact {
+    /// The artifact recording `compiled` as the answer to compiling
+    /// `circuit` under `options`.
+    pub fn new(circuit: Circuit, options: &CompileOptions, compiled: Compiled) -> Self {
+        CompiledArtifact {
+            circuit,
+            scheduler: options.scheduler,
+            alpha: options.alpha_or_default(),
+            k: options.k_or_default(),
+            requirement: options.requirement,
+            compiled,
+        }
+    }
+
     /// Whether this artifact answers exactly the given request (exact
-    /// α bit pattern; topology and method are checked against the
-    /// embedded [`Compiled`]).
-    #[allow(clippy::too_many_arguments)]
+    /// α bit pattern after defaults resolve; topology and method are
+    /// checked against the embedded [`Compiled`]).
     pub fn matches(
         &self,
         circuit: &Circuit,
         topology: &Topology,
-        method: PulseMethod,
-        scheduler: SchedulerKind,
-        alpha: f64,
-        k: usize,
-        requirement: Option<Requirement>,
+        options: &CompileOptions,
     ) -> bool {
         self.circuit == *circuit
             && self.compiled.topology == *topology
-            && self.compiled.method == method
-            && self.scheduler == scheduler
-            && self.alpha.to_bits() == alpha.to_bits()
-            && self.k == k
-            && self.requirement == requirement
+            && self.compiled.method == options.method
+            && self.scheduler == options.scheduler
+            && self.alpha.to_bits() == options.alpha_or_default().to_bits()
+            && self.k == options.k_or_default()
+            && self.requirement == options.requirement
     }
 }
 
@@ -184,27 +219,20 @@ fn scheduler_tag(scheduler: SchedulerKind) -> u64 {
 
 /// The on-disk key of a compiled plan: the routing shape key extended with
 /// every parameter the output depends on — pulse method, scheduler, exact
-/// α bit pattern, `k`, the suppression requirement (`None`, the
-/// topology-derived paper default, is keyed distinctly from any explicit
-/// requirement), the calibration strength `λ` (a plan embeds residuals
-/// measured at that strength), and [`PIPELINE_REVISION`]. Collisions are
-/// harmless: the stored [`CompiledArtifact`] re-verifies the full request
-/// on load.
-pub fn compiled_artifact_key(
-    shape: u64,
-    method: PulseMethod,
-    scheduler: SchedulerKind,
-    alpha: f64,
-    k: usize,
-    requirement: Option<Requirement>,
-) -> u64 {
+/// α bit pattern and `k` (an unset knob keys as the default it resolves
+/// to), the suppression requirement (`None`, the topology-derived paper
+/// default, is keyed distinctly from any explicit requirement), the
+/// calibration strength `λ` (a plan embeds residuals measured at that
+/// strength), and [`PIPELINE_REVISION`]. Collisions are harmless: the
+/// stored [`CompiledArtifact`] re-verifies the full request on load.
+pub fn compiled_artifact_key(shape: u64, options: &CompileOptions) -> u64 {
     let mut h = fnv1a_mix(shape, PIPELINE_REVISION as u64);
     h = fnv1a_mix(h, crate::calib::calibration_lambda().to_bits());
-    h = fnv1a_mix(h, method_tag(method));
-    h = fnv1a_mix(h, scheduler_tag(scheduler));
-    h = fnv1a_mix(h, alpha.to_bits());
-    h = fnv1a_mix(h, k as u64);
-    match requirement {
+    h = fnv1a_mix(h, method_tag(options.method));
+    h = fnv1a_mix(h, scheduler_tag(options.scheduler));
+    h = fnv1a_mix(h, options.alpha_or_default().to_bits());
+    h = fnv1a_mix(h, options.k_or_default() as u64);
+    match options.requirement {
         None => h = fnv1a_mix(h, 0),
         Some(req) => {
             h = fnv1a_mix(h, 1);
@@ -226,6 +254,7 @@ pub fn native_artifact_key(shape: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::{DEFAULT_ALPHA, DEFAULT_K};
     use crate::PassManager;
     use std::sync::Arc;
     use zz_circuit::bench::{generate, BenchmarkKind};
@@ -235,8 +264,7 @@ mod tests {
     fn compile(method: PulseMethod, scheduler: SchedulerKind) -> Compiled {
         PassManager::builder()
             .topology(Topology::grid(2, 2))
-            .pulse_method(method)
-            .scheduler(scheduler)
+            .options(CompileOptions::new(method, scheduler))
             .build()
             .run(Arc::new(generate(BenchmarkKind::Qft, 4, 7)))
             .expect("fits")
@@ -260,54 +288,22 @@ mod tests {
     fn compiled_artifact_verifies_its_request() {
         let circuit = generate(BenchmarkKind::Qft, 4, 7);
         let topo = Topology::grid(2, 2);
-        let compiled = compile(PulseMethod::Pert, SchedulerKind::ZzxSched);
-        let artifact = CompiledArtifact {
-            circuit: circuit.clone(),
-            scheduler: SchedulerKind::ZzxSched,
-            alpha: 0.5,
-            k: 3,
-            requirement: None,
-            compiled,
-        };
+        let options = CompileOptions::default();
+        let compiled = compile(options.method, options.scheduler);
+        let artifact = CompiledArtifact::new(circuit.clone(), &options, compiled);
         let back = roundtrip(&artifact).expect("roundtrip");
-        assert!(back.matches(
-            &circuit,
-            &topo,
-            PulseMethod::Pert,
-            SchedulerKind::ZzxSched,
-            0.5,
-            3,
-            None
-        ));
+        assert!(back.matches(&circuit, &topo, &options));
+        // Defaults resolve before matching: naming α = 0.5 is the same request.
+        assert!(back.matches(&circuit, &topo, &options.with_alpha(DEFAULT_ALPHA)));
         // Any drifting request field — as under a key collision — rejects.
         let mut other = circuit.clone();
         other.push(zz_circuit::Gate::X, &[0]);
-        assert!(!back.matches(
-            &other,
-            &topo,
-            PulseMethod::Pert,
-            SchedulerKind::ZzxSched,
-            0.5,
-            3,
-            None
-        ));
+        assert!(!back.matches(&other, &topo, &options));
+        assert!(!back.matches(&circuit, &topo, &options.with_alpha(0.25)));
         assert!(!back.matches(
             &circuit,
             &topo,
-            PulseMethod::Pert,
-            SchedulerKind::ZzxSched,
-            0.25,
-            3,
-            None
-        ));
-        assert!(!back.matches(
-            &circuit,
-            &topo,
-            PulseMethod::Pert,
-            SchedulerKind::ZzxSched,
-            0.5,
-            3,
-            Some(Requirement {
+            &options.with_requirement(Requirement {
                 nq_limit: 4,
                 nc_limit: 8
             })
@@ -337,64 +333,38 @@ mod tests {
     }
 
     #[test]
+    fn compile_options_roundtrip_every_knob() {
+        let tuned = CompileOptions::new(PulseMethod::Dcg, SchedulerKind::ParSched)
+            .with_alpha(0.25)
+            .with_k(5)
+            .with_requirement(Requirement {
+                nq_limit: 2,
+                nc_limit: 3,
+            });
+        for options in [CompileOptions::default(), tuned] {
+            assert_eq!(roundtrip(&options).expect("roundtrip"), options);
+        }
+    }
+
+    #[test]
     fn compiled_keys_separate_every_parameter() {
         let shape = 0x1234_5678_9abc_def0;
-        let base = compiled_artifact_key(
-            shape,
-            PulseMethod::Pert,
-            SchedulerKind::ZzxSched,
-            0.5,
-            3,
-            None,
+        let options = CompileOptions::default();
+        let base = compiled_artifact_key(shape, &options);
+        assert_eq!(
+            base,
+            compiled_artifact_key(shape, &options.with_alpha(DEFAULT_ALPHA).with_k(DEFAULT_K)),
+            "an unset knob keys as its default"
         );
         let variants = [
-            compiled_artifact_key(
-                shape ^ 1,
-                PulseMethod::Pert,
-                SchedulerKind::ZzxSched,
-                0.5,
-                3,
-                None,
-            ),
+            compiled_artifact_key(shape ^ 1, &options),
+            compiled_artifact_key(shape, &options.with_method(PulseMethod::Dcg)),
+            compiled_artifact_key(shape, &options.with_scheduler(SchedulerKind::ParSched)),
+            compiled_artifact_key(shape, &options.with_alpha(0.25)),
+            compiled_artifact_key(shape, &options.with_k(4)),
             compiled_artifact_key(
                 shape,
-                PulseMethod::Dcg,
-                SchedulerKind::ZzxSched,
-                0.5,
-                3,
-                None,
-            ),
-            compiled_artifact_key(
-                shape,
-                PulseMethod::Pert,
-                SchedulerKind::ParSched,
-                0.5,
-                3,
-                None,
-            ),
-            compiled_artifact_key(
-                shape,
-                PulseMethod::Pert,
-                SchedulerKind::ZzxSched,
-                0.25,
-                3,
-                None,
-            ),
-            compiled_artifact_key(
-                shape,
-                PulseMethod::Pert,
-                SchedulerKind::ZzxSched,
-                0.5,
-                4,
-                None,
-            ),
-            compiled_artifact_key(
-                shape,
-                PulseMethod::Pert,
-                SchedulerKind::ZzxSched,
-                0.5,
-                3,
-                Some(Requirement {
+                &options.with_requirement(Requirement {
                     nq_limit: 4,
                     nc_limit: 8,
                 }),

@@ -14,7 +14,8 @@
 //!   fixed passes ([`ValidatePass`], [`RoutePass`], [`LowerPass`]) are
 //!   plain structs; the scheduling stage is a [`SchedulerPass`] trait
 //!   object ([`ParSchedPass`] or [`ZzxSchedPass`], chosen by
-//!   [`SchedulerKind`]), and the pulse stage is [`CalibratedPulse`].
+//!   [`SchedulerKind`]), and the pulse stage attaches the method's
+//!   durations and calibrated residuals.
 //! * **A [`PassManager`] runs the sequence**, timing every pass and
 //!   recording its cache disposition into a [`PipelineTrace`], and
 //!   manages the stage-granular caches: an in-memory [`RouteMemo`]
@@ -33,15 +34,14 @@
 //!
 //! ```
 //! use zz_core::pipeline::PassManager;
-//! use zz_core::{PulseMethod, SchedulerKind};
+//! use zz_core::{CompileOptions, PulseMethod, SchedulerKind};
 //! use zz_circuit::bench::{generate, BenchmarkKind};
 //! use zz_topology::Topology;
 //! use std::sync::Arc;
 //!
 //! let manager = PassManager::builder()
 //!     .topology(Topology::grid(2, 2))
-//!     .pulse_method(PulseMethod::Pert)
-//!     .scheduler(SchedulerKind::ZzxSched)
+//!     .options(CompileOptions::new(PulseMethod::Pert, SchedulerKind::ZzxSched))
 //!     .build();
 //! let outcome = manager.run(Arc::new(generate(BenchmarkKind::Qft, 4, 7)))?;
 //! assert!(outcome.compiled.plan.layer_count() > 0);
@@ -67,6 +67,7 @@ use zz_sim::executor::ResidualTable;
 use zz_topology::Topology;
 
 use crate::calib::CalibCache;
+use crate::options::CompileOptions;
 use crate::persist::{compiled_artifact_key, native_artifact_key, CompiledArtifact};
 
 // ---------------------------------------------------------------------
@@ -178,7 +179,7 @@ pub enum Stage {
     Lower,
     /// Layer scheduling (the [`SchedulerPass`]).
     Schedule,
-    /// Pulse attachment: durations + residual lookup ([`CalibratedPulse`]).
+    /// Pulse attachment: the method's durations and calibrated residuals.
     Pulse,
 }
 
@@ -420,14 +421,11 @@ impl StageArtifact for Compiled {
 // The Pass contract and the fixed passes
 // ---------------------------------------------------------------------
 
-/// Read-only context handed to every pass: the device and the caches.
+/// Read-only context handed to every pass: the device, the routing memo
+/// and the metrics registry.
 pub struct PassCx<'a> {
     /// The device topology the pipeline compiles onto.
     pub topology: &'a Topology,
-    /// The on-disk artifact store, when configured.
-    pub store: Option<&'a ArtifactStore>,
-    /// The calibration cache serving residual lookups.
-    pub calib: &'a CalibCache,
     /// The routing memo, when the pass runs under a manager. [`RoutePass`]
     /// pulls the device's cached coupling graph from it instead of
     /// rebuilding the graph per compilation.
@@ -622,28 +620,6 @@ impl SchedulerPass for ZzxSchedPass {
     }
 }
 
-/// The pulse stage: durations from the method (DCG pulses are longer),
-/// residuals from the calibration cache — consulting the on-disk store
-/// before paying for a pulse-level measurement.
-#[derive(Clone, Copy, Debug)]
-pub struct CalibratedPulse {
-    /// The pulse method to calibrate for.
-    pub method: PulseMethod,
-}
-
-impl CalibratedPulse {
-    /// The pass's display name.
-    pub fn name(&self) -> &'static str {
-        "calibrated-pulse"
-    }
-
-    /// The method's residual table, plus how it was obtained (measured,
-    /// already in memory, or loaded from disk).
-    pub fn residuals(&self, cx: &PassCx<'_>) -> (ResidualTable, CacheDisposition) {
-        cx.calib.residuals_traced(self.method, cx.store)
-    }
-}
-
 /// The gate durations implied by a pulse method (DCG stretches its
 /// pulses; every other method uses the standard library timings).
 pub fn durations_for(method: PulseMethod) -> GateDurations {
@@ -780,18 +756,6 @@ pub fn shape_key(circuit: &Circuit, topo: &Topology) -> u64 {
 // The pass manager
 // ---------------------------------------------------------------------
 
-/// The full request a [`PassManager`] was configured from — the
-/// information needed to key and verify the whole-[`Compiled`] disk
-/// artifact.
-#[derive(Clone, Copy, Debug)]
-struct RequestSpec {
-    method: PulseMethod,
-    scheduler: SchedulerKind,
-    alpha: f64,
-    k: usize,
-    requirement: Option<Requirement>,
-}
-
 /// The result of a pipeline run: the compiled circuit plus the per-pass
 /// instrumentation.
 #[derive(Clone, Debug)]
@@ -812,14 +776,15 @@ pub struct PassManager {
     store: Option<Arc<ArtifactStore>>,
     calib: Option<Arc<CalibCache>>,
     memo: Arc<RouteMemo>,
-    request: RequestSpec,
+    /// The full request: it configures the scheduler and pulse stages,
+    /// and keys and verifies the whole-[`Compiled`] disk artifact.
+    options: CompileOptions,
     metrics: Option<Arc<Registry>>,
 }
 
 impl PassManager {
     /// Starts building a pass manager (defaults: the paper's 3×4 grid,
-    /// `Pert`, `ZZXSched`, `α = 0.5`, `k = 3`, paper requirement, no
-    /// store, process-wide calibration).
+    /// [`CompileOptions::default`], no store, process-wide calibration).
     pub fn builder() -> PassManagerBuilder {
         PassManagerBuilder::default()
     }
@@ -845,8 +810,6 @@ impl PassManager {
     fn cx(&self) -> PassCx<'_> {
         PassCx {
             topology: &self.topology,
-            store: self.store.as_deref(),
-            calib: self.calib(),
             memo: Some(&self.memo),
             metrics: self.metrics.as_deref(),
         }
@@ -904,16 +867,11 @@ impl PassManager {
         // compiled plan embeds the residual table, so a recalibrated or
         // drift-invalidated device must miss here and recompile — only
         // the calibration-independent route/native artifacts stay warm.
-        let spec = &self.request;
         let mut compiled_key = 0;
         if let Some(store) = self.store.as_deref() {
             compiled_key = self.calib().salt_compiled_key(compiled_artifact_key(
                 shape_key(&logical.circuit, &self.topology),
-                spec.method,
-                spec.scheduler,
-                spec.alpha,
-                spec.k,
-                spec.requirement,
+                &self.options,
             ));
             if let Some(artifact) =
                 store.get::<CompiledArtifact>(ArtifactKind::Compiled, compiled_key)
@@ -921,15 +879,7 @@ impl PassManager {
                 // The artifact embeds its full request; a key collision is
                 // rejected here and recompiles instead of serving a wrong
                 // plan.
-                if artifact.matches(
-                    &logical.circuit,
-                    &self.topology,
-                    spec.method,
-                    spec.scheduler,
-                    spec.alpha,
-                    spec.k,
-                    spec.requirement,
-                ) {
+                if artifact.matches(&logical.circuit, &self.topology, &self.options) {
                     trace.compiled_cache = CacheDisposition::DiskHit;
                     trace.total_wall = total.elapsed();
                     self.publish_trace(&trace);
@@ -947,14 +897,8 @@ impl PassManager {
         let compiled = self.schedule_and_pulse(&native.circuit, &mut trace);
 
         if let Some(store) = self.store.as_deref() {
-            let artifact = CompiledArtifact {
-                circuit: (*source).clone(),
-                scheduler: spec.scheduler,
-                alpha: spec.alpha,
-                k: spec.k,
-                requirement: spec.requirement,
-                compiled: compiled.clone(),
-            };
+            let artifact =
+                CompiledArtifact::new((*source).clone(), &self.options, compiled.clone());
             store.put(ArtifactKind::Compiled, compiled_key, &artifact);
         }
 
@@ -1114,22 +1058,23 @@ impl PassManager {
             registry.counter("sched.schedules").inc();
         }
 
+        // The pulse stage: durations from the method (DCG pulses are
+        // longer), residuals from the calibration cache, which consults
+        // the on-disk store before paying for a pulse-level measurement.
         let in_items = scheduled.items();
         let t0 = Instant::now();
-        let pulse = CalibratedPulse {
-            method: self.request.method,
-        };
-        let (residuals, cache) = pulse.residuals(&self.cx());
+        let method = self.options.method;
+        let (residuals, cache) = self.calib().residuals_traced(method, self.store.as_deref());
         let compiled = Compiled {
             plan: scheduled.plan,
             topology: self.topology.clone(),
-            durations: durations_for(pulse.method),
-            method: pulse.method,
+            durations: durations_for(method),
+            method,
             residuals,
         };
         trace.passes.push(PassTrace {
             stage: Stage::Pulse,
-            name: pulse.name(),
+            name: "calibrated-pulse",
             wall: t0.elapsed(),
             cache,
             input_items: in_items,
@@ -1177,11 +1122,7 @@ fn hit_traces(
 #[derive(Debug)]
 pub struct PassManagerBuilder {
     topology: Topology,
-    method: PulseMethod,
-    scheduler_kind: SchedulerKind,
-    alpha: f64,
-    k: usize,
-    requirement: Option<Requirement>,
+    options: CompileOptions,
     store: Option<Arc<ArtifactStore>>,
     calib: Option<Arc<CalibCache>>,
     memo: Option<Arc<RouteMemo>>,
@@ -1192,11 +1133,7 @@ impl Default for PassManagerBuilder {
     fn default() -> Self {
         PassManagerBuilder {
             topology: Topology::grid(3, 4),
-            method: PulseMethod::Pert,
-            scheduler_kind: SchedulerKind::ZzxSched,
-            alpha: 0.5,
-            k: 3,
-            requirement: None,
+            options: CompileOptions::default(),
             store: None,
             calib: None,
             memo: None,
@@ -1212,34 +1149,10 @@ impl PassManagerBuilder {
         self
     }
 
-    /// Sets the pulse method (default: `Pert`).
-    pub fn pulse_method(mut self, method: PulseMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Sets the scheduler (default: `ZzxSched`).
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler_kind = scheduler;
-        self
-    }
-
-    /// Sets the NQ-vs-NC weight α of Algorithm 1 (default 0.5).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
-    /// Sets the top-k path-relaxing budget of Algorithm 1 (default 3).
-    pub fn k(mut self, k: usize) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Overrides the suppression requirement `R` (default: the paper's
-    /// `NQ < max_degree`, `NC ≤ |E|/2`, derived from the device).
-    pub fn requirement(mut self, requirement: Requirement) -> Self {
-        self.requirement = Some(requirement);
+    /// Sets the request: pulse method, scheduler, α, k and `R`
+    /// (default: [`CompileOptions::default`]).
+    pub fn options(mut self, options: CompileOptions) -> Self {
+        self.options = options;
         self
     }
 
@@ -1275,26 +1188,19 @@ impl PassManagerBuilder {
 
     /// Finishes the builder.
     pub fn build(self) -> PassManager {
+        let options = self.options;
         PassManager {
             topology: self.topology,
             scheduler: scheduler_pass_for(
-                self.scheduler_kind,
-                self.alpha,
-                self.k,
-                self.requirement,
+                options.scheduler,
+                options.alpha_or_default(),
+                options.k_or_default(),
+                options.requirement,
             ),
             store: self.store,
             calib: self.calib,
             memo: self.memo.unwrap_or_default(),
-            // The full request keys (and verifies) the whole-plan disk
-            // artifact.
-            request: RequestSpec {
-                method: self.method,
-                scheduler: self.scheduler_kind,
-                alpha: self.alpha,
-                k: self.k,
-                requirement: self.requirement,
-            },
+            options,
             metrics: self.metrics,
         }
     }
@@ -1445,7 +1351,7 @@ mod tests {
         for scheduler in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
             let result = PassManager::builder()
                 .topology(Topology::grid(2, 2))
-                .scheduler(scheduler)
+                .options(CompileOptions::default().with_scheduler(scheduler))
                 .build()
                 .run(Arc::new(Circuit::new(9)));
             assert_eq!(
@@ -1475,7 +1381,7 @@ mod tests {
         c.push(Gate::H, &[0]);
         let compiled = PassManager::builder()
             .topology(Topology::line(2))
-            .pulse_method(PulseMethod::Dcg)
+            .options(CompileOptions::default().with_method(PulseMethod::Dcg))
             .build()
             .run(Arc::new(c))
             .expect("fits")
@@ -1492,7 +1398,7 @@ mod tests {
         let compile = |scheduler| {
             PassManager::builder()
                 .topology(Topology::grid(2, 3))
-                .scheduler(scheduler)
+                .options(CompileOptions::default().with_scheduler(scheduler))
                 .build()
                 .run(Arc::clone(&c))
                 .expect("fits")
@@ -1508,7 +1414,7 @@ mod tests {
         c.push(Gate::X, &[0]);
         let compiled = PassManager::builder()
             .topology(Topology::line(2))
-            .pulse_method(PulseMethod::Gaussian)
+            .options(CompileOptions::default().with_method(PulseMethod::Gaussian))
             .build()
             .run(Arc::new(c))
             .expect("fits")

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use zz_circuit::Circuit;
 use zz_core::calib::CalibCache;
-use zz_core::evaluate::{fidelity_of, EvalConfig, MAX_EVAL_QUBITS};
+use zz_core::evaluate::{fidelity_of, EvalConfig, DECOHERENCE_SEED, MAX_EVAL_QUBITS};
 use zz_obs::{Counter, Event, EventLog, Gauge, Registry};
 use zz_persist::ArtifactStore;
 use zz_service::{CompileOptions, CompileRequest, CompileResponse, EvalSpec, Session, Target};
@@ -424,7 +424,7 @@ impl Fleet {
                     decoherence: Some((
                         backend.profile.decoherence(),
                         self.config.trajectories,
-                        97,
+                        DECOHERENCE_SEED,
                     )),
                 });
                 ScoreKind::Simulated
@@ -599,7 +599,11 @@ impl Fleet {
             lambda_std: backend.profile.lambda_std,
             crosstalk_seeds: self.config.eval_seeds.clone(),
             circuit_seed: 0,
-            decoherence: Some((backend.profile.decoherence(), self.config.trajectories, 97)),
+            decoherence: Some((
+                backend.profile.decoherence(),
+                self.config.trajectories,
+                DECOHERENCE_SEED,
+            )),
         };
         config
             .check()

@@ -39,6 +39,3 @@ mod vector;
 pub use complex::c64;
 pub use matrix::Matrix;
 pub use vector::Vector;
-
-/// Default absolute tolerance used by approximate comparisons in this crate.
-pub const DEFAULT_TOL: f64 = 1e-10;

@@ -179,17 +179,6 @@ impl Matrix {
         out
     }
 
-    /// Plain transpose (no conjugation).
-    pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(j, i)] = self[(i, j)];
-            }
-        }
-        out
-    }
-
     /// Entry-wise complex conjugate.
     pub fn conj(&self) -> Matrix {
         let mut out = self.clone();

@@ -180,7 +180,7 @@ impl Client {
             Response::Compiled(compiled) => Ok(*compiled),
             Response::Busy => Err(ClientError::Busy),
             Response::ShuttingDown => Err(ClientError::ShuttingDown),
-            Response::Error(error) => Err(ClientError::Service(error.into())),
+            Response::Error(error) => Err(ClientError::Service(error)),
             Response::Malformed { detail } => Err(ClientError::Rejected(detail)),
             other => Err(unexpected(other)),
         }

@@ -1,12 +1,12 @@
 //! The request/response envelopes carried by the wire frames.
 //!
 //! A [`Request`] frame carries everything a `zz_service::CompileRequest`
-//! needs — the circuit, the full `CompileOptions` knob set, a label and
-//! an optional evaluation seed list — and a [`Response`] frame carries
-//! the compiled plan plus the cache/latency metadata of the service
-//! response, or a typed [`WireError`] mirroring every
-//! `zz_service::Error` variant. Both start with [`PROTOCOL_VERSION`], so
-//! the envelope schema can evolve independently of the byte codec
+//! needs — the circuit, the `CompileOptions` in their own encoding, a
+//! label and an optional evaluation seed list — and a [`Response`] frame
+//! carries the compiled plan plus the cache/latency metadata of the
+//! service response, or the `zz_service::Error` itself, in its own
+//! encoding. Both start with [`PROTOCOL_VERSION`], so the envelope
+//! schema can evolve independently of the byte codec
 //! (`zz_persist::SCHEMA_VERSION` stamps the container) and of the
 //! scheduler/pulse enums (which encode as open-ended tags — a new
 //! `SchedulerPass` variant ships without a protocol bump).
@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use zz_circuit::Circuit;
-use zz_core::{CoOptError, CompileOptions, Compiled};
+use zz_core::{CompileOptions, Compiled};
 use zz_obs::{saturating_micros, MetricsSnapshot, RequestId};
 use zz_persist::{Decode, DecodeError, Decoder, Encode, Encoder};
 use zz_service::{CompileRequest, CompileResponse, DiskStatus, Error, EvalSpec};
@@ -27,7 +27,9 @@ use zz_service::{CompileRequest, CompileResponse, DiskStatus, Error, EvalSpec};
 /// v2 also added [`CompiledEnvelope::request_id`], a field change.)
 ///
 /// History: v1 — initial protocol; v2 — `CompiledEnvelope` gained
-/// `request_id`, and the `Stats` request/response pair was added.
+/// `request_id`, and the `Stats` request/response pair was added. Within
+/// v2, error tag 2 (a calibration error nothing constructed) is retired
+/// and never reused; every other error encodes as before.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 fn check_protocol(r: &mut Decoder<'_>) -> Result<(), DecodeError> {
@@ -101,11 +103,7 @@ impl CompileEnvelope {
 impl Encode for CompileEnvelope {
     fn encode(&self, out: &mut Encoder) {
         self.circuit.encode(out);
-        self.options.method.encode(out);
-        self.options.scheduler.encode(out);
-        self.options.alpha.encode(out);
-        self.options.k.encode(out);
-        self.options.requirement.encode(out);
+        self.options.encode(out);
         out.str(&self.label);
         self.eval_seeds.encode(out);
     }
@@ -113,25 +111,11 @@ impl Encode for CompileEnvelope {
 
 impl Decode for CompileEnvelope {
     fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let circuit = Circuit::decode(r)?;
-        let method = Decode::decode(r)?;
-        let scheduler = Decode::decode(r)?;
-        let alpha = Decode::decode(r)?;
-        let k = Decode::decode(r)?;
-        let requirement = Decode::decode(r)?;
-        let label = r.str()?;
-        let eval_seeds = Decode::decode(r)?;
         Ok(CompileEnvelope {
-            circuit,
-            options: CompileOptions {
-                method,
-                scheduler,
-                alpha,
-                k,
-                requirement,
-            },
-            label,
-            eval_seeds,
+            circuit: Circuit::decode(r)?,
+            options: CompileOptions::decode(r)?,
+            label: r.str()?,
+            eval_seeds: Decode::decode(r)?,
         })
     }
 }
@@ -269,191 +253,6 @@ impl Decode for CompiledEnvelope {
     }
 }
 
-/// A `zz_service::Error` as it crosses the wire — every variant of the
-/// service taxonomy has a wire twin, so remote callers see the same
-/// typed failures in-process callers do.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The circuit does not fit the target device.
-    Validate {
-        /// The failing job's label.
-        job: String,
-        /// Qubits the circuit needs.
-        needed: u64,
-        /// Qubits the device has.
-        available: u64,
-    },
-    /// Routing failed (a disconnected coupling graph surfaced as
-    /// `CoOptError::RouteUnreachable`, or a pluggable backend failure).
-    Route {
-        /// The failing job's label.
-        job: String,
-        /// What went wrong.
-        detail: String,
-    },
-    /// Calibration failed (hardware-backed sources only).
-    Calibration {
-        /// The failing job's label.
-        job: String,
-        /// What went wrong.
-        detail: String,
-    },
-    /// The persistence layer rejected its configuration.
-    Persist {
-        /// What went wrong.
-        detail: String,
-    },
-    /// Fidelity evaluation failed.
-    Eval {
-        /// The failing job's label.
-        job: String,
-        /// What went wrong.
-        detail: String,
-    },
-    /// A session worker died or the queue was torn down mid-job.
-    Worker {
-        /// The failing job's label.
-        job: String,
-        /// What went wrong.
-        detail: String,
-    },
-}
-
-impl From<&Error> for WireError {
-    fn from(e: &Error) -> Self {
-        match e {
-            Error::Validate { job, source } => match source {
-                CoOptError::CircuitTooLarge { needed, available } => WireError::Validate {
-                    job: job.clone(),
-                    needed: *needed as u64,
-                    available: *available as u64,
-                },
-                // The service maps RouteUnreachable to Error::Route before
-                // it ever reaches the wire; if a future variant lands in
-                // Validate anyway, degrade to the routing detail string
-                // rather than failing to serialize.
-                other => WireError::Route {
-                    job: job.clone(),
-                    detail: other.to_string(),
-                },
-            },
-            Error::Route { job, detail } => WireError::Route {
-                job: job.clone(),
-                detail: detail.clone(),
-            },
-            Error::Calibration { job, detail } => WireError::Calibration {
-                job: job.clone(),
-                detail: detail.clone(),
-            },
-            Error::Persist { detail } => WireError::Persist {
-                detail: detail.clone(),
-            },
-            Error::Eval { job, detail } => WireError::Eval {
-                job: job.clone(),
-                detail: detail.clone(),
-            },
-            Error::Worker { job, detail } => WireError::Worker {
-                job: job.clone(),
-                detail: detail.clone(),
-            },
-        }
-    }
-}
-
-impl From<WireError> for Error {
-    fn from(e: WireError) -> Self {
-        match e {
-            WireError::Validate {
-                job,
-                needed,
-                available,
-            } => Error::Validate {
-                job,
-                source: CoOptError::CircuitTooLarge {
-                    needed: needed as usize,
-                    available: available as usize,
-                },
-            },
-            WireError::Route { job, detail } => Error::Route { job, detail },
-            WireError::Calibration { job, detail } => Error::Calibration { job, detail },
-            WireError::Persist { detail } => Error::Persist { detail },
-            WireError::Eval { job, detail } => Error::Eval { job, detail },
-            WireError::Worker { job, detail } => Error::Worker { job, detail },
-        }
-    }
-}
-
-impl Encode for WireError {
-    fn encode(&self, out: &mut Encoder) {
-        match self {
-            WireError::Validate {
-                job,
-                needed,
-                available,
-            } => {
-                out.u8(0);
-                out.str(job);
-                out.u64(*needed);
-                out.u64(*available);
-            }
-            WireError::Route { job, detail } => {
-                out.u8(1);
-                out.str(job);
-                out.str(detail);
-            }
-            WireError::Calibration { job, detail } => {
-                out.u8(2);
-                out.str(job);
-                out.str(detail);
-            }
-            WireError::Persist { detail } => {
-                out.u8(3);
-                out.str(detail);
-            }
-            WireError::Eval { job, detail } => {
-                out.u8(4);
-                out.str(job);
-                out.str(detail);
-            }
-            WireError::Worker { job, detail } => {
-                out.u8(5);
-                out.str(job);
-                out.str(detail);
-            }
-        }
-    }
-}
-
-impl Decode for WireError {
-    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
-            0 => WireError::Validate {
-                job: r.str()?,
-                needed: r.u64()?,
-                available: r.u64()?,
-            },
-            1 => WireError::Route {
-                job: r.str()?,
-                detail: r.str()?,
-            },
-            2 => WireError::Calibration {
-                job: r.str()?,
-                detail: r.str()?,
-            },
-            3 => WireError::Persist { detail: r.str()? },
-            4 => WireError::Eval {
-                job: r.str()?,
-                detail: r.str()?,
-            },
-            5 => WireError::Worker {
-                job: r.str()?,
-                detail: r.str()?,
-            },
-            _ => return Err(DecodeError::Invalid("wire error tag")),
-        })
-    }
-}
-
 /// One server→client message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
@@ -466,7 +265,7 @@ pub enum Response {
     /// after a backoff; nothing was enqueued.
     Busy,
     /// The compile failed with a typed service error.
-    Error(WireError),
+    Error(Error),
     /// Answer to [`Request::Shutdown`]: the server is draining.
     ShuttingDown,
     /// The server could not decode the client's frame (the connection
@@ -514,7 +313,7 @@ impl Decode for Response {
             0 => Response::Pong,
             1 => Response::Compiled(Box::new(CompiledEnvelope::decode(r)?)),
             2 => Response::Busy,
-            3 => Response::Error(WireError::decode(r)?),
+            3 => Response::Error(Error::decode(r)?),
             4 => Response::ShuttingDown,
             5 => Response::Malformed { detail: r.str()? },
             6 => Response::Stats(MetricsSnapshot::decode(r)?),
@@ -527,6 +326,7 @@ impl Decode for Response {
 mod tests {
     use super::*;
     use zz_circuit::Gate;
+    use zz_core::CoOptError;
     use zz_persist::roundtrip;
     use zz_service::{PulseMethod, SchedulerKind};
 
@@ -577,10 +377,6 @@ mod tests {
                 job: "j".into(),
                 detail: "d".into(),
             },
-            Error::Calibration {
-                job: "j".into(),
-                detail: "d".into(),
-            },
             Error::Persist { detail: "d".into() },
             Error::Eval {
                 job: "j".into(),
@@ -592,10 +388,20 @@ mod tests {
             },
         ];
         for error in errors {
-            let wire = WireError::from(&error);
-            let back: Error = roundtrip(&wire).expect("round trips").into();
-            assert_eq!(back, error);
+            let response = Response::Error(error);
+            assert_eq!(roundtrip(&response).expect("round trips"), response);
         }
+        // A Validate wrapping a routing failure goes out as the Route
+        // error `from_compile` makes of the same cause.
+        let unreachable = CoOptError::RouteUnreachable { from: 3, to: 7 };
+        let wrapped = Response::Error(Error::Validate {
+            job: "j".into(),
+            source: unreachable.clone(),
+        });
+        assert_eq!(
+            roundtrip(&wrapped).expect("round trips"),
+            Response::Error(Error::from_compile("j", unreachable))
+        );
     }
 
     #[test]

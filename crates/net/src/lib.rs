@@ -16,8 +16,11 @@
 //!   foreign bytes and adversarial length prefixes all decode to a
 //!   typed [`FrameError`], never a panic or an unbounded allocation.
 //! - [`envelope`] — what the frames carry: [`Request`] / [`Response`],
-//!   stamped with [`PROTOCOL_VERSION`], converting losslessly to and
-//!   from the service layer's request/response/error types.
+//!   stamped with [`PROTOCOL_VERSION`]. A request becomes the service
+//!   layer's `CompileRequest` and a response wraps its
+//!   `CompileResponse`; the request's `CompileOptions` and a failure's
+//!   `zz_service::Error` cross in their own encodings, with no wire
+//!   twin.
 //! - [`server`] / [`client`] — a blocking [`Server`] fanning N
 //!   connections into one shared session (bounded admission answers
 //!   [`Response::Busy`] under load; identical concurrent compiles
@@ -53,9 +56,7 @@ pub mod frame;
 pub mod server;
 
 pub use client::{Client, ClientError};
-pub use envelope::{
-    CompileEnvelope, CompiledEnvelope, Request, Response, WireError, PROTOCOL_VERSION,
-};
+pub use envelope::{CompileEnvelope, CompiledEnvelope, Request, Response, PROTOCOL_VERSION};
 pub use frame::{read_frame, write_frame, FrameError, FRAME_HEADER_LEN, MAX_FRAME_PAYLOAD};
 pub use server::{Server, ServerConfig, ServerControl};
 

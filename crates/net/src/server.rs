@@ -28,7 +28,7 @@ use zz_obs::{Counter, Gauge, Histogram, Registry};
 use zz_persist::ArtifactKind;
 use zz_service::Session;
 
-use crate::envelope::{CompiledEnvelope, Request, Response, WireError};
+use crate::envelope::{CompiledEnvelope, Request, Response};
 use crate::frame::{read_frame, write_frame, FrameError};
 
 /// Tuning knobs for a [`Server`].
@@ -367,7 +367,7 @@ fn respond(request: Request, session: &Session, shared: &Shared) -> Response {
                 Ok(response) => {
                     Response::Compiled(Box::new(CompiledEnvelope::from_response(response)))
                 }
-                Err(error) => Response::Error(WireError::from(&error)),
+                Err(error) => Response::Error(error),
             }
         }
         // Monitoring is never subject to compile admission: a saturated

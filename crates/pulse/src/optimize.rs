@@ -14,7 +14,7 @@
 
 use zz_linalg::Matrix;
 use zz_quantum::fidelity::average_gate_fidelity;
-use zz_quantum::pauli::{Pauli, PauliString};
+use zz_quantum::pauli::Pauli;
 use zz_quantum::{embed, gates};
 
 use crate::envelope::{Envelope, FourierPulse};
@@ -269,11 +269,6 @@ pub fn pulse_quality_2q(params: &[f64], duration: f64) -> (f64, f64) {
     };
     let first_order = pert_2q_loss(params, duration, 0.0);
     (gate_err, first_order)
-}
-
-/// A ZZ-free sanity Hamiltonian export for tests.
-pub fn zz_operator(n: usize, u: usize, v: usize) -> Matrix {
-    PauliString::zz(n, u, v).matrix()
 }
 
 #[cfg(test)]

@@ -282,11 +282,6 @@ pub fn x90_target() -> Matrix {
     gates::x90()
 }
 
-/// The identity target (`I = Rx(2π)` at pulse level, identity as a gate).
-pub fn id_target() -> Matrix {
-    Matrix::identity(2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -98,6 +98,12 @@ impl Requirement {
     }
 }
 
+/// The paper's NQ-vs-NC weight α of Algorithm 1.
+pub const DEFAULT_ALPHA: f64 = 0.5;
+
+/// The paper's top-k path-relaxing budget of Algorithm 1.
+pub const DEFAULT_K: usize = 3;
+
 /// Configuration of ZZXSched.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ZzxConfig {
@@ -110,12 +116,12 @@ pub struct ZzxConfig {
 }
 
 impl ZzxConfig {
-    /// The paper's evaluation parameters: `α = 0.5`, `k = 3`, `R` as in
-    /// [`Requirement::paper_default`].
+    /// The paper's evaluation parameters: [`DEFAULT_ALPHA`],
+    /// [`DEFAULT_K`] and `R` as in [`Requirement::paper_default`].
     pub fn paper_default(topo: &Topology) -> Self {
         ZzxConfig {
-            alpha: 0.5,
-            k: 3,
+            alpha: DEFAULT_ALPHA,
+            k: DEFAULT_K,
             requirement: Requirement::paper_default(topo),
         }
     }
@@ -463,12 +469,11 @@ mod tests {
             target: 5,
         });
         let tight = ZzxConfig {
-            alpha: 0.5,
-            k: 3,
             requirement: Requirement {
                 nq_limit: 3,
                 nc_limit: 4,
             },
+            ..ZzxConfig::paper_default(&topo)
         };
         let plan = zzx_schedule(&topo, &c, &tight);
         assert!(plan.layer_count() >= 2, "requirement must force a split");

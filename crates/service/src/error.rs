@@ -8,10 +8,15 @@
 //! evaluation specs as [`Error::Eval`], and a worker dying mid-job as
 //! [`Error::Worker`] — all `std::error::Error + Display`, so they
 //! compose with `?` and `Box<dyn Error>` call sites.
+//!
+//! The same type crosses the wire: `zz_net` encodes an [`Error`] into its
+//! response frame with the codec below, and a remote client decodes the
+//! same typed failure an in-process caller sees.
 
 use std::fmt;
 
 use zz_core::CoOptError;
+use zz_persist::{Decode, DecodeError, Decoder, Encode, Encoder};
 
 /// Any failure of the service layer, labelled with the job it belongs to.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,21 +30,10 @@ pub enum Error {
         /// The engine-level cause.
         source: CoOptError,
     },
-    /// Routing or native translation failed for this job — the engine's
-    /// [`CoOptError::RouteUnreachable`] (a disconnected coupling graph,
-    /// which in-tree [`zz_topology::Topology`] construction forbids), or
-    /// a pluggable routing backend reporting its own failure.
+    /// Routing failed for this job: the engine's
+    /// [`CoOptError::RouteUnreachable`], a disconnected coupling graph,
+    /// which in-tree [`zz_topology::Topology`] construction forbids.
     Route {
-        /// The label of the failing job.
-        job: String,
-        /// What went wrong.
-        detail: String,
-    },
-    /// Pulse calibration could not produce a residual table for this
-    /// job's method. Reserved like [`Route`](Self::Route): the in-tree
-    /// pulse-level measurement is total; hardware-backed calibration
-    /// sources report through it.
-    Calibration {
         /// The label of the failing job.
         job: String,
         /// What went wrong.
@@ -77,7 +71,6 @@ impl Error {
         match self {
             Error::Validate { job, .. }
             | Error::Route { job, .. }
-            | Error::Calibration { job, .. }
             | Error::Eval { job, .. }
             | Error::Worker { job, .. } => Some(job),
             Error::Persist { .. } => None,
@@ -105,9 +98,6 @@ impl fmt::Display for Error {
         match self {
             Error::Validate { job, source } => write!(f, "job {job}: validation failed: {source}"),
             Error::Route { job, detail } => write!(f, "job {job}: routing failed: {detail}"),
-            Error::Calibration { job, detail } => {
-                write!(f, "job {job}: calibration failed: {detail}")
-            }
             Error::Persist { detail } => write!(f, "persistence layer: {detail}"),
             Error::Eval { job, detail } => write!(f, "job {job}: evaluation failed: {detail}"),
             Error::Worker { job, detail } => write!(f, "job {job}: worker failed: {detail}"),
@@ -121,6 +111,82 @@ impl std::error::Error for Error {
             Error::Validate { source, .. } => Some(source),
             _ => None,
         }
+    }
+}
+
+/// Tags 0–5 in variant order, with tag 2 retired: it carried a
+/// calibration error nothing ever constructed, and is never reused. A
+/// [`Error::Validate`] wraps only a size rejection on the wire; one
+/// holding a routing failure goes out as the [`Error::Route`] it is,
+/// with the same detail string [`Error::from_compile`] would give it.
+impl Encode for Error {
+    fn encode(&self, out: &mut Encoder) {
+        match self {
+            Error::Validate {
+                job,
+                source: CoOptError::CircuitTooLarge { needed, available },
+            } => {
+                out.u8(0);
+                out.str(job);
+                out.usize(*needed);
+                out.usize(*available);
+            }
+            Error::Validate {
+                job,
+                source: source @ CoOptError::RouteUnreachable { .. },
+            } => {
+                out.u8(1);
+                out.str(job);
+                out.str(&source.to_string());
+            }
+            Error::Route { job, detail } => {
+                out.u8(1);
+                out.str(job);
+                out.str(detail);
+            }
+            Error::Persist { detail } => {
+                out.u8(3);
+                out.str(detail);
+            }
+            Error::Eval { job, detail } => {
+                out.u8(4);
+                out.str(job);
+                out.str(detail);
+            }
+            Error::Worker { job, detail } => {
+                out.u8(5);
+                out.str(job);
+                out.str(detail);
+            }
+        }
+    }
+}
+
+impl Decode for Error {
+    fn decode(r: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(match r.u8()? {
+            0 => Error::Validate {
+                job: r.str()?,
+                source: CoOptError::CircuitTooLarge {
+                    needed: r.usize()?,
+                    available: r.usize()?,
+                },
+            },
+            1 => Error::Route {
+                job: r.str()?,
+                detail: r.str()?,
+            },
+            3 => Error::Persist { detail: r.str()? },
+            4 => Error::Eval {
+                job: r.str()?,
+                detail: r.str()?,
+            },
+            5 => Error::Worker {
+                job: r.str()?,
+                detail: r.str()?,
+            },
+            _ => return Err(DecodeError::Invalid("service error tag")),
+        })
     }
 }
 
@@ -153,6 +219,19 @@ mod tests {
             }
             other => panic!("expected Route, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn the_retired_tag_is_rejected() {
+        let mut enc = Encoder::new();
+        enc.u8(2);
+        enc.str("j");
+        enc.str("d");
+        let bytes = enc.finish();
+        assert_eq!(
+            Error::decode(&mut Decoder::new(&bytes)).unwrap_err(),
+            DecodeError::Invalid("service error tag")
+        );
     }
 
     #[test]

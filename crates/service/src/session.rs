@@ -22,7 +22,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use zz_circuit::Circuit;
-use zz_core::evaluate::{evaluate, EvalConfig, MAX_EVAL_QUBITS};
+use zz_core::evaluate::{evaluate, EvalConfig, DECOHERENCE_SEED, MAX_EVAL_QUBITS};
 use zz_core::pipeline::{shape_key, CacheDisposition, PassManager, RouteMemo, Stage};
 use zz_core::{CompileOptions, Compiled, PipelineTrace};
 use zz_obs::{
@@ -77,7 +77,7 @@ impl EvalSpec {
     /// [`Error::Eval`].
     pub fn with_decoherence_us(mut self, t: f64, trajectories: usize) -> Self {
         let t = t * 1000.0;
-        self.decoherence = Some((Decoherence { t1: t, t2: t }, trajectories, 97));
+        self.decoherence = Some((Decoherence { t1: t, t2: t }, trajectories, DECOHERENCE_SEED));
         self
     }
 
@@ -535,15 +535,9 @@ impl SessionCore {
             .unwrap_or_else(|| self.target.topology().clone());
         let mut builder = PassManager::builder()
             .topology(topology)
-            .pulse_method(request.options.method)
-            .scheduler(request.options.scheduler)
-            .alpha(request.options.alpha_or_default())
-            .k(request.options.k_or_default())
+            .options(request.options)
             .route_memo(Arc::clone(&self.memo))
             .metrics(Arc::clone(&self.metrics.registry));
-        if let Some(req) = request.options.requirement {
-            builder = builder.requirement(req);
-        }
         if let Some(store) = self.target.store_arc() {
             builder = builder.store(store);
         }
@@ -696,11 +690,7 @@ impl Leader {
 /// the device.
 fn coalesce_spec(request: &CompileRequest) -> Vec<u8> {
     let mut enc = Encoder::new();
-    request.options.method.encode(&mut enc);
-    request.options.scheduler.encode(&mut enc);
-    request.options.alpha.encode(&mut enc);
-    request.options.k.encode(&mut enc);
-    request.options.requirement.encode(&mut enc);
+    request.options.encode(&mut enc);
     enc.bool(request.trace);
     match &request.eval {
         None => enc.bool(false),

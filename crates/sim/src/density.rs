@@ -8,8 +8,6 @@
 use zz_linalg::{c64, Matrix, Vector};
 use zz_quantum::embed;
 
-use crate::StateVector;
-
 /// Largest register the exact density-matrix path simulates — **the**
 /// exact/Monte-Carlo cutoff of the workspace. `run_density` rejects larger
 /// registers, and `zz_core::evaluate` routes registers of up to this many
@@ -34,17 +32,6 @@ impl DensityMatrix {
         let mut rho = Matrix::zeros(dim, dim);
         rho[(0, 0)] = c64::ONE;
         DensityMatrix { n, rho }
-    }
-
-    /// The pure state `|ψ⟩⟨ψ|` of a statevector.
-    pub fn from_state(sv: &StateVector) -> Self {
-        let amps = sv.amplitudes();
-        let dim = amps.len();
-        let rho = Matrix::from_fn(dim, dim, |i, j| amps[i] * amps[j].conj());
-        DensityMatrix {
-            n: sv.qubit_count(),
-            rho,
-        }
     }
 
     /// Number of qubits.
@@ -207,6 +194,7 @@ impl Decoherence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StateVector;
     use zz_quantum::gates;
 
     #[test]

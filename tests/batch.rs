@@ -42,8 +42,7 @@ fn batch_results_are_identical_to_sequential_compilation() {
         .map(|&(kind, n, method, scheduler)| {
             PassManager::builder()
                 .topology(topo.clone())
-                .pulse_method(method)
-                .scheduler(scheduler)
+                .options(CompileOptions::new(method, scheduler))
                 .build()
                 .run(Arc::new(generate(kind, n, 7)))
                 .expect("fits the 3x3 grid")

@@ -126,6 +126,59 @@ fn dispatch_decisions_are_bit_identical_at_any_thread_count() {
     }
 }
 
+/// A small stream on one 12-qubit device that decoheres fast
+/// (`T1 = T2 = 5 µs`), over 16 trajectories, so its Monte-Carlo
+/// trajectories jump and phase-flip (over `fast_config`'s 4 none fires).
+/// Unlike [`PINNED_DECISIONS`], these scores depend on every trajectory
+/// draw, the undriven qubits' draws included: replaying the 4- and
+/// 6-qubit jobs without the undriven qubits' draws moves both scores.
+fn run_decohering_stream() -> Vec<String> {
+    let mut fleet = Fleet::new(FleetConfig {
+        trajectories: 16,
+        ..fast_config(1)
+    });
+    fleet
+        .add_device(DeviceProfile {
+            name: "fast-decay".into(),
+            t1_us: 5.0,
+            t2_us: 5.0,
+            ..DeviceProfile::paper_grid()
+        })
+        .expect("a physical profile");
+    [(BenchmarkKind::Qft, 4), (BenchmarkKind::HiddenShift, 6)]
+        .into_iter()
+        .map(|(kind, n)| {
+            let dispatch = fleet
+                .submit(generate(kind, n, 5), CompileOptions::default())
+                .expect("dispatches");
+            format!(
+                "dispatch {} -> {} {:016x} {:?}",
+                dispatch.label,
+                dispatch.device,
+                dispatch.score.to_bits(),
+                dispatch.candidates[0].kind
+            )
+        })
+        .collect()
+}
+
+/// `run_decohering_stream()`'s decisions, pinned across commits.
+const PINNED_DECOHERING_DECISIONS: [&str; 2] = [
+    "dispatch job-1-Pert+ZZXSched -> fast-decay 3fe64fb7845e2a0c Simulated",
+    "dispatch job-2-Pert+ZZXSched -> fast-decay 3fe5c379b47c65e6 Simulated",
+];
+
+#[test]
+fn decohering_dispatch_scores_are_pinned() {
+    let decisions = run_decohering_stream();
+    assert_eq!(
+        decisions,
+        PINNED_DECOHERING_DECISIONS,
+        "the decohering scores moved:\n{}",
+        decisions.join("\n")
+    );
+}
+
 #[test]
 fn same_seed_makes_identical_fleets_twice() {
     assert_eq!(run_stream(2), run_stream(2));

@@ -15,7 +15,10 @@
 //! bump `zz_core::persist::PIPELINE_REVISION` (or the schema version, for
 //! an encoding change) alongside the new values. The requests and their
 //! pinned digests live in `tests/common/mod.rs`, which `tests/service.rs`
-//! shares.
+//! shares. The wire bytes of a compile request and of every error reply,
+//! and the whole-plan disk keys of two option sets, are pinned the same
+//! way: a request and its failure have one encoding each, on the wire
+//! and in the store.
 //!
 //! The simulator's output on the same compiled plans is pinned too: the
 //! raw amplitude bits of the ideal and ZZ-noisy program runs, and the
@@ -30,11 +33,16 @@ use common::{codec_digest, matrix_cases, parameter_cases, PINNED_COMPILES};
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::{Circuit, Gate};
 use zz_core::evaluate::{fidelity_of, EvalConfig};
+use zz_core::persist::compiled_artifact_key;
 use zz_core::pipeline::shape_key;
-use zz_core::Compiled;
+use zz_core::{CoOptError, Compiled};
+use zz_net::{CompileEnvelope, Request, Response};
 use zz_persist::fnv1a;
 use zz_pool::{default_threads, parallel_map};
-use zz_service::{CompileOptions, CompileRequest, PulseMethod, SchedulerKind, Session, Target};
+use zz_sched::zzx::Requirement;
+use zz_service::{
+    CompileOptions, CompileRequest, Error, PulseMethod, SchedulerKind, Session, Target,
+};
 use zz_sim::executor::ZzErrorModel;
 use zz_sim::program::PlanProgram;
 use zz_sim::{khz, StateVector};
@@ -113,6 +121,121 @@ fn digests_depend_on_angle_bits_not_angle_values() {
     let mut neg = Circuit::new(1);
     neg.push(Gate::Rz(-0.0), &[0]);
     assert_ne!(pos.content_digest(), neg.content_digest());
+}
+
+/// A request that sets every optional knob: α = 0.25, k = 5, R = {2, 3}.
+fn tuned_options() -> CompileOptions {
+    CompileOptions::new(PulseMethod::Dcg, SchedulerKind::ZzxSched)
+        .with_alpha(0.25)
+        .with_k(5)
+        .with_requirement(Requirement {
+            nq_limit: 2,
+            nc_limit: 3,
+        })
+}
+
+/// Every service error a session can return, as the server answers it.
+/// A `Validate` holding a routing failure goes out as a `Route` error
+/// carrying the same detail string.
+fn error_responses() -> Vec<(&'static str, Response)> {
+    let job = || "qft-9".to_string();
+    let detail = || "the detail".to_string();
+    [
+        (
+            "validate",
+            Error::Validate {
+                job: job(),
+                source: CoOptError::CircuitTooLarge {
+                    needed: 9,
+                    available: 4,
+                },
+            },
+        ),
+        (
+            "validate-route",
+            Error::Validate {
+                job: job(),
+                source: CoOptError::RouteUnreachable { from: 3, to: 7 },
+            },
+        ),
+        (
+            "route",
+            Error::Route {
+                job: job(),
+                detail: detail(),
+            },
+        ),
+        ("persist", Error::Persist { detail: detail() }),
+        (
+            "eval",
+            Error::Eval {
+                job: job(),
+                detail: detail(),
+            },
+        ),
+        (
+            "worker",
+            Error::Worker {
+                job: job(),
+                detail: detail(),
+            },
+        ),
+    ]
+    .into_iter()
+    .map(|(label, error)| (label, Response::Error(error)))
+    .collect()
+}
+
+const PINNED_ERROR_RESPONSES: [(&str, u64); 6] = [
+    ("validate", 0x39de9bc973ff48f1),
+    ("validate-route", 0xb230b56fb90a7f9e),
+    ("route", 0xf78bf5bd2fdbf12b),
+    ("persist", 0x14ab8147d0aa0a67),
+    ("eval", 0xaf28e53954acea12),
+    ("worker", 0xfd76d3591ebde667),
+];
+
+#[test]
+fn error_response_bytes_are_pinned() {
+    let actual: Vec<(&str, u64)> = error_responses()
+        .iter()
+        .map(|(label, response)| (*label, codec_digest(response)))
+        .collect();
+    assert_eq!(actual, PINNED_ERROR_RESPONSES);
+}
+
+/// The encoded compile requests: default options, and every knob set.
+fn compile_requests() -> [Request; 2] {
+    [
+        Request::Compile(CompileEnvelope::new(bell_plus())),
+        Request::Compile(
+            CompileEnvelope::new(bell_plus())
+                .with_options(tuned_options())
+                .with_label("tuned")
+                .with_eval_seeds(vec![11, 23]),
+        ),
+    ]
+}
+
+#[test]
+fn compile_request_bytes_are_pinned() {
+    let [default, tuned] = compile_requests().map(|request| codec_digest(&request));
+    assert_eq!(default, 0x85fe5b6992bbc829, "default options");
+    assert_eq!(tuned, 0x239f4a558702f878, "α = 0.25, k = 5, R = {{2, 3}}");
+}
+
+/// The whole-plan disk keys of bell_plus on the 2×2 grid.
+fn compiled_keys() -> [u64; 2] {
+    let shape = shape_key(&bell_plus(), &Topology::grid(2, 2));
+    [CompileOptions::default(), tuned_options()]
+        .map(|options| compiled_artifact_key(shape, &options))
+}
+
+#[test]
+fn compiled_artifact_keys_are_pinned() {
+    let [default, tuned] = compiled_keys();
+    assert_eq!(default, 0xfb7776da797b0c27, "default options");
+    assert_eq!(tuned, 0x5781d48737c70786, "α = 0.25, k = 5, R = {{2, 3}}");
 }
 
 /// Every compile case, compiled through a one-worker session.
@@ -477,6 +600,15 @@ fn print_current_keys() {
         "bell@hhd3  shape:  {:#018x}",
         shape_key(&bell_plus(), &Topology::heavy_hex(3))
     );
+    for (label, response) in error_responses() {
+        println!("    (\"{label}\", {:#018x}),", codec_digest(&response));
+    }
+    for request in compile_requests() {
+        println!("request digest: {:#018x}", codec_digest(&request));
+    }
+    for key in compiled_keys() {
+        println!("compiled key:   {key:#018x}");
+    }
     for (label, plan, residuals, compiled) in compiled_digests() {
         println!("    (\"{label}\", {plan:#018x}, {residuals:#018x}, {compiled:#018x}),");
     }

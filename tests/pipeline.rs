@@ -136,8 +136,7 @@ fn pipeline_matches_the_legacy_path_for_every_method_scheduler_pair() {
         // Entry point 1: the pass manager directly.
         let via_pipeline = PassManager::builder()
             .topology(topo.clone())
-            .pulse_method(method)
-            .scheduler(scheduler)
+            .options(CompileOptions::new(method, scheduler))
             .build()
             .run(Arc::new(circuit.clone()))
             .expect("fits")
@@ -174,16 +173,13 @@ fn pipeline_matches_the_legacy_path_for_non_default_parameters() {
             k,
             requirement,
         );
-        let mut builder = PassManager::builder()
-            .topology(topo.clone())
-            .alpha(alpha)
-            .k(k);
         let mut options = CompileOptions::default().with_alpha(alpha).with_k(k);
         if let Some(r) = requirement {
-            builder = builder.requirement(r);
             options = options.with_requirement(r);
         }
-        let via_pipeline = builder
+        let via_pipeline = PassManager::builder()
+            .topology(topo.clone())
+            .options(options)
             .build()
             .run(Arc::new(circuit.clone()))
             .expect("fits")

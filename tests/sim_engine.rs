@@ -15,7 +15,7 @@ use zz_bench::reference;
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::{Circuit, Gate};
 use zz_core::evaluate::try_device_for;
-use zz_core::{Compiled, PassManager, PulseMethod, SchedulerKind};
+use zz_core::{CompileOptions, Compiled, PassManager, PulseMethod, SchedulerKind};
 use zz_sched::GateDurations;
 use zz_sim::density::Decoherence;
 use zz_sim::executor::ZzErrorModel;
@@ -35,8 +35,7 @@ fn compile_case(method: PulseMethod, scheduler: SchedulerKind) -> Compiled {
     let n = 6;
     PassManager::builder()
         .topology(try_device_for(n).expect("paper size"))
-        .pulse_method(method)
-        .scheduler(scheduler)
+        .options(CompileOptions::new(method, scheduler))
         .build()
         .run(Arc::new(generate(BenchmarkKind::Qaoa, n, 7)))
         .expect("benchmark sized to the device")
