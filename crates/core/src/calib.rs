@@ -28,15 +28,18 @@ pub fn calibration_lambda() -> f64 {
 }
 
 /// Measures the full residual table of a method from scratch at
-/// crosstalk strength `lambda` (pulse-level simulation; a few ms per
-/// call). The fleet layer characterizes each backend at *its*
-/// currently-believed `λ`, so physically distinct devices (and drifted
-/// recalibrations of the same device) get genuinely different tables.
+/// crosstalk strength `lambda` (pulse-level simulation). The fleet layer
+/// characterizes each backend at *its* currently-believed `λ`, so
+/// physically distinct devices (and drifted recalibrations of the same
+/// device) get genuinely different tables.
 ///
 /// Each entry is a conditional-phase residual normalized by `λ`: the
 /// fraction of crosstalk a neighbor still sees while the given pulse plays.
 /// DCG has no two-qubit sequence (paper Sec 7.2.2); its `ZX90` entries fall
-/// back to the Gaussian pulse's.
+/// back to the Gaussian pulse's. Every entry comes from propagating the
+/// spectator's `|0⟩` and `|1⟩` halves of the basic region as two
+/// independent blocks ([`residual_zz_rate`], [`residual_zz_rate_2q`]),
+/// bit for bit what the full-matrix propagation gives.
 pub fn measure_residuals_at(method: PulseMethod, lambda: f64) -> ResidualTable {
     let x90 = x90_drive(method);
     let id = id_drive(method);

@@ -76,9 +76,12 @@ impl EvalConfig {
     }
 
     /// Adds decoherence (`T1 = T2 = t` µs) with the given trajectory count
-    /// (used only above the exact-density-matrix register size).
+    /// (used only above the exact-density-matrix register size). Never
+    /// panics: [`check`](Self::check) rejects non-positive or NaN times
+    /// and a zero trajectory count.
     pub fn with_decoherence_us(mut self, t: f64, trajectories: usize) -> Self {
-        self.decoherence = Some((Decoherence::equal_us(t), trajectories, DECOHERENCE_SEED));
+        let t = t * 1000.0;
+        self.decoherence = Some((Decoherence { t1: t, t2: t }, trajectories, DECOHERENCE_SEED));
         self
     }
 
@@ -273,5 +276,20 @@ mod tests {
             &noisy_cfg,
         );
         assert!(noisy < clean + 1e-9, "decoherence {noisy} vs clean {clean}");
+    }
+
+    #[test]
+    fn unphysical_decoherence_times_are_rejected_not_panicking() {
+        for t in [0.0, f64::NAN] {
+            let cfg = EvalConfig::paper_default().with_decoherence_us(t, 4);
+            let err = cfg.check().expect_err("unphysical T1 = T2");
+            assert!(err.contains("t1"), "T1 = T2 = {t} µs: {err}");
+        }
+        assert_eq!(
+            EvalConfig::paper_default()
+                .with_decoherence_us(60.0, 4)
+                .check(),
+            Ok(())
+        );
     }
 }

@@ -8,9 +8,17 @@
 //! * [`expm_step`] — scaled Taylor series; 5–20× faster for the short
 //!   time-steps of piecewise-constant propagation loops, with a dedicated
 //!   analytic fast path for 2×2 Hamiltonians.
+//!
+//! The scaled Taylor series has one body, [`expm_taylor_into`]: it works
+//! on caller-owned row-major slices and allocates nothing, and takes its
+//! squaring count from a norm bound the caller passes. [`expm_taylor`]
+//! (behind [`expm_step`]) wraps it with the bound of the whole matrix;
+//! `zz_pulse`'s block propagation calls it once per invariant block with
+//! the bound of the full matrix, so each block's entries come out bit for
+//! bit as [`expm_taylor`] would compute them on the whole matrix.
 
 use crate::eig::eigh;
-use crate::{c64, Matrix};
+use crate::{c64, matmul_into, Matrix};
 
 /// Computes `exp(−i H t)` for a Hermitian `H` via eigendecomposition.
 ///
@@ -91,37 +99,79 @@ fn expm_2x2(h: &Matrix, dt: f64) -> Matrix {
 /// `exp(M)` via scaling-and-squaring with a fixed-order Taylor series.
 ///
 /// Intended for anti-Hermitian `M` (so the result is unitary); the series is
-/// truncated at order 12 after scaling `‖M‖₁ < 0.5`.
+/// truncated at order 12 after scaling `‖M‖₁ < 0.5`, bounding `‖M‖₁` by
+/// `max |Mᵢⱼ| · n`. Allocates the buffers of [`expm_taylor_into`], which
+/// does the work.
+///
+/// # Panics
+///
+/// Panics if `m` is not square.
 pub fn expm_taylor(m: &Matrix) -> Matrix {
+    assert!(m.is_square(), "expm_taylor requires a square matrix");
     let n = m.rows();
     let norm = m.max_norm() * n as f64; // cheap upper bound on the 1-norm
+    let mut scaled = m.clone();
+    let mut out = Matrix::zeros(n, n);
+    let mut tmp = Matrix::zeros(n, n);
+    expm_taylor_into(
+        n,
+        scaled.as_mut_slice(),
+        norm,
+        out.as_mut_slice(),
+        tmp.as_mut_slice(),
+    );
+    out
+}
+
+/// The scaling-and-squaring Taylor kernel: writes `exp(M)` for the
+/// row-major `n × n` matrix `m` to `out`, allocating nothing.
+///
+/// `norm` bounds `‖M‖₁` and sets the squaring count `s`: the smallest
+/// `s ≤ 40` with `norm · 2⁻ˢ ≤ 0.5`. The kernel scales `m` in place by
+/// `2⁻ˢ` (overwriting it), sums the order-12 series by Horner's rule and
+/// squares `s` times; `tmp` is scratch. [`expm_taylor`] passes
+/// `max |Mᵢⱼ| · n`. A caller exponentiating the invariant blocks of a
+/// larger matrix one at a time passes the whole matrix's bound (its
+/// largest entry over all blocks times the *full* dimension): the
+/// products skip the zeros between blocks, so every in-block entry then
+/// equals [`expm_taylor`]'s on the whole matrix, bit for bit.
+///
+/// # Panics
+///
+/// Panics unless `m`, `out` and `tmp` each hold `n²` entries.
+pub fn expm_taylor_into(n: usize, m: &mut [c64], norm: f64, out: &mut [c64], tmp: &mut [c64]) {
+    assert!(
+        m.len() == n * n && out.len() == n * n && tmp.len() == n * n,
+        "expm_taylor_into needs three {n}x{n} buffers"
+    );
     let mut squarings = 0u32;
     let mut scale = 1.0;
     while norm * scale > 0.5 && squarings < 40 {
         squarings += 1;
         scale *= 0.5;
     }
-    let ms = m.scale(c64::real(scale));
+    for z in m.iter_mut() {
+        *z *= c64::real(scale);
+    }
 
     // Horner evaluation of Σ_{k≤12} M^k / k!.
-    let mut result = Matrix::identity(n);
+    out.fill(c64::ZERO);
+    for i in 0..n {
+        out[i * n + i] = c64::ONE;
+    }
     for k in (1..=12).rev() {
-        result = ms.matmul(&result);
-        for i in 0..n {
-            let r = &mut result;
-            let row = i;
-            for j in 0..n {
-                r[(row, j)] = r[(row, j)] / k as f64;
-            }
+        matmul_into(n, m, out, tmp);
+        for (o, &t) in out.iter_mut().zip(tmp.iter()) {
+            *o = t / k as f64;
         }
         for i in 0..n {
-            result[(i, i)] += c64::ONE;
+            out[i * n + i] += c64::ONE;
         }
     }
     for _ in 0..squarings {
-        result = result.matmul(&result);
+        matmul_into(n, out, out, tmp);
+        out.copy_from_slice(tmp);
     }
-    result
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //!
 //! * [`c64`] — a `Copy` complex number with full arithmetic,
 //! * [`Matrix`] — a dense row-major complex matrix with products, adjoints,
-//!   Kronecker products and norms,
+//!   Kronecker products and norms, and [`matmul_into`], its product over
+//!   caller-owned slices,
 //! * [`Vector`] — a complex column vector (quantum state amplitudes),
 //! * [`eig::eigh`] — Hermitian eigendecomposition (cyclic complex Jacobi),
 //! * [`expm`] — unitary matrix exponentials `exp(-i H t)`, both via
@@ -37,5 +38,5 @@ mod matrix;
 mod vector;
 
 pub use complex::c64;
-pub use matrix::Matrix;
+pub use matrix::{matmul_into, Matrix};
 pub use vector::Vector;

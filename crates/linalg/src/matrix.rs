@@ -125,7 +125,8 @@ impl Matrix {
 
     /// Matrix product `self · rhs`.
     ///
-    /// Uses the cache-friendly `ikj` loop order.
+    /// Uses the cache-friendly `ikj` loop order and skips zero entries of
+    /// `self`, so the zeros of a block-structured `self` cost nothing.
     ///
     /// # Panics
     ///
@@ -137,19 +138,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == c64::ZERO {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, &r) in orow.iter_mut().zip(rrow) {
-                    *o += a * r;
-                }
-            }
-        }
+        accumulate_product(&self.data, &rhs.data, &mut out.data, self.cols, rhs.cols);
         out
     }
 
@@ -294,6 +283,48 @@ impl Matrix {
         assert_eq!(self.cols, rhs.cols, "add_scaled shape mismatch");
         for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
             *a += factor * b;
+        }
+    }
+}
+
+/// `out = a · b` for row-major `n × n` slices, overwriting `out` without
+/// allocating: [`Matrix::matmul`]'s product, bit for bit, over
+/// caller-owned buffers.
+///
+/// # Panics
+///
+/// Panics unless all three slices hold `n²` entries.
+pub fn matmul_into(n: usize, a: &[c64], b: &[c64], out: &mut [c64]) {
+    assert!(
+        a.len() == n * n && b.len() == n * n && out.len() == n * n,
+        "matmul_into needs three {n}x{n} slices"
+    );
+    out.fill(c64::ZERO);
+    // Constant widths for the blocks pulse calibration propagates, so
+    // the compiler unrolls their loops.
+    match n {
+        2 => accumulate_product(a, b, out, 2, 2),
+        4 => accumulate_product(a, b, out, 4, 4),
+        _ => accumulate_product(a, b, out, n, n),
+    }
+}
+
+/// Adds `a · b` to `out` for row-major `a` (`rows × inner`), `b`
+/// (`inner × cols`) and `out` (`rows × cols`): the `ikj` loop, skipping
+/// zero entries of `a`.
+#[inline(always)]
+fn accumulate_product(a: &[c64], b: &[c64], out: &mut [c64], inner: usize, cols: usize) {
+    if inner == 0 || cols == 0 {
+        return;
+    }
+    for (arow, orow) in a.chunks_exact(inner).zip(out.chunks_exact_mut(cols)) {
+        for (&x, brow) in arow.iter().zip(b.chunks_exact(cols)) {
+            if x == c64::ZERO {
+                continue;
+            }
+            for (o, &r) in orow.iter_mut().zip(brow) {
+                *o += x * r;
+            }
         }
     }
 }

@@ -47,15 +47,22 @@ pub fn evolve_1q_ctrl(drive: &QubitDrive<'_>) -> Matrix {
     h.propagate(duration, steps_for(duration))
 }
 
-/// Full evolution of a driven qubit with one spectator under crosstalk
-/// `λ Z⊗Z` (4-dim).
-pub fn evolve_1q_with_spectator(drive: &QubitDrive<'_>, lambda: f64) -> Matrix {
-    let duration = drive.duration();
+/// A driven qubit with one spectator under crosstalk `λ Z⊗Z` (4-dim,
+/// the driven qubit first): the Hamiltonian of
+/// [`evolve_1q_with_spectator`] and [`residual_zz_rate`].
+fn spectator_1q<'a>(drive: &'a QubitDrive<'_>, lambda: f64) -> TimeDependentHamiltonian<'a> {
     let zz = PauliString::zz(2, 0, 1).matrix();
     let mut h = TimeDependentHamiltonian::new(zz.scale(zz_linalg::c64::real(lambda)));
     h.add_control(embed(&Pauli::X.matrix(), &[0], 2), |t| drive.x.value(t));
     h.add_control(embed(&Pauli::Y.matrix(), &[0], 2), |t| drive.y.value(t));
-    h.propagate(duration, steps_for(duration))
+    h
+}
+
+/// Full evolution of a driven qubit with one spectator under crosstalk
+/// `λ Z⊗Z` (4-dim).
+pub fn evolve_1q_with_spectator(drive: &QubitDrive<'_>, lambda: f64) -> Matrix {
+    let duration = drive.duration();
+    spectator_1q(drive, lambda).propagate(duration, steps_for(duration))
 }
 
 /// Figure 16 measure: infidelity between the actual 4-dim evolution and the
@@ -199,14 +206,20 @@ pub fn infidelity_transmon(
 /// by the driven qubit when the spectator is `|0⟩` versus `|1⟩`.
 /// For an undriven (Gaussian-free) qubit this returns `lambda` itself; for
 /// a perfect ZZ-suppressing pulse it returns 0.
+///
+/// `λ Z⊗Z` and the drive commute with the spectator's `Z`, so the two
+/// conditional evolutions are independent 2×2 blocks of the 4-dim one
+/// ([`evolve_1q_with_spectator`]); they are propagated block by block,
+/// bit for bit the blocks of the full evolution.
 pub fn residual_zz_rate(drive: &QubitDrive<'_>, lambda: f64) -> f64 {
     let duration = drive.duration();
-    let u = evolve_1q_with_spectator(drive, lambda);
-    // Basis: |q s⟩ with q the driven qubit (MSB). Blocks for s=0 and s=1:
-    // extract ⟨0q|U|0q⟩ 2×2 blocks over q for fixed spectator value s.
-    let block = |s: usize| -> Matrix { Matrix::from_fn(2, 2, |r, c| u[(2 * r + s, 2 * c + s)]) };
-    let u0 = block(0);
-    let u1 = block(1);
+    // Basis: |q s⟩ with q the driven qubit (MSB). The blocks for s=0 and
+    // s=1 hold ⟨q' s|U|q s⟩ over q, q' for a fixed spectator value s.
+    let blocks: &[&[usize]] = &[&[0, 2], &[1, 3]];
+    let [u0, u1]: [Matrix; 2] = spectator_1q(drive, lambda)
+        .propagate_blocks(duration, steps_for(duration), blocks)
+        .try_into()
+        .expect("two blocks");
     // Relative phase between the two conditional evolutions: the conditional
     // ZZ phase φ satisfies U₁ ≈ e^{−iφZ}·U₀ (to first order). Use the
     // overlap of U₀†U₁ with Z to extract φ.
@@ -231,7 +244,9 @@ pub enum GateSide {
 ///
 /// Simulates the 8-dim system `[spectator, a, b]` with `λ Z_s Z_a` (control
 /// side) or `λ Z_s Z_b` (target side) and extracts the spectator-conditional
-/// phase accumulated over the pulse.
+/// phase accumulated over the pulse. As in [`residual_zz_rate`], the
+/// spectator's `|0⟩` and `|1⟩` halves are propagated as two independent
+/// 4×4 blocks, bit for bit the blocks of the full 8-dim evolution.
 pub fn residual_zz_rate_2q(drive: &TwoQubitDrive<'_>, lambda: f64, side: GateSide) -> f64 {
     let duration = drive.duration();
     let n = 3; // [spectator, a, b]
@@ -249,11 +264,14 @@ pub fn residual_zz_rate_2q(drive: &TwoQubitDrive<'_>, lambda: f64, side: GateSid
     h.add_control(embed(&Pauli::Y.matrix(), &[2], n), |t| drive.b.y.value(t));
     let zx = embed(&Pauli::Z.matrix().kron(&Pauli::X.matrix()), &[1, 2], n);
     h.add_control(zx, |t| drive.coupling.value(t));
-    let u = h.propagate(duration, steps_for(duration));
 
     // Spectator-conditional 4×4 blocks (spectator is the MSB).
-    let block = |s: usize| Matrix::from_fn(4, 4, |r, c| u[(s * 4 + r, s * 4 + c)]);
-    let m = block(0).dagger().matmul(&block(1));
+    let blocks: &[&[usize]] = &[&[0, 1, 2, 3], &[4, 5, 6, 7]];
+    let [u0, u1]: [Matrix; 2] = h
+        .propagate_blocks(duration, steps_for(duration), blocks)
+        .try_into()
+        .expect("two blocks");
+    let m = u0.dagger().matmul(&u1);
     // m ≈ exp(−2iλ_eff T Z_q) on the gate pair; average the conditional
     // phase over the ±1 eigenspaces of Z on the coupled qubit.
     let z_on = match side {

@@ -687,10 +687,19 @@ impl Leader {
 
 /// The encoded option set, trace flag and evaluation spec of a request —
 /// the part of its coalescing identity that is neither the circuit nor
-/// the device.
+/// the device. An unset α or k computes exactly what its default does,
+/// so the options are encoded with both resolved, as the whole-plan disk
+/// key resolves them; an unset requirement `R` is derived from the
+/// device and stays distinct from any explicit one, on disk too.
 fn coalesce_spec(request: &CompileRequest) -> Vec<u8> {
     let mut enc = Encoder::new();
-    request.options.encode(&mut enc);
+    let options = request.options;
+    CompileOptions {
+        alpha: Some(options.alpha_or_default()),
+        k: Some(options.k_or_default()),
+        ..options
+    }
+    .encode(&mut enc);
     enc.bool(request.trace);
     match &request.eval {
         None => enc.bool(false),

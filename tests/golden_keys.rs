@@ -26,16 +26,26 @@
 //! is otherwise checked against the reference executor only to a
 //! tolerance, so these pins are what lets its internals change without
 //! its numbers moving.
+//!
+//! The pulse level below the compile path is pinned the same way: the
+//! bits of every method's residual table at the fleet profiles' crosstalk
+//! strengths, drifted and not, and of `expm_taylor` on seeded inputs that
+//! take no squaring and three.
 
 mod common;
 
 use common::{codec_digest, matrix_cases, parameter_cases, PINNED_COMPILES};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::{Circuit, Gate};
+use zz_core::calib::measure_residuals_at;
 use zz_core::evaluate::{fidelity_of, EvalConfig};
 use zz_core::persist::compiled_artifact_key;
 use zz_core::pipeline::shape_key;
 use zz_core::{CoOptError, Compiled};
+use zz_linalg::expm::expm_taylor;
+use zz_linalg::{c64, Matrix};
 use zz_net::{CompileEnvelope, Request, Response};
 use zz_persist::fnv1a;
 use zz_pool::{default_threads, parallel_map};
@@ -575,6 +585,113 @@ fn driven_register_outputs_are_pinned() {
     }
 }
 
+/// `(method@strength, residual bits digest)` for every pulse method at the
+/// three fleet profiles' crosstalk strengths (15, 200 and 350 kHz) and
+/// at each drifted by ×1.08. The digest covers the exact bits of the
+/// table's `X90`, identity, `ZX90`-control and `ZX90`-target factors.
+fn calibration_sweep() -> Vec<(String, u64)> {
+    let mut cases = Vec::new();
+    for strength in [15.0, 200.0, 350.0] {
+        for drift in [1.0, 1.08] {
+            for method in PulseMethod::ALL {
+                cases.push((method, strength, drift));
+            }
+        }
+    }
+    parallel_map(cases.len(), default_threads(), |i| {
+        let (method, strength, drift) = cases[i];
+        let table = measure_residuals_at(method, khz(strength) * drift);
+        let mut bytes = Vec::new();
+        for factor in [table.x90, table.id, table.zx90_control, table.zx90_target] {
+            bytes.extend(factor.to_bits().to_le_bytes());
+        }
+        (format!("{method}@{strength}kHz×{drift}"), fnv1a(&bytes))
+    })
+}
+
+const PINNED_CALIBRATIONS: [(&str, u64); 24] = [
+    ("Gaussian@15kHz×1", 0x635b53b1bd4ed270),
+    ("OptCtrl@15kHz×1", 0xf569966fd3b508f4),
+    ("Pert@15kHz×1", 0x9dd9a4de8e536eae),
+    ("DCG@15kHz×1", 0x8ec06e87b80defa0),
+    ("Gaussian@15kHz×1.08", 0x250341c43b4fb453),
+    ("OptCtrl@15kHz×1.08", 0xb5ce1bbd58375226),
+    ("Pert@15kHz×1.08", 0xf2ce8e07dfae23b2),
+    ("DCG@15kHz×1.08", 0x96da6e82fefaf412),
+    ("Gaussian@200kHz×1", 0x845a8e1f1b71550b),
+    ("OptCtrl@200kHz×1", 0x0f2498a277f14230),
+    ("Pert@200kHz×1", 0xeb0ee08559da5772),
+    ("DCG@200kHz×1", 0x8df6ad0bba185a2b),
+    ("Gaussian@200kHz×1.08", 0xc7abc89342e815b4),
+    ("OptCtrl@200kHz×1.08", 0x8207ab95754fd533),
+    ("Pert@200kHz×1.08", 0x09801d2d87ec4b97),
+    ("DCG@200kHz×1.08", 0x5f0813b4a7d472aa),
+    ("Gaussian@350kHz×1", 0xb6b788ef070ef500),
+    ("OptCtrl@350kHz×1", 0x0514cbc703151ab8),
+    ("Pert@350kHz×1", 0x0404eb29344dc75e),
+    ("DCG@350kHz×1", 0xda6367f329cb4d29),
+    ("Gaussian@350kHz×1.08", 0xcfec7ff4eb838efb),
+    ("OptCtrl@350kHz×1.08", 0xbb39bd64cc5de623),
+    ("Pert@350kHz×1.08", 0xc5ecdac1e9f9e209),
+    ("DCG@350kHz×1.08", 0x8f68c750aa90f4f3),
+];
+
+#[test]
+fn calibration_sweep_is_pinned() {
+    let actual = calibration_sweep();
+    assert_eq!(actual.len(), PINNED_CALIBRATIONS.len());
+    for ((label, digest), (pinned_label, pinned)) in actual.iter().zip(PINNED_CALIBRATIONS) {
+        assert_eq!(label, pinned_label);
+        assert_eq!(*digest, pinned, "{label}: residual factors drifted");
+    }
+}
+
+/// `(case, result bits digest)` of `expm_taylor` on seeded anti-Hermitian
+/// `M = −i·H` of sizes 4, 8, 10 and 16, with `H = A + A†` for uniform
+/// random complex `A`, scaled so that the kernel's norm bound
+/// `max |Mᵢⱼ| · n` is 0.3 (no squaring) or 3 (three squarings).
+fn taylor_outputs() -> Vec<(String, u64)> {
+    let mut out = Vec::new();
+    for n in [4, 8, 10, 16] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut entry = || c64::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+        let a = Matrix::from_fn(n, n, |_, _| entry());
+        let h = &a + &a.dagger();
+        for bound in [0.3, 3.0] {
+            let dt = bound / (h.max_norm() * n as f64);
+            let e = expm_taylor(&h.scale(c64::new(0.0, -dt)));
+            let mut bytes = Vec::new();
+            for z in e.as_slice() {
+                bytes.extend(z.re.to_bits().to_le_bytes());
+                bytes.extend(z.im.to_bits().to_le_bytes());
+            }
+            out.push((format!("n={n},bound={bound}"), fnv1a(&bytes)));
+        }
+    }
+    out
+}
+
+const PINNED_TAYLOR: [(&str, u64); 8] = [
+    ("n=4,bound=0.3", 0xfc15477590c7f065),
+    ("n=4,bound=3", 0xc69bbdaf2f981e66),
+    ("n=8,bound=0.3", 0x5bc851a87ff6e108),
+    ("n=8,bound=3", 0xcbc06e785160258f),
+    ("n=10,bound=0.3", 0xa6530f8407b21b97),
+    ("n=10,bound=3", 0xc786ffb416af3d61),
+    ("n=16,bound=0.3", 0x23d7e83583291eb3),
+    ("n=16,bound=3", 0x7c2b0ae78dc0043f),
+];
+
+#[test]
+fn taylor_kernel_outputs_are_pinned() {
+    let actual = taylor_outputs();
+    assert_eq!(actual.len(), PINNED_TAYLOR.len());
+    for ((label, digest), (pinned_label, pinned)) in actual.iter().zip(PINNED_TAYLOR) {
+        assert_eq!(label, pinned_label);
+        assert_eq!(*digest, pinned, "{label}: expm_taylor drifted");
+    }
+}
+
 #[test]
 #[ignore = "helper for regenerating pinned values after an intentional schema bump"]
 fn print_current_keys() {
@@ -617,5 +734,8 @@ fn print_current_keys() {
     }
     for (label, amplitudes, clean, decoherent) in narrow_simulator_outputs() {
         println!("    (\"{label}\", {amplitudes:#018x}, {clean:#018x}, {decoherent:#018x}),");
+    }
+    for (label, digest) in calibration_sweep().into_iter().chain(taylor_outputs()) {
+        println!("    (\"{label}\", {digest:#018x}),");
     }
 }

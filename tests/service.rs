@@ -11,6 +11,8 @@
 //!   through both the synchronous and the submit/wait paths.
 //! * **Evaluation equivalence** — a request's in-queue fidelity matches
 //!   `evaluate::fidelity_of` exactly.
+//! * **Coalescing identity** — a shared request naming the default α and
+//!   k joins an in-flight one that leaves them unset.
 //! * **Digest collisions** — two circuits that differ only in their
 //!   angles' signs share `content_digest` and `shape_key`; coalescing,
 //!   the route memo and the whole-plan store each still give every
@@ -28,6 +30,7 @@ use zz_circuit::bench::{generate, BenchmarkKind};
 use zz_circuit::{Circuit, Gate};
 use zz_core::calib::CalibCache;
 use zz_core::evaluate::{fidelity_of, EvalConfig};
+use zz_core::options::{DEFAULT_ALPHA, DEFAULT_K};
 use zz_core::pipeline::shape_key;
 use zz_core::{CoOptError, CompileOptions};
 use zz_service::{CompileRequest, DiskStatus, Error, EvalSpec, Session, Target};
@@ -388,6 +391,35 @@ fn coalescing_adopts_only_an_identical_request() {
     assert_eq!(first.compiled, fresh_plan(&a));
     assert_eq!(second.compiled, fresh_plan(&b));
     assert_ne!(first.compiled, second.compiled);
+}
+
+#[test]
+fn naming_the_default_alpha_and_k_coalesces_with_leaving_them_unset() {
+    // One worker busy with an unrelated job: all three shared requests
+    // find the first still in flight.
+    let session = grid_session(1);
+    let stuffer = session.submit(CompileRequest::new(generate(BenchmarkKind::Qft, 4, 7)));
+    let circuit = Arc::new(generate(BenchmarkKind::Qaoa, 4, 7));
+    let named = CompileOptions::default()
+        .with_alpha(DEFAULT_ALPHA)
+        .with_k(DEFAULT_K);
+    let handles = [
+        CompileRequest::shared(Arc::clone(&circuit)),
+        CompileRequest::shared(Arc::clone(&circuit)).with_options(named),
+        CompileRequest::shared(circuit),
+    ]
+    .map(|request| session.submit_shared(request));
+    stuffer.wait().expect("fits");
+    let ids = handles.map(|handle| handle.wait().expect("fits").request_id);
+
+    assert_eq!(ids, [ids[0]; 3], "one execution for all three");
+    assert_eq!(
+        session
+            .metrics()
+            .snapshot()
+            .counter("session.coalesce.follower"),
+        Some(2)
+    );
 }
 
 #[test]
