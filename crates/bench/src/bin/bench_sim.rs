@@ -209,9 +209,12 @@ fn kernel_row(n: usize) -> KernelRow {
         out.copy_from_slice(m.as_slice());
         out
     };
-    let diag: Vec<c64> = (0..1usize << n)
-        .map(|i| c64::cis(1e-3 * i as f64))
-        .collect();
+    let (diag_re, diag_im): (Vec<f64>, Vec<f64>) = (0..1usize << n)
+        .map(|i| {
+            let d = c64::cis(1e-3 * i as f64);
+            (d.re, d.im)
+        })
+        .unzip();
     let (ma, mb) = (1usize << (n - 2), 1usize << 1);
 
     batch.kernel_single(&single, 1 << (n / 2));
@@ -228,10 +231,10 @@ fn kernel_row(n: usize) -> KernelRow {
     }
     let two_ns = t.elapsed().as_secs_f64() * 1e9 / amp_lanes;
 
-    batch.apply_diagonal(&diag);
+    batch.apply_diagonal(&diag_re, &diag_im);
     let t = Instant::now();
     for _ in 0..reps {
-        batch.apply_diagonal(&diag);
+        batch.apply_diagonal(&diag_re, &diag_im);
     }
     let diag_ns = t.elapsed().as_secs_f64() * 1e9 / amp_lanes;
 

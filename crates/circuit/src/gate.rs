@@ -107,6 +107,13 @@ impl Gate {
         }
     }
 
+    /// Whether every rotation angle the gate carries is finite (true for
+    /// gates with no angle): a NaN or infinite angle has no unitary.
+    pub fn angles_are_finite(self) -> bool {
+        let (_, angles, count) = self.digest_parts();
+        angles[..count].iter().all(|a| a.is_finite())
+    }
+
     /// Returns `true` for gates that are symmetric in their two qubits.
     pub fn is_symmetric_two_qubit(self) -> bool {
         matches!(self, Gate::Cz | Gate::CPhase(_) | Gate::Rzz(_) | Gate::Swap)

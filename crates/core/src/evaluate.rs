@@ -120,7 +120,9 @@ pub fn fidelity_of(compiled: &Compiled, cfg: &EvalConfig) -> f64 {
 /// The ideal reference state is computed once and reused across all
 /// crosstalk seeds; each seed's noisy execution runs through the
 /// precompiled programs of [`zz_sim::program`], each dropped as soon as
-/// it has run so that only one program's fused tables are alive at once.
+/// it has run. A deterministic program holds no tables (each run folds
+/// its diagonals into one reused buffer), so only a trajectory
+/// program's tables are ever alive, one program's at a time.
 ///
 /// Monte-Carlo trajectories run sequentially here. A session's worker
 /// pool runs submitted jobs side by side, and nesting a second

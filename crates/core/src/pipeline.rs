@@ -115,6 +115,12 @@ pub enum CoOptError {
         /// The physical qubit that could not be reached.
         to: usize,
     },
+    /// A gate carries a NaN or infinite rotation angle, which has no
+    /// unitary to compile or simulate.
+    NonFiniteAngle {
+        /// The gate's index in the circuit's op list.
+        gate: usize,
+    },
 }
 
 impl fmt::Display for CoOptError {
@@ -129,6 +135,9 @@ impl fmt::Display for CoOptError {
                 "no coupling path between physical qubits {from} and {to} \
                  (disconnected device graph)"
             ),
+            CoOptError::NonFiniteAngle { gate } => {
+                write!(f, "gate {gate} has a non-finite rotation angle")
+            }
         }
     }
 }
@@ -456,13 +465,15 @@ pub trait Pass {
     ///
     /// Returns a [`CoOptError`] when the input cannot be compiled:
     /// [`ValidatePass`] rejects oversized circuits with
-    /// [`CoOptError::CircuitTooLarge`], [`RoutePass`] surfaces a
+    /// [`CoOptError::CircuitTooLarge`] and non-finite gate angles with
+    /// [`CoOptError::NonFiniteAngle`], [`RoutePass`] surfaces a
     /// disconnected coupling graph as
     /// [`CoOptError::RouteUnreachable`].
     fn run(&self, input: Self::Input, cx: &PassCx<'_>) -> Result<Self::Output, CoOptError>;
 }
 
-/// Validation pass: rejects circuits that do not fit the device.
+/// Validation pass: rejects circuits that do not fit the device, and
+/// gates whose rotation angles are not finite.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ValidatePass;
 
@@ -483,6 +494,10 @@ impl Pass for ValidatePass {
         let available = cx.topology.qubit_count();
         if needed > available {
             return Err(CoOptError::CircuitTooLarge { needed, available });
+        }
+        let ops = input.circuit.ops();
+        if let Some(gate) = ops.iter().position(|op| !op.gate.angles_are_finite()) {
+            return Err(CoOptError::NonFiniteAngle { gate });
         }
         Ok(input)
     }
@@ -847,10 +862,12 @@ impl PassManager {
     ///
     /// # Errors
     ///
-    /// Returns [`CoOptError::CircuitTooLarge`] from the validation pass
-    /// if the circuit does not fit the device, or
-    /// [`CoOptError::RouteUnreachable`] from the routing pass if the
-    /// device's coupling graph violates the connectivity invariant.
+    /// Returns [`CoOptError::CircuitTooLarge`] or
+    /// [`CoOptError::NonFiniteAngle`] from the validation pass if the
+    /// circuit does not fit the device or a gate angle is NaN or
+    /// infinite, or [`CoOptError::RouteUnreachable`] from the routing
+    /// pass if the device's coupling graph violates the connectivity
+    /// invariant.
     pub fn run(&self, circuit: Arc<Circuit>) -> Result<PipelineOutcome, CoOptError> {
         let total = Instant::now();
         let mut trace = PipelineTrace::new();

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use zz_circuit::Circuit;
 use zz_core::calib::CalibCache;
-use zz_core::evaluate::{fidelity_of, EvalConfig, DECOHERENCE_SEED, MAX_EVAL_QUBITS};
+use zz_core::evaluate::{EvalConfig, DECOHERENCE_SEED, MAX_EVAL_QUBITS};
 use zz_obs::{Counter, Event, EventLog, Gauge, Registry};
 use zz_persist::ArtifactStore;
 use zz_service::{CompileOptions, CompileRequest, CompileResponse, EvalSpec, Session, Target};
@@ -569,7 +569,9 @@ impl Fleet {
     /// right now: simulation under the ground-truth (drifted) λ rather
     /// than the calibrated one the dispatch predictor uses. The spread
     /// between this and the dispatch score is the fidelity cost of
-    /// stale calibration.
+    /// stale calibration. The simulation runs through the device's
+    /// session ([`Session::evaluate`]), so it is counted there like a
+    /// dispatch's scoring: `engine.*` and `session.eval.wall_us`.
     ///
     /// # Errors
     ///
@@ -605,18 +607,16 @@ impl Fleet {
                 DECOHERENCE_SEED,
             )),
         };
-        config
-            .check()
-            .map_err(|detail| eval_error(device, options.default_label(), detail))?;
         let request = CompileRequest::new(circuit).with_options(options);
-        let response = backend
+        let service_error = |source| FleetError::Service {
+            device: device.to_string(),
+            source,
+        };
+        let response = backend.session.compile(&request).map_err(service_error)?;
+        backend
             .session
-            .compile(&request)
-            .map_err(|source| FleetError::Service {
-                device: device.to_string(),
-                source,
-            })?;
-        Ok(fidelity_of(&response.compiled, &config))
+            .evaluate(&request.label, &response.compiled, &config)
+            .map_err(service_error)
     }
 
     /// Aggregates per-device job counts, scores, invalidations,

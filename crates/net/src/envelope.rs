@@ -386,6 +386,10 @@ mod tests {
                 job: "j".into(),
                 detail: "d".into(),
             },
+            Error::Validate {
+                job: "j".into(),
+                source: CoOptError::NonFiniteAngle { gate: 3 },
+            },
         ];
         for error in errors {
             let response = Response::Error(error);

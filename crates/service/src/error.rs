@@ -22,7 +22,8 @@ use zz_persist::{Decode, DecodeError, Decoder, Encode, Encoder};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Error {
     /// The request was rejected before compilation: the circuit does not
-    /// fit the target device (wraps the engine's [`CoOptError`]).
+    /// fit the target device, or a gate angle is NaN or infinite (wraps
+    /// the engine's [`CoOptError`]).
     Validate {
         /// The label of the failing job (or `"target"` for failures
         /// while constructing a [`crate::Target`]).
@@ -77,14 +78,17 @@ impl Error {
         }
     }
 
-    /// Wraps an engine-level compile error for `job`: size rejections map
-    /// to [`Error::Validate`], routing failures to [`Error::Route`].
+    /// Wraps an engine-level compile error for `job`: size and angle
+    /// rejections map to [`Error::Validate`], routing failures to
+    /// [`Error::Route`].
     pub fn from_compile(job: impl Into<String>, source: CoOptError) -> Self {
         match source {
-            CoOptError::CircuitTooLarge { .. } => Error::Validate {
-                job: job.into(),
-                source,
-            },
+            CoOptError::CircuitTooLarge { .. } | CoOptError::NonFiniteAngle { .. } => {
+                Error::Validate {
+                    job: job.into(),
+                    source,
+                }
+            }
             CoOptError::RouteUnreachable { .. } => Error::Route {
                 job: job.into(),
                 detail: source.to_string(),
@@ -115,8 +119,9 @@ impl std::error::Error for Error {
 }
 
 /// Tags 0–5 in variant order, with tag 2 retired: it carried a
-/// calibration error nothing ever constructed, and is never reused. A
-/// [`Error::Validate`] wraps only a size rejection on the wire; one
+/// calibration error nothing ever constructed, and is never reused. Tag
+/// 6 is a [`Error::Validate`] naming a gate with a non-finite angle. A
+/// [`Error::Validate`] otherwise wraps a size rejection on the wire; one
 /// holding a routing failure goes out as the [`Error::Route`] it is,
 /// with the same detail string [`Error::from_compile`] would give it.
 impl Encode for Error {
@@ -158,6 +163,14 @@ impl Encode for Error {
                 out.str(job);
                 out.str(detail);
             }
+            Error::Validate {
+                job,
+                source: CoOptError::NonFiniteAngle { gate },
+            } => {
+                out.u8(6);
+                out.str(job);
+                out.usize(*gate);
+            }
         }
     }
 }
@@ -184,6 +197,10 @@ impl Decode for Error {
             5 => Error::Worker {
                 job: r.str()?,
                 detail: r.str()?,
+            },
+            6 => Error::Validate {
+                job: r.str()?,
+                source: CoOptError::NonFiniteAngle { gate: r.usize()? },
             },
             _ => return Err(DecodeError::Invalid("service error tag")),
         })
@@ -219,6 +236,20 @@ mod tests {
             }
             other => panic!("expected Route, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_finite_angles_map_to_the_validate_variant() {
+        let source = CoOptError::NonFiniteAngle { gate: 4 };
+        let err = Error::from_compile("j", source.clone());
+        assert_eq!(
+            err,
+            Error::Validate {
+                job: "j".into(),
+                source
+            }
+        );
+        assert!(err.to_string().contains("gate 4"), "{err}");
     }
 
     #[test]

@@ -569,30 +569,7 @@ impl SessionCore {
             None => None,
             Some(spec) => {
                 let config = spec.to_config(&self.target);
-                config.check().map_err(|detail| Error::Eval {
-                    job: request.label.clone(),
-                    detail,
-                })?;
-                // Compilation scales to any device; simulating the
-                // device register is exponential and stays capped. The
-                // check sits here — at evaluation time, not validation —
-                // so large devices compile freely without an EvalSpec.
-                let device_qubits = compiled.topology.qubit_count();
-                if device_qubits > MAX_EVAL_QUBITS {
-                    return Err(Error::Eval {
-                        job: request.label.clone(),
-                        detail: format!(
-                            "device has {device_qubits} qubits but evaluation simulates at \
-                             most {MAX_EVAL_QUBITS} device qubits; use \
-                             CompileResponse::plan_metrics as the at-scale fidelity proxy"
-                        ),
-                    });
-                }
-                let started = Instant::now();
-                let (fidelity, stats) = evaluate(&compiled, &config);
-                self.metrics.eval_wall.observe_micros(started.elapsed());
-                self.metrics.record_engine(&stats);
-                Some(fidelity)
+                Some(self.evaluate(&request.label, &compiled, &config)?)
             }
         };
 
@@ -607,6 +584,34 @@ impl SessionCore {
             queue_wait: Duration::ZERO,
             fidelity,
         })
+    }
+
+    /// Evaluates `compiled` under `config` for job `job`, counting the
+    /// simulation in this session's registry: `session.eval.wall_us` and
+    /// the engine's `engine.*` counts.
+    fn evaluate(&self, job: &str, compiled: &Compiled, config: &EvalConfig) -> Result<f64, Error> {
+        let eval_error = |detail| Error::Eval {
+            job: job.to_string(),
+            detail,
+        };
+        config.check().map_err(eval_error)?;
+        // Compilation scales to any device; simulating the device
+        // register is exponential and stays capped. The check sits here
+        // — at evaluation time, not validation — so large devices
+        // compile freely without an EvalSpec.
+        let device_qubits = compiled.topology.qubit_count();
+        if device_qubits > MAX_EVAL_QUBITS {
+            return Err(eval_error(format!(
+                "device has {device_qubits} qubits but evaluation simulates at most \
+                 {MAX_EVAL_QUBITS} device qubits; use CompileResponse::plan_metrics as the \
+                 at-scale fidelity proxy"
+            )));
+        }
+        let started = Instant::now();
+        let (fidelity, stats) = evaluate(compiled, config);
+        self.metrics.eval_wall.observe_micros(started.elapsed());
+        self.metrics.record_engine(&stats);
+        Ok(fidelity)
     }
 
     /// Rolls one finished request into the registry and the event log:
@@ -772,6 +777,24 @@ impl Session {
         let result = self.core.execute(request, id);
         self.core.observe_outcome(id, &result, Duration::ZERO);
         result
+    }
+
+    /// Evaluates an already compiled plan under an explicit `config` on
+    /// the caller's thread, counted in this session's registry the way a
+    /// request's evaluation is (`session.eval.wall_us`, `engine.*`).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Eval`] labelled `job` when `config` fails
+    /// [`EvalConfig::check`] or the plan's device is above
+    /// [`MAX_EVAL_QUBITS`].
+    pub fn evaluate(
+        &self,
+        job: &str,
+        compiled: &Compiled,
+        config: &EvalConfig,
+    ) -> Result<f64, Error> {
+        self.core.evaluate(job, compiled, config)
     }
 
     /// Enqueues a request on the worker pool and returns immediately.

@@ -11,12 +11,12 @@
 //! * every layer's undriven-coupling ZZ phases and the adjacent virtual
 //!   rotations are **fused into a single diagonal** — one `O(2^n)` pass
 //!   per layer (tabulated as `2^n` phases for registers up to
-//!   [`DIAG_TABLE_MAX_QUBITS`] qubits, evaluated on the fly above that),
-//!   and phases keep sliding forward across layers until a gate kernel
-//!   or an amplitude-damping jump pins them. Building those tables is
-//!   most of a compile's cost, so each term is folded only over the
-//!   qubits its table depends on so far, bit-identically to a fold over
-//!   all `2^n` entries,
+//!   [`DIAG_TABLE_MAX_QUBITS`] qubits, evaluated term by term above
+//!   that), and phases keep sliding forward across layers until a gate
+//!   kernel or an amplitude-damping jump pins them. Folding those tables
+//!   is most of an evaluation's cost, so each term is folded only over
+//!   the qubits its table depends on so far, bit-identically to a fold
+//!   over all `2^n` entries,
 //! * gate matrices are resolved to branch-free kernels with precomputed
 //!   bit masks,
 //! * with decoherence, each layer also carries its damping and
@@ -43,9 +43,14 @@
 //! **deterministic per-trajectory seeds**, so Monte-Carlo results are
 //! bit-identical regardless of the thread count and batch width.
 //!
-//! Compile one program per plan and error model, and reuse it whenever
-//! the plan runs more than once (disorder averages, trajectory fans,
-//! parameter sweeps).
+//! Compile one program per plan and error model. A [`PlanProgram`] keeps
+//! only each diagonal's phase terms and folds the diagonal when the
+//! replay reaches it, into one table buffer the whole run reuses and
+//! applies while it is still in cache, so its memory does not grow with
+//! its layer count; running it again folds again. A
+//! [`TrajectoryProgram`] tabulates every diagonal once at compile time
+//! instead, through the same fold, because its fan replays each step once
+//! per batch.
 //!
 //! The engine publishes no metrics. Each program reports how many
 //! diagonal sweeps its compilation fused away, and the trajectory fan
@@ -91,10 +96,11 @@ use crate::StateVector;
 use zz_pool::parallel_map;
 
 /// Largest replayed (driven) register whose fused layer diagonals are
-/// tabulated as dense `2^k` complex tables (16 qubits = 1 MiB per
-/// layer). Larger registers evaluate the fused phase terms on the fly —
-/// still one pass per layer, but with an `O(terms)` phase sum per
-/// amplitude instead of a lookup.
+/// tabulated as dense `2^k` complex tables. A [`TrajectoryProgram`]
+/// keeps one table per diagonal (16 qubits = 1 MiB per layer); a
+/// [`PlanProgram`] run folds each into the same one buffer. Larger
+/// registers apply the fused phase terms one strided pass per term
+/// instead of one lookup pass per diagonal.
 pub const DIAG_TABLE_MAX_QUBITS: usize = 16;
 
 /// Default trajectory-batch width for [`TrajectoryProgram::mean_fidelity`]:
@@ -144,6 +150,14 @@ impl GateApp {
     }
 }
 
+/// A fused diagonal tabulated as `e^{i·phase}` per basis state, one
+/// `f64` plane per component like [`BatchedState`]'s amplitudes.
+#[derive(Clone, Debug, Default)]
+struct Table {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
 /// A fused diagonal: the sum of a set of commuting Rz and ZZ phases,
 /// applied in one amplitude sweep.
 #[derive(Clone, Debug)]
@@ -155,58 +169,61 @@ struct Diag {
     /// `(mask_u, mask_v, φ)` — adds `−φ` where the two bits agree, `+φ`
     /// where they differ ([`StateVector::apply_zz_phase`]).
     zz: Vec<(usize, usize, f64)>,
-    /// Dense `e^{i·phase}` table for small registers.
-    table: Option<Vec<c64>>,
+    /// The diagonal tabulated once at compile time, kept only by a
+    /// [`TrajectoryProgram`], whose fan replays every step once per
+    /// batch. Without it, a tabulable diagonal is folded at replay time
+    /// into the replay's one table buffer.
+    table: Option<Table>,
 }
 
 impl Diag {
     /// Builds a fused diagonal, or `None` when there is nothing to apply.
-    fn build(n: usize, rz: Vec<(usize, f64)>, zz: Vec<(usize, usize, f64)>) -> Option<Diag> {
+    fn build(rz: Vec<(usize, f64)>, zz: Vec<(usize, usize, f64)>) -> Option<Diag> {
         if rz.is_empty() && zz.is_empty() {
             return None;
         }
-        let mut diag = Diag {
+        Some(Diag {
             rz,
             zz,
             table: None,
-        };
-        if n <= DIAG_TABLE_MAX_QUBITS {
-            diag.table = Some(diag.build_table(n));
-        }
-        Some(diag)
+        })
     }
 
-    /// Tabulates the fused diagonal multiplicatively. Each term
-    /// contributes a two-valued `e^{±iφ}` pattern (two `cis` evaluations
-    /// per term, no per-entry sin/cos), so after the first `k` terms the
-    /// product depends only on the qubits those terms touch — its
-    /// *support*. The partial product is kept compact in `table[..len]`,
-    /// `len = 2^|support|`, indexed by the support bits in full-index
-    /// order: a term touching a new qubit first doubles the table in that
-    /// bit, then folds over `len` entries only. Qubits no term touches
-    /// are doubled in last, so the table comes out at full size.
+    /// Tabulates the fused diagonal of a `k`-qubit register into `table`
+    /// (any earlier contents are overwritten), multiplicatively. Each
+    /// term contributes a two-valued `e^{±iφ}` pattern (two `cis`
+    /// evaluations per term, no per-entry sin/cos), so after the first
+    /// terms the product depends only on the qubits those terms touch —
+    /// its *support*. The partial product is kept compact in the first
+    /// `len = 2^|support|` entries, indexed by the support bits in
+    /// full-index order: a term touching a new qubit first doubles the
+    /// table in that bit, then folds over `len` entries only. Qubits no
+    /// term touches are doubled in last, so the table comes out at full
+    /// size.
     ///
     /// Every entry still receives the ordered product of its factors —
     /// Rz terms in order, then ZZ terms in order — so the table is
-    /// bit-identical to a per-entry fold over all `2^n` entries. The
+    /// bit-identical to a per-entry fold over all `2^k` entries. The
     /// product starts from 1: `1·e^{iφ}` is `e^{iφ}` bit for bit, since
     /// neither component of `cis(φ)` is zero for the nonzero `φ` the
     /// builder keeps.
-    fn build_table(&self, n: usize) -> Vec<c64> {
-        let mut table = vec![c64::ONE; 1usize << n];
+    fn fold(&self, k: usize, table: &mut Table) {
+        let dim = 1usize << k;
+        table.re.resize(dim, 0.0);
+        table.im.resize(dim, 0.0);
+        (table.re[0], table.im[0]) = (1.0, 0.0);
         let mut support = 0usize;
         let terms = self.rz.iter().map(|&(mask, half)| (mask, 0, half));
         for (mu, mv, phi) in terms.chain(self.zz.iter().copied()) {
-            widen(&mut table, &mut support, mu);
-            widen(&mut table, &mut support, mv);
+            widen(table, &mut support, mu);
+            widen(table, &mut support, mv);
             let len = 1usize << support.count_ones();
             let (cu, cv) = (compact_mask(support, mu), compact_mask(support, mv));
-            fold_term(&mut table[..len], cu, cv, phi);
+            fold_term(&mut table.re[..len], &mut table.im[..len], cu, cv, phi);
         }
-        for q in 0..n {
-            widen(&mut table, &mut support, 1 << q);
+        for q in 0..k {
+            widen(table, &mut support, 1 << q);
         }
-        table
     }
 
     /// Total phase accumulated by basis state `i` — the reference
@@ -226,26 +243,34 @@ impl Diag {
 
     /// Applies the diagonal to every lane and returns the number of
     /// full-statevector sweeps it executed (for the engine counters).
-    /// Tabulated registers take one lookup sweep; above
-    /// [`DIAG_TABLE_MAX_QUBITS`] each term runs as its own strided
-    /// branch-free pass with only two `cis` evaluations per term — no
-    /// per-amplitude sin/cos.
-    fn apply(&self, batch: &mut BatchedState) -> u64 {
-        match &self.table {
-            Some(table) => {
-                batch.apply_diagonal(table);
-                1
+    /// A tabulable register takes one lookup sweep, through the table
+    /// tabulated at compile time or, without one, through `buffer`,
+    /// folded right before the sweep reads it; above
+    /// [`DIAG_TABLE_MAX_QUBITS`] the terms run one by one.
+    fn apply(&self, batch: &mut BatchedState, buffer: &mut Table) -> u64 {
+        let table = match &self.table {
+            Some(table) => table,
+            None if batch.qubit_count() <= DIAG_TABLE_MAX_QUBITS => {
+                self.fold(batch.qubit_count(), buffer);
+                buffer
             }
-            None => {
-                for &(mask, half) in &self.rz {
-                    batch.apply_rz_term(mask, half);
-                }
-                for &(mu, mv, phi) in &self.zz {
-                    batch.apply_zz_term(mu, mv, phi);
-                }
-                (self.rz.len() + self.zz.len()) as u64
-            }
+            None => return self.apply_terms(batch),
+        };
+        batch.apply_diagonal(&table.re, &table.im);
+        1
+    }
+
+    /// Applies each term as its own strided branch-free pass with only
+    /// two `cis` evaluations per term — no per-amplitude sin/cos — and
+    /// returns the number of passes.
+    fn apply_terms(&self, batch: &mut BatchedState) -> u64 {
+        for &(mask, half) in &self.rz {
+            batch.apply_rz_term(mask, half);
         }
+        for &(mu, mv, phi) in &self.zz {
+            batch.apply_zz_term(mu, mv, phi);
+        }
+        (self.rz.len() + self.zz.len()) as u64
     }
 }
 
@@ -266,51 +291,131 @@ fn compact_mask(support: usize, mask: usize) -> usize {
 /// with the new compact bit removed, so each run of entries below that
 /// bit is written twice. Runs are copied back to front, so no source is
 /// overwritten before it is read.
-fn widen(table: &mut [c64], support: &mut usize, mask: usize) {
+fn widen(table: &mut Table, support: &mut usize, mask: usize) {
     if mask == 0 || *support & mask != 0 {
         return;
     }
     let len = 1usize << support.count_ones();
     let bit = compact_mask(*support, mask);
     *support |= mask;
-    if bit == 1 {
-        for j in (0..len).rev() {
-            let t = table[j];
-            table[2 * j] = t;
-            table[2 * j + 1] = t;
+    for plane in [&mut table.re, &mut table.im] {
+        let plane = &mut plane[..2 * len];
+        match bit {
+            1 => double_runs::<1>(plane),
+            2 => double_runs::<2>(plane),
+            4 => double_runs::<4>(plane),
+            _ => {
+                for run in (0..len / bit).rev() {
+                    let src = run * bit..(run + 1) * bit;
+                    plane.copy_within(src.clone(), (2 * run + 1) * bit);
+                    plane.copy_within(src, 2 * run * bit);
+                }
+            }
         }
-        return;
-    }
-    for run in (0..len / bit).rev() {
-        let src = run * bit..(run + 1) * bit;
-        table.copy_within(src.clone(), (2 * run + 1) * bit);
-        table.copy_within(src, 2 * run * bit);
     }
 }
+
+/// [`widen`]'s doubling for runs of `RUN` entries, by fixed-size copies:
+/// each run of the first half of `plane` becomes two adjacent copies.
+fn double_runs<const RUN: usize>(plane: &mut [f64]) {
+    for run in (0..plane.len() / (2 * RUN)).rev() {
+        let src: [f64; RUN] = plane[run * RUN..(run + 1) * RUN]
+            .try_into()
+            .expect("a run is RUN entries long");
+        plane[2 * run * RUN..(2 * run + 1) * RUN].copy_from_slice(&src);
+        plane[(2 * run + 1) * RUN..(2 * run + 2) * RUN].copy_from_slice(&src);
+    }
+}
+
+/// Entries of one factor pattern in [`fold_term`]: a whole period of
+/// every term whose period `2·hi` is at most this, and a whole number
+/// of periods of every `hi`-long segment's pattern above that.
+const PATTERN: usize = 16;
 
 /// Multiplies one phase term into a compact table: entry `j` by
 /// `e^{−iφ}` where compact bits `cu` and `cv` agree and by `e^{+iφ}`
 /// where they differ. An Rz term `(mask, θ/2)` is the term against mask
-/// 0. When the lowest set mask is at least 4, runs of that many entries
-/// share one factor and are scaled as contiguous chunks; below that the
-/// factor is selected per entry.
-fn fold_term(table: &mut [c64], cu: usize, cv: usize, phi: f64) {
+/// 0, and a term with both masks 0 scales every entry by `e^{−iφ}`.
+/// When the lowest set mask is at least 4, runs of that many entries
+/// share one factor and are scaled as contiguous chunks. Below that the
+/// factors repeat with period `2·hi` (`hi` the higher set mask): a
+/// [`PATTERN`]-entry pattern covers the whole table when the period fits
+/// in it, and each `hi`-long segment — whose `hi` bit is fixed — when
+/// it does not, so every entry is multiplied branch-free by its own
+/// factor. A table no longer than one pattern takes each entry's factor
+/// directly.
+fn fold_term(re: &mut [f64], im: &mut [f64], cu: usize, cv: usize, phi: f64) {
     let factors = [c64::cis(-phi), c64::cis(phi)];
     let factor = |i: usize| factors[((i & cu != 0) != (i & cv != 0)) as usize];
-    let run = match (cu, cv) {
-        (0, m) | (m, 0) => m,
-        _ => cu.min(cv),
+    let hi = cu.max(cv);
+    if hi == 0 {
+        scale(re, im, factors[0]);
+        return;
+    }
+    let run = match cu.min(cv) {
+        0 => hi,
+        lo => lo,
     };
     if run >= 4 {
-        for (c, chunk) in table.chunks_exact_mut(run).enumerate() {
-            let f = factor(c * run);
-            for t in chunk {
-                *t *= f;
-            }
+        let chunks = re.chunks_exact_mut(run).zip(im.chunks_exact_mut(run));
+        for (c, (r, q)) in chunks.enumerate() {
+            scale(r, q, factor(c * run));
         }
+        return;
+    }
+    if re.len() <= PATTERN {
+        // No longer than one pattern: each entry takes its own factor.
+        for (i, (r, q)) in re.iter_mut().zip(im.iter_mut()).enumerate() {
+            let f = factor(i);
+            mul_assign(r, q, f.re, f.im);
+        }
+        return;
+    }
+    let pattern = |offset: usize| -> ([f64; PATTERN], [f64; PATTERN]) {
+        (
+            std::array::from_fn(|j| factor(offset + j).re),
+            std::array::from_fn(|j| factor(offset + j).im),
+        )
+    };
+    if 2 * hi <= PATTERN {
+        let (pr, pi) = pattern(0);
+        multiply_periodic(re, im, &pr, &pi);
     } else {
-        for (i, t) in table.iter_mut().enumerate() {
-            *t *= factor(i);
+        let patterns = [pattern(0), pattern(hi)];
+        let segments = re.chunks_exact_mut(hi).zip(im.chunks_exact_mut(hi));
+        for (s, (r, q)) in segments.enumerate() {
+            let (pr, pi) = &patterns[s & 1];
+            multiply_periodic(r, q, pr, pi);
+        }
+    }
+}
+
+/// `r + i·q ← (r + i·q)·(fr + i·fi)`, in the operation order of
+/// `c64`'s product, so a plane-wise fold is bit-identical to a `c64` one.
+#[inline(always)]
+fn mul_assign(r: &mut f64, q: &mut f64, fr: f64, fi: f64) {
+    let (ar, ai) = (*r, *q);
+    *r = ar * fr - ai * fi;
+    *q = ar * fi + ai * fr;
+}
+
+/// Multiplies every entry of `(re, im)` by the complex scalar `f`.
+#[inline]
+fn scale(re: &mut [f64], im: &mut [f64], f: c64) {
+    for (r, q) in re.iter_mut().zip(im.iter_mut()) {
+        mul_assign(r, q, f.re, f.im);
+    }
+}
+
+/// Multiplies `(re, im)` entry by entry by the pattern `(pr, pi)`,
+/// repeated over its whole length (a multiple of the pattern's).
+#[inline]
+fn multiply_periodic(re: &mut [f64], im: &mut [f64], pr: &[f64; PATTERN], pi: &[f64; PATTERN]) {
+    let (re_chunks, _) = re.as_chunks_mut::<PATTERN>();
+    let (im_chunks, _) = im.as_chunks_mut::<PATTERN>();
+    for (r, q) in re_chunks.iter_mut().zip(im_chunks.iter_mut()) {
+        for j in 0..PATTERN {
+            mul_assign(&mut r[j], &mut q[j], pr[j], pi[j]);
         }
     }
 }
@@ -521,18 +626,14 @@ impl Steps {
                 carry_zz.extend(zz);
                 continue;
             }
-            let pre = Diag::build(
-                k,
-                std::mem::take(&mut carry_rz),
-                std::mem::take(&mut carry_zz),
-            );
+            let pre = Diag::build(std::mem::take(&mut carry_rz), std::mem::take(&mut carry_zz));
             emitted += pre.is_some() as u64;
             let zz_diag = if gamma == 0.0 {
                 // Jump-free layer: ZZ phases slide past the noise pass.
                 carry_zz = zz;
                 None
             } else {
-                let d = Diag::build(k, Vec::new(), zz);
+                let d = Diag::build(Vec::new(), zz);
                 emitted += d.is_some() as u64;
                 d
             };
@@ -548,7 +649,7 @@ impl Steps {
         let final_rz = rz_terms(&masks, &plan.final_rz);
         naive += !final_rz.is_empty() as u64;
         carry_rz.extend(final_rz);
-        let tail = Diag::build(k, carry_rz, carry_zz);
+        let tail = Diag::build(carry_rz, carry_zz);
         emitted += tail.is_some() as u64;
         let fused = naive.saturating_sub(emitted);
         Steps {
@@ -558,6 +659,21 @@ impl Steps {
             layers,
             tail,
             fused,
+        }
+    }
+
+    /// Tabulates every diagonal once, for a program that replays its
+    /// steps many times (nothing to do above [`DIAG_TABLE_MAX_QUBITS`]).
+    fn tabulate(&mut self) {
+        if self.k > DIAG_TABLE_MAX_QUBITS {
+            return;
+        }
+        let k = self.k;
+        let pinned = self.layers.iter_mut().flat_map(|s| [&mut s.pre, &mut s.zz]);
+        for diag in pinned.chain([&mut self.tail]).flatten() {
+            let mut table = Table::default();
+            diag.fold(k, &mut table);
+            diag.table = Some(table);
         }
     }
 
@@ -621,16 +737,17 @@ impl Steps {
         let mut jumps = vec![0usize; width];
         let (mut factors, mut tmp) = (Vec::new(), Vec::new());
         let (mut scratch_re, mut scratch_im) = (Vec::new(), Vec::new());
+        let mut table = Table::default();
         for layer in &self.layers {
             if let Some(diag) = &layer.pre {
-                sweeps += diag.apply(batch);
+                sweeps += diag.apply(batch, &mut table);
             }
             for gate in &layer.gates {
                 gate.apply(batch);
                 sweeps += 1;
             }
             if let Some(diag) = &layer.zz {
-                sweeps += diag.apply(batch);
+                sweeps += diag.apply(batch, &mut table);
             }
             if layer.gamma == 0.0 && layer.p_flip == 0.0 {
                 continue;
@@ -693,7 +810,7 @@ impl Steps {
             sweeps += 1;
         }
         if let Some(diag) = &self.tail {
-            sweeps += diag.apply(batch);
+            sweeps += diag.apply(batch, &mut table);
         }
         sweeps
     }
@@ -758,7 +875,9 @@ pub struct TrajectoryProgram {
 }
 
 impl TrajectoryProgram {
-    /// Precompiles the plan under ZZ crosstalk and decoherence.
+    /// Precompiles the plan under ZZ crosstalk and decoherence, with
+    /// every fused diagonal tabulated once here: the fan replays each
+    /// step once per batch, so the tables are shared by all batches.
     pub fn compile(
         plan: &SchedulePlan,
         topo: &Topology,
@@ -766,9 +885,9 @@ impl TrajectoryProgram {
         deco: &Decoherence,
         durations: &GateDurations,
     ) -> Self {
-        TrajectoryProgram {
-            steps: Steps::build(plan, Some((topo, model, durations)), Some(deco)),
-        }
+        let mut steps = Steps::build(plan, Some((topo, model, durations)), Some(deco));
+        steps.tabulate();
+        TrajectoryProgram { steps }
     }
 
     /// Number of qubits.
@@ -947,15 +1066,12 @@ mod tests {
         let n = 4;
         let rz = vec![(mask_of(n, 1), 0.35), (mask_of(n, 3), -0.8)];
         let zz = vec![(mask_of(n, 0), mask_of(n, 2), 0.21)];
-        let tabulated = Diag::build(n, rz.clone(), zz.clone()).unwrap();
-        assert!(tabulated.table.is_some());
-        let mut on_the_fly = tabulated.clone();
-        on_the_fly.table = None;
+        let diag = Diag::build(rz, zz).unwrap();
 
         let mut a = uniform_superposition(n, 0..n);
         let mut b = a.clone();
-        tabulated.apply(&mut a);
-        on_the_fly.apply(&mut b);
+        assert_eq!(diag.apply(&mut a, &mut Table::default()), 1);
+        assert_eq!(diag.apply_terms(&mut b), 3);
         let diff: f64 = a
             .lane_amplitudes(0)
             .iter()
@@ -1038,15 +1154,75 @@ mod tests {
                 vec![(b(3), b(5), 0.15), (b(4), b(2), -0.35)],
             ),
         ));
+        // Mask-0 terms (qubits outside the replayed register): Rz terms,
+        // ZZ terms with one end outside, and ZZ terms with both ends
+        // outside, first, between and last.
+        cases.push((
+            5,
+            (
+                vec![(0, 0.45), (b(2), -0.3), (0, -1.2)],
+                vec![
+                    (0, b(3), 0.2),
+                    (b(1), 0, -0.15),
+                    (0, 0, 0.35),
+                    (b(4), b(2), 0.05),
+                    (0, b(0), -0.45),
+                    (0, 0, -0.1),
+                ],
+            ),
+        ));
+        cases.push((3, (vec![(0, 0.7)], vec![(0, 0, -0.25)])));
+        cases.push((4, (Vec::new(), vec![(0, 0, 0.1), (b(0), b(3), 0.2)])));
+        cases.push((1, (vec![(0, -0.6)], vec![(b(0), 0, 0.3)])));
+        // Full support first, so compact masks equal full ones: Rz terms
+        // at compact bits 1, 2 and 4 or more, ZZ terms with a run of 1
+        // or 2 against every higher bit (periods 4 to 1024, each side of
+        // 16), runs of 4 or more, and one-sided terms at every run.
+        let n = 10;
+        let mut rz: Vec<(usize, f64)> = (0..n).map(|q| (b(q), 0.1 * (q as f64 + 1.0))).collect();
+        rz.extend([(b(0), 0.5), (b(1), -0.4), (b(2), 0.8), (b(6), -0.9)]);
+        let mut zz: Vec<(usize, usize, f64)> = Vec::new();
+        for q in 1..n {
+            zz.push((b(0), b(q), 0.03 * q as f64));
+            zz.push((b(q), 0, -0.07 * q as f64));
+        }
+        for q in 2..n {
+            zz.push((b(q), b(1), -0.02 * q as f64));
+            zz.push((b(q), b(2), 0.015 * q as f64));
+        }
+        zz.push((b(5), b(8), 0.125));
+        cases.push((n, (rz, zz)));
+        // New qubits landing at compact bits 1, 2, 4, 8, 16 and 32, each
+        // folded at once at its new place against a far bit.
+        cases.push((
+            10,
+            (
+                vec![(b(9), 0.3), (b(8), -0.2)],
+                vec![
+                    (b(0), b(9), 0.11),
+                    (b(1), b(8), -0.13),
+                    (b(2), b(0), 0.17),
+                    (b(3), b(9), 0.19),
+                    (b(4), b(1), -0.23),
+                    (b(5), 0, 0.29),
+                    (b(7), b(6), 0.31),
+                ],
+            ),
+        ));
+        // One buffer for every case, as a replay reuses it: a fold
+        // overwrites whatever an earlier fold left behind.
+        let mut table = Table::default();
         for (n, (rz, zz)) in cases {
-            let diag = Diag::build(n, rz, zz).expect("every case has a term");
-            let table = diag.table.as_ref().expect("tabulated below the limit");
+            let diag = Diag::build(rz, zz).expect("every case has a term");
+            diag.fold(n, &mut table);
             let reference = ordered_product_table(&diag, n);
-            assert_eq!(table.len(), reference.len());
-            for (i, (got, want)) in table.iter().zip(&reference).enumerate() {
+            assert_eq!(table.re.len(), reference.len());
+            assert_eq!(table.im.len(), reference.len());
+            let got = table.re.iter().zip(&table.im);
+            for (i, ((&re, &im), want)) in got.zip(&reference).enumerate() {
                 assert!(
-                    got.re.to_bits() == want.re.to_bits() && got.im.to_bits() == want.im.to_bits(),
-                    "n={n} entry {i}: {got:?} vs {want:?} for {:?} / {:?}",
+                    re.to_bits() == want.re.to_bits() && im.to_bits() == want.im.to_bits(),
+                    "n={n} entry {i}: {re:?} + {im:?}i vs {want:?} for {:?} / {:?}",
                     diag.rz,
                     diag.zz
                 );
@@ -1056,8 +1232,8 @@ mod tests {
 
     #[test]
     fn empty_diag_is_elided() {
-        assert!(Diag::build(3, Vec::new(), Vec::new()).is_none());
-        assert!(Diag::build(3, vec![(1, 0.1)], Vec::new()).is_some());
+        assert!(Diag::build(Vec::new(), Vec::new()).is_none());
+        assert!(Diag::build(vec![(1, 0.1)], Vec::new()).is_some());
     }
 
     #[test]
@@ -1087,6 +1263,38 @@ mod tests {
             let traj = TrajectoryProgram::compile(&plan, &topo, &model, &deco, &d).run(&mut rng);
             assert_eq!(det.amplitudes(), traj.amplitudes());
         }
+    }
+
+    /// Whether each of a program's diagonals carries a table, in replay
+    /// order.
+    fn tabulated(steps: &Steps) -> Vec<bool> {
+        let pinned = steps.layers.iter().flat_map(|s| [&s.pre, &s.zz]);
+        pinned
+            .chain([&steps.tail])
+            .flatten()
+            .map(|diag| diag.table.is_some())
+            .collect()
+    }
+
+    /// A deterministic program keeps only its phase terms and folds each
+    /// diagonal at replay time; a trajectory program tabulates every
+    /// diagonal once at compile time.
+    #[test]
+    fn only_trajectory_programs_hold_tables() {
+        let topo = Topology::grid(2, 3);
+        let plan = qaoa_plan(&topo);
+        let model = ZzErrorModel::uniform(&topo, crate::khz(200.0)).with_residual(0.05);
+        let d = GateDurations::standard();
+        let deco = Decoherence::equal_us(50.0);
+        let deterministic = tabulated(&PlanProgram::compile(&plan, &topo, &model, &d).steps);
+        let trajectory =
+            tabulated(&TrajectoryProgram::compile(&plan, &topo, &model, &deco, &d).steps);
+        assert!(!deterministic.is_empty() && !trajectory.is_empty());
+        assert!(deterministic.iter().all(|&t| !t), "{deterministic:?}");
+        assert!(trajectory.iter().all(|&t| t), "{trajectory:?}");
+        assert!(tabulated(&PlanProgram::ideal(&plan).steps)
+            .iter()
+            .all(|&t| !t));
     }
 
     /// A plan of virtual rotations only drives no qubit: it replays on a
@@ -1146,8 +1354,7 @@ mod tests {
             (mask_of(n, 9), 0, -0.31),
             (0, 0, 0.19),
         ];
-        let diag = Diag::build(n, rz, zz).unwrap();
-        assert!(diag.table.is_none(), "17 qubits must use the term fallback");
+        let diag = Diag::build(rz, zz).unwrap();
 
         let mut state = uniform_superposition(n, [0, 5, 9, 16]);
         let expected: Vec<c64> = state
@@ -1156,7 +1363,9 @@ mod tests {
             .enumerate()
             .map(|(i, &a)| a * c64::cis(diag.phase_at(i)))
             .collect();
-        diag.apply(&mut state);
+        let mut buffer = Table::default();
+        assert_eq!(diag.apply(&mut state, &mut buffer), 8);
+        assert!(buffer.re.is_empty(), "17 qubits must use the term fallback");
         let diff = state
             .lane_amplitudes(0)
             .iter()

@@ -357,7 +357,7 @@ mod tests {
         }
         reference.apply_rz(0.7, 1);
         reference.apply_zz_phase(0.31, 0, 2);
-        let diag: Vec<c64> = (0..1usize << n)
+        let (diag_re, diag_im): (Vec<f64>, Vec<f64>) = (0..1usize << n)
             .map(|i| {
                 let rz = if i & reference.qubit_mask(1) != 0 {
                     0.7 / 2.0
@@ -366,10 +366,11 @@ mod tests {
                 };
                 let same = (i & reference.qubit_mask(0) == 0) == (i & reference.qubit_mask(2) == 0);
                 let zz = if same { -0.31 } else { 0.31 };
-                c64::cis(rz + zz)
+                let d = c64::cis(rz + zz);
+                (d.re, d.im)
             })
-            .collect();
-        fused.apply_diagonal(&diag);
+            .unzip();
+        fused.apply_diagonal(&diag_re, &diag_im);
         let fused = StateVector::from_vector(Vector::from_vec(fused.lane_amplitudes(0)));
         assert!(fused.fidelity(&reference) > 1.0 - 1e-12);
     }

@@ -446,6 +446,45 @@ fn engine_and_scheduler_counters_are_scoped_to_each_device() {
     );
 }
 
+/// A ground-truth probe simulates on the device's session and counts
+/// there like a dispatch's scoring: one QFT-4 call on the 12-qubit paper
+/// grid (trajectories, not exact density matrices) runs trajectories ×
+/// eval seeds and records one evaluation time.
+#[test]
+fn ground_truth_simulation_is_counted_in_the_device_session() {
+    let config = FleetConfig {
+        eval_seeds: vec![11, 23],
+        ..fast_config(1)
+    };
+    let expected = (config.trajectories * config.eval_seeds.len()) as u64;
+    let mut fleet = Fleet::new(config);
+    fleet
+        .add_device(DeviceProfile::paper_grid())
+        .expect("the paper grid registers");
+    let counts = |fleet: &Fleet| {
+        let snap = fleet
+            .session("paper-grid")
+            .expect("registered")
+            .metrics()
+            .snapshot();
+        let evals = snap
+            .histogram("session.eval.wall_us")
+            .expect("eval histogram registered")
+            .count;
+        (snap.counter("engine.trajectories").unwrap_or(0), evals)
+    };
+    assert_eq!(counts(&fleet), (0, 0));
+    let fidelity = fleet
+        .ground_truth_fidelity(
+            "paper-grid",
+            generate(BenchmarkKind::Qft, 4, 5),
+            CompileOptions::default(),
+        )
+        .expect("the paper grid evaluates");
+    assert!(fidelity > 0.0 && fidelity <= 1.0 + 1e-9, "{fidelity}");
+    assert_eq!(counts(&fleet), (expected, 1));
+}
+
 /// Asserts a fleet failure is the service's typed evaluation error on
 /// `device`, with a detail naming `field`.
 fn assert_eval_error<T: std::fmt::Debug>(result: Result<T, FleetError>, device: &str, field: &str) {

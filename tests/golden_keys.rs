@@ -214,6 +214,17 @@ fn error_response_bytes_are_pinned() {
     assert_eq!(actual, PINNED_ERROR_RESPONSES);
 }
 
+/// The non-finite-angle rejection (wire tag 6), pinned apart from the
+/// older error responses so their pin stays as it was.
+#[test]
+fn non_finite_angle_error_bytes_are_pinned() {
+    let response = Response::Error(Error::Validate {
+        job: "qft-9".to_string(),
+        source: CoOptError::NonFiniteAngle { gate: 3 },
+    });
+    assert_eq!(codec_digest(&response), 0x54bf6ee22d30cc35);
+}
+
 /// The encoded compile requests: default options, and every knob set.
 fn compile_requests() -> [Request; 2] {
     [

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use zz_circuit::{bench, Circuit, Gate};
 use zz_core::calib::CalibCache;
+use zz_core::CoOptError;
 use zz_net::{
     Client, ClientError, CompileEnvelope, Request, Response, Server, ServerConfig, ServerControl,
 };
@@ -134,6 +135,38 @@ fn compile_errors_cross_the_wire_typed() {
     }
     // The connection survives a failed compile.
     client.ping().expect("still serving");
+    fixture.stop();
+}
+
+/// A NaN or infinite gate angle comes back as the typed validation error
+/// naming the gate; a finite one still compiles and evaluates.
+#[test]
+fn non_finite_angles_cross_the_wire_typed() {
+    let fixture = Fixture::start(fast_config());
+    let mut client = Client::connect(fixture.addr).expect("connects");
+    // `H q0; Rx(θ) q1; CX q0,q2; Rz(θ) q3` on the 2×2 target device.
+    let angled = |theta: f64| {
+        let mut c = Circuit::new(4);
+        c.push(Gate::H, &[0])
+            .push(Gate::Rx(theta), &[1])
+            .push(Gate::Cnot, &[0, 2])
+            .push(Gate::Rz(theta), &[3]);
+        CompileEnvelope::new(c)
+            .with_label("angled")
+            .with_eval_seeds(vec![11])
+    };
+    for theta in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        match client.compile(angled(theta)) {
+            Err(ClientError::Service(zz_service::Error::Validate { job, source })) => {
+                assert_eq!(job, "angled");
+                assert_eq!(source, CoOptError::NonFiniteAngle { gate: 1 });
+            }
+            other => panic!("θ={theta}: expected a typed Validate error, got {other:?}"),
+        }
+    }
+    let finite = client.compile(angled(0.3)).expect("finite angles compile");
+    let fidelity = finite.fidelity.expect("eval seeds were sent");
+    assert!((0.0..=1.0).contains(&fidelity), "fidelity {fidelity}");
     fixture.stop();
 }
 

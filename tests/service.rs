@@ -227,6 +227,52 @@ fn engine_metrics_surface_in_the_session_registry() {
     }
 }
 
+/// `H q0; Rx(θ) q1; CX q0,q2; Rz(θ) q3`: gate 1 is the first to carry θ.
+fn angled(theta: f64) -> Circuit {
+    let mut c = Circuit::new(4);
+    c.push(Gate::H, &[0])
+        .push(Gate::Rx(theta), &[1])
+        .push(Gate::Cnot, &[0, 2])
+        .push(Gate::Rz(theta), &[3]);
+    c
+}
+
+/// A NaN or infinite gate angle has no unitary: validation rejects it,
+/// naming the gate, on the synchronous and the queued path alike, where
+/// it used to evaluate to a fidelity. Finite angles still evaluate.
+#[test]
+fn non_finite_angles_are_typed_validate_errors() {
+    let session = Session::new(
+        Target::builder()
+            .topology(Topology::grid(2, 3))
+            .build()
+            .expect("no store"),
+    );
+    let request = |theta: f64| {
+        CompileRequest::new(angled(theta))
+            .with_label("angled")
+            .with_eval(EvalSpec::paper_default())
+    };
+    for theta in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let expected = Error::Validate {
+            job: "angled".to_string(),
+            source: CoOptError::NonFiniteAngle { gate: 1 },
+        };
+        assert_eq!(session.compile(&request(theta)).unwrap_err(), expected);
+        assert_eq!(session.submit(request(theta)).wait().unwrap_err(), expected);
+    }
+    for theta in [0.0, 0.3, -2.5, 1e300] {
+        let response = session
+            .compile(&request(theta))
+            .expect("finite angles compile");
+        let fidelity = response.fidelity.expect("evaluated");
+        assert!(
+            (0.0..=1.0 + 1e-9).contains(&fidelity),
+            "θ={theta}: {fidelity}"
+        );
+    }
+}
+
 #[test]
 fn oversized_circuits_are_typed_validate_errors_never_panics() {
     let session = Session::new(
