@@ -575,10 +575,11 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// [`FleetError::UnknownDevice`] for an unregistered name,
-    /// [`FleetError::Service`] when the compile fails, the device is
-    /// above [`MAX_EVAL_QUBITS`], or the fleet's scoring config fails
-    /// [`EvalConfig::check`] (no eval seeds, zero trajectories).
+    /// [`FleetError::UnknownDevice`] for an unregistered name, and
+    /// [`FleetError::Service`] when the device is above
+    /// [`MAX_EVAL_QUBITS`] or the fleet's scoring config fails
+    /// [`EvalConfig::check`] (no eval seeds, zero trajectories) — both
+    /// checked before anything compiles — or when the compile fails.
     pub fn ground_truth_fidelity(
         &self,
         device: &str,
@@ -607,6 +608,9 @@ impl Fleet {
                 DECOHERENCE_SEED,
             )),
         };
+        config
+            .check()
+            .map_err(|detail| eval_error(device, options.default_label(), detail))?;
         let request = CompileRequest::new(circuit).with_options(options);
         let service_error = |source| FleetError::Service {
             device: device.to_string(),

@@ -300,30 +300,19 @@ fn widen(table: &mut Table, support: &mut usize, mask: usize) {
     *support |= mask;
     for plane in [&mut table.re, &mut table.im] {
         let plane = &mut plane[..2 * len];
-        match bit {
-            1 => double_runs::<1>(plane),
-            2 => double_runs::<2>(plane),
-            4 => double_runs::<4>(plane),
-            _ => {
-                for run in (0..len / bit).rev() {
-                    let src = run * bit..(run + 1) * bit;
-                    plane.copy_within(src.clone(), (2 * run + 1) * bit);
-                    plane.copy_within(src, 2 * run * bit);
-                }
+        if bit == 1 {
+            for j in (0..len).rev() {
+                let t = plane[j];
+                plane[2 * j] = t;
+                plane[2 * j + 1] = t;
             }
+            continue;
         }
-    }
-}
-
-/// [`widen`]'s doubling for runs of `RUN` entries, by fixed-size copies:
-/// each run of the first half of `plane` becomes two adjacent copies.
-fn double_runs<const RUN: usize>(plane: &mut [f64]) {
-    for run in (0..plane.len() / (2 * RUN)).rev() {
-        let src: [f64; RUN] = plane[run * RUN..(run + 1) * RUN]
-            .try_into()
-            .expect("a run is RUN entries long");
-        plane[2 * run * RUN..(2 * run + 1) * RUN].copy_from_slice(&src);
-        plane[(2 * run + 1) * RUN..(2 * run + 2) * RUN].copy_from_slice(&src);
+        for run in (0..len / bit).rev() {
+            let src = run * bit..(run + 1) * bit;
+            plane.copy_within(src.clone(), (2 * run + 1) * bit);
+            plane.copy_within(src, 2 * run * bit);
+        }
     }
 }
 
@@ -335,23 +324,18 @@ const PATTERN: usize = 16;
 /// Multiplies one phase term into a compact table: entry `j` by
 /// `e^{−iφ}` where compact bits `cu` and `cv` agree and by `e^{+iφ}`
 /// where they differ. An Rz term `(mask, θ/2)` is the term against mask
-/// 0, and a term with both masks 0 scales every entry by `e^{−iφ}`.
-/// When the lowest set mask is at least 4, runs of that many entries
+/// 0. When the lowest set mask is at least 4, runs of that many entries
 /// share one factor and are scaled as contiguous chunks. Below that the
-/// factors repeat with period `2·hi` (`hi` the higher set mask): a
-/// [`PATTERN`]-entry pattern covers the whole table when the period fits
-/// in it, and each `hi`-long segment — whose `hi` bit is fixed — when
-/// it does not, so every entry is multiplied branch-free by its own
-/// factor. A table no longer than one pattern takes each entry's factor
-/// directly.
+/// factors repeat with period `2·hi` (`hi` the higher mask, 0 for a term
+/// whose masks are both 0): a [`PATTERN`]-entry pattern covers the whole
+/// table when the period fits in it, and each `hi`-long segment — whose
+/// `hi` bit is fixed — when it does not, so every entry is multiplied
+/// branch-free by its own factor. A table no longer than one pattern
+/// takes each entry's factor directly.
 fn fold_term(re: &mut [f64], im: &mut [f64], cu: usize, cv: usize, phi: f64) {
     let factors = [c64::cis(-phi), c64::cis(phi)];
     let factor = |i: usize| factors[((i & cu != 0) != (i & cv != 0)) as usize];
     let hi = cu.max(cv);
-    if hi == 0 {
-        scale(re, im, factors[0]);
-        return;
-    }
     let run = match cu.min(cv) {
         0 => hi,
         lo => lo,
@@ -359,7 +343,10 @@ fn fold_term(re: &mut [f64], im: &mut [f64], cu: usize, cv: usize, phi: f64) {
     if run >= 4 {
         let chunks = re.chunks_exact_mut(run).zip(im.chunks_exact_mut(run));
         for (c, (r, q)) in chunks.enumerate() {
-            scale(r, q, factor(c * run));
+            let f = factor(c * run);
+            for (r, q) in r.iter_mut().zip(q.iter_mut()) {
+                mul_assign(r, q, f.re, f.im);
+            }
         }
         return;
     }
@@ -397,14 +384,6 @@ fn mul_assign(r: &mut f64, q: &mut f64, fr: f64, fi: f64) {
     let (ar, ai) = (*r, *q);
     *r = ar * fr - ai * fi;
     *q = ar * fi + ai * fr;
-}
-
-/// Multiplies every entry of `(re, im)` by the complex scalar `f`.
-#[inline]
-fn scale(re: &mut [f64], im: &mut [f64], f: c64) {
-    for (r, q) in re.iter_mut().zip(im.iter_mut()) {
-        mul_assign(r, q, f.re, f.im);
-    }
 }
 
 /// Multiplies `(re, im)` entry by entry by the pattern `(pr, pi)`,
@@ -818,8 +797,10 @@ impl Steps {
 
 /// A deterministic execution program: the plan resolved to fused
 /// diagonals and gate kernels — the decoherence-free case of
-/// [`TrajectoryProgram`], built and replayed by the same code. Compile
-/// once, [`run`] many times.
+/// [`TrajectoryProgram`], built and replayed by the same code. It keeps
+/// each diagonal's phase terms only: every [`run`] folds each diagonal
+/// into one reused table buffer right before applying it, so running the
+/// program again folds every diagonal again.
 ///
 /// [`run`]: PlanProgram::run
 #[derive(Clone, Debug)]
@@ -836,8 +817,10 @@ impl PlanProgram {
     }
 
     /// Precompiles the plan under the given ZZ-crosstalk model: driven
-    /// couplings, residual factors, layer durations and fused phase
-    /// diagonals are all resolved here, never during [`run`](Self::run).
+    /// couplings, residual factors, layer durations and each fused
+    /// diagonal's phase terms are resolved here, once. Folding those
+    /// terms into a table is left to [`run`](Self::run), every time it
+    /// runs.
     pub fn compile(
         plan: &SchedulePlan,
         topo: &Topology,

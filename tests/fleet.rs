@@ -532,6 +532,14 @@ fn degenerate_scoring_configs_are_typed_eval_errors() {
             "paper-grid",
             field,
         );
+        // Refused before anything compiles.
+        let requests = fleet
+            .session("paper-grid")
+            .expect("registered")
+            .metrics()
+            .snapshot()
+            .counter("session.requests");
+        assert_eq!(requests, Some(0), "{field}");
         assert_eval_error(
             fleet.submit(qaoa(), CompileOptions::default()),
             "paper-grid",
