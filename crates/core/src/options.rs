@@ -17,7 +17,7 @@ use zz_pulse::library::PulseMethod;
 use zz_sched::zzx::Requirement;
 pub use zz_sched::zzx::{DEFAULT_ALPHA, DEFAULT_K};
 
-use crate::SchedulerKind;
+use crate::{CoOptError, SchedulerKind};
 
 /// The pulse/scheduling configuration of one compile request (carried by
 /// the service layer's `CompileRequest`).
@@ -109,6 +109,31 @@ impl CompileOptions {
         self.k.unwrap_or(DEFAULT_K)
     }
 
+    /// Checks the α, k and `R` overrides before they reach the scheduler:
+    /// α must be finite and non-negative (NaN would make every score
+    /// comparison false), k at least 1, and `R`'s `nq_limit` at least 1
+    /// (`NQ < 0` never holds, so every multi-gate layer would serialize).
+    /// Unset knobs stand for the engine defaults and always pass.
+    ///
+    /// # Errors
+    ///
+    /// [`CoOptError::InvalidOption`] naming the first field out of range,
+    /// in the order α, k, `nq_limit`.
+    pub fn validate(&self) -> Result<(), CoOptError> {
+        let field = if self.alpha.is_some_and(|a| !(a.is_finite() && a >= 0.0)) {
+            "alpha"
+        } else if self.k == Some(0) {
+            "k"
+        } else if self.requirement.is_some_and(|r| r.nq_limit == 0) {
+            "nq_limit"
+        } else {
+            return Ok(());
+        };
+        Err(CoOptError::InvalidOption {
+            field: field.to_string(),
+        })
+    }
+
     /// The default label for a request with these options
     /// (`"{method}+{scheduler}"` — the figure legend style).
     pub fn default_label(&self) -> String {
@@ -130,6 +155,34 @@ mod tests {
             nc_limit: 1,
         };
         assert_eq!(opts.with_requirement(req).requirement, Some(req));
+    }
+
+    #[test]
+    fn out_of_range_knobs_are_named() {
+        let field = |opts: CompileOptions| match opts.validate() {
+            Err(CoOptError::InvalidOption { field }) => field,
+            other => panic!("expected InvalidOption, got {other:?}"),
+        };
+        let opts = CompileOptions::default();
+        for alpha in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -1e-300] {
+            assert_eq!(field(opts.with_alpha(alpha)), "alpha", "alpha = {alpha}");
+        }
+        assert_eq!(field(opts.with_k(0)), "k");
+        let err = opts.with_k(0).validate().unwrap_err().to_string();
+        assert!(err.contains("option k"), "{err}");
+        let unmeetable = Requirement {
+            nq_limit: 0,
+            nc_limit: 0,
+        };
+        assert_eq!(field(opts.with_requirement(unmeetable)), "nq_limit");
+        // α is checked first.
+        assert_eq!(field(opts.with_k(0).with_alpha(f64::NAN)), "alpha");
+
+        assert_eq!(opts.validate(), Ok(()), "the defaults pass");
+        for alpha in [0.0, -0.0, 0.5, 1e300] {
+            assert_eq!(opts.with_alpha(alpha).validate(), Ok(()), "alpha = {alpha}");
+        }
+        assert_eq!(opts.with_k(1).validate(), Ok(()));
     }
 
     #[test]

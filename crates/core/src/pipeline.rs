@@ -61,7 +61,7 @@ use zz_graph::MultiGraph;
 use zz_obs::Registry;
 use zz_persist::{ArtifactKind, ArtifactStore};
 use zz_pulse::library::PulseMethod;
-use zz_sched::zzx::{zzx_schedule_counted, Requirement, ZzxConfig};
+use zz_sched::zzx::{zzx_schedule_counted, Requirement, ScheduleCounts, ZzxConfig};
 use zz_sched::{par_schedule, GateDurations, SchedulePlan};
 use zz_sim::executor::ResidualTable;
 use zz_topology::Topology;
@@ -121,6 +121,13 @@ pub enum CoOptError {
         /// The gate's index in the circuit's op list.
         gate: usize,
     },
+    /// A compile option is out of range ([`CompileOptions::validate`]):
+    /// α NaN, infinite or negative, `k = 0`, or a requirement `R` with
+    /// `nq_limit = 0`, which no cut can meet.
+    InvalidOption {
+        /// The option's name: `alpha`, `k` or `nq_limit`.
+        field: String,
+    },
 }
 
 impl fmt::Display for CoOptError {
@@ -138,6 +145,11 @@ impl fmt::Display for CoOptError {
             CoOptError::NonFiniteAngle { gate } => {
                 write!(f, "gate {gate} has a non-finite rotation angle")
             }
+            CoOptError::InvalidOption { field } => write!(
+                f,
+                "compile option {field} is out of range (alpha must be finite and \
+                 non-negative, k and nq_limit at least 1)"
+            ),
         }
     }
 }
@@ -582,9 +594,13 @@ pub trait SchedulerPass: fmt::Debug + Send + Sync {
     /// The pass's display name.
     fn name(&self) -> &'static str;
 
-    /// Schedules the native circuit on the device, and returns how many
-    /// qubit-pair distance lookups the scheduler made doing it.
-    fn schedule_counted(&self, topo: &Topology, native: &NativeCircuit) -> (SchedulePlan, u64);
+    /// Schedules the native circuit on the device, and returns the
+    /// scheduler's distance lookups and suppression solves doing it.
+    fn schedule_counted(
+        &self,
+        topo: &Topology,
+        native: &NativeCircuit,
+    ) -> (SchedulePlan, ScheduleCounts);
 
     /// Schedules the native circuit on the device.
     fn schedule(&self, topo: &Topology, native: &NativeCircuit) -> SchedulePlan {
@@ -601,8 +617,12 @@ impl SchedulerPass for ParSchedPass {
         "par-sched"
     }
 
-    fn schedule_counted(&self, topo: &Topology, native: &NativeCircuit) -> (SchedulePlan, u64) {
-        (par_schedule(topo, native), 0)
+    fn schedule_counted(
+        &self,
+        topo: &Topology,
+        native: &NativeCircuit,
+    ) -> (SchedulePlan, ScheduleCounts) {
+        (par_schedule(topo, native), ScheduleCounts::default())
     }
 }
 
@@ -623,7 +643,11 @@ impl SchedulerPass for ZzxSchedPass {
         "zzx-sched"
     }
 
-    fn schedule_counted(&self, topo: &Topology, native: &NativeCircuit) -> (SchedulePlan, u64) {
+    fn schedule_counted(
+        &self,
+        topo: &Topology,
+        native: &NativeCircuit,
+    ) -> (SchedulePlan, ScheduleCounts) {
         let config = ZzxConfig {
             alpha: self.alpha,
             k: self.k,
@@ -862,13 +886,15 @@ impl PassManager {
     ///
     /// # Errors
     ///
-    /// Returns [`CoOptError::CircuitTooLarge`] or
-    /// [`CoOptError::NonFiniteAngle`] from the validation pass if the
-    /// circuit does not fit the device or a gate angle is NaN or
-    /// infinite, or [`CoOptError::RouteUnreachable`] from the routing
-    /// pass if the device's coupling graph violates the connectivity
-    /// invariant.
+    /// Returns [`CoOptError::InvalidOption`] if the request's α, k or `R`
+    /// is out of range ([`CompileOptions::validate`]),
+    /// [`CoOptError::CircuitTooLarge`] or [`CoOptError::NonFiniteAngle`]
+    /// from the validation pass if the circuit does not fit the device or
+    /// a gate angle is NaN or infinite, or [`CoOptError::RouteUnreachable`]
+    /// from the routing pass if the device's coupling graph violates the
+    /// connectivity invariant.
     pub fn run(&self, circuit: Arc<Circuit>) -> Result<PipelineOutcome, CoOptError> {
+        self.options.validate()?;
         let total = Instant::now();
         let mut trace = PipelineTrace::new();
         let logical = self.apply(
@@ -1060,7 +1086,7 @@ impl PassManager {
     fn schedule_and_pulse(&self, native: &NativeCircuit, trace: &mut PipelineTrace) -> Compiled {
         let in_items = native.ops().len();
         let t0 = Instant::now();
-        let (plan, queries) = self.scheduler.schedule_counted(&self.topology, native);
+        let (plan, counts) = self.scheduler.schedule_counted(&self.topology, native);
         let scheduled = Scheduled { plan };
         trace.passes.push(PassTrace {
             stage: Stage::Schedule,
@@ -1071,7 +1097,12 @@ impl PassManager {
             output_items: scheduled.items(),
         });
         if let Some(registry) = &self.metrics {
-            registry.counter("sched.distance_queries").add(queries);
+            registry
+                .counter("sched.distance_queries")
+                .add(counts.distance_queries);
+            registry
+                .counter("sched.suppression_solves")
+                .add(counts.suppression_solves);
             registry.counter("sched.schedules").inc();
         }
 
@@ -1195,7 +1226,8 @@ impl PassManagerBuilder {
     }
 
     /// Publishes per-stage wall times and cache-disposition counts, and
-    /// each schedule's `sched.schedules` / `sched.distance_queries`, into
+    /// each schedule's `sched.schedules` / `sched.distance_queries` /
+    /// `sched.suppression_solves`, into
     /// a `zz_obs` [`Registry`] (default: no metrics; the per-request
     /// [`PipelineTrace`] is always produced either way).
     pub fn metrics(mut self, registry: Arc<Registry>) -> Self {

@@ -390,6 +390,12 @@ mod tests {
                 job: "j".into(),
                 source: CoOptError::NonFiniteAngle { gate: 3 },
             },
+            Error::Validate {
+                job: "j".into(),
+                source: CoOptError::InvalidOption {
+                    field: "alpha".into(),
+                },
+            },
         ];
         for error in errors {
             let response = Response::Error(error);

@@ -10,7 +10,7 @@
 //! * [`zzx`] — **Algorithm 2**: the complete ZZXSched scheduler with the
 //!   Case-1 (single-qubit, complete suppression on bipartite devices) and
 //!   Case-2 (two-qubit distance heuristic) strategies (the crate keeps no
-//!   counters: [`zzx::zzx_schedule_counted`] returns its query count),
+//!   counters: [`zzx::zzx_schedule_counted`] returns its counts),
 //! * [`parsched`] — the maximal-parallelism ASAP baseline used by current
 //!   compilers (the paper's `ParSched`).
 //!

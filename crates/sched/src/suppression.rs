@@ -59,6 +59,11 @@ impl SuppressionPlan {
 /// for pure-identity layers). `alpha` weighs `NQ` against `NC`; `k` is the
 /// number of shortest paths considered per matched pair.
 ///
+/// The plan is a pure function of (`topo`, `involved`, `alpha`, `k`), so
+/// [`zzx_schedule`](crate::zzx_schedule), whose device, α and k are fixed
+/// for the whole schedule, solves each involved-qubit set once per
+/// schedule and reuses the plan for every layer that asks for it again.
+///
 /// # Panics
 ///
 /// Panics if any qubit index in `involved` is out of range.

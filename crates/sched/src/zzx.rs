@@ -13,6 +13,17 @@
 //!   groups, remaining gates join by *largest* distance while `R` holds, and
 //!   the bigger group executes (Theorem 6.1: the top-K closest pairs always
 //!   end up in different layers).
+//!
+//! Every layer runs Algorithm 1 ([`alpha_optimal_suppression`]) at least
+//! once, and most of those calls repeat an involved-qubit set the same
+//! schedule already solved: every single-qubit-only layer asks for the
+//! empty set, Case 2 retries a ready set that carried over from the last
+//! layer, and the chosen group's final plan repeats its last greedy try.
+//! Algorithm 1 is pure in (device, set, α, k), and all but the set are
+//! fixed for one schedule, so ZZXSched solves each set once per schedule
+//! and reuses its plan after that.
+
+use std::collections::HashMap;
 
 use zz_circuit::native::{NativeCircuit, NativeOp};
 use zz_topology::Topology;
@@ -73,6 +84,44 @@ impl<'t> DistanceOracle<'t> {
     }
 }
 
+/// Algorithm 1's plan per involved-qubit set, for one schedule.
+///
+/// A hash map rather than a scan: large devices solve thousands of
+/// distinct sets in one schedule.
+struct SuppressionMemo<'t> {
+    topo: &'t Topology,
+    alpha: f64,
+    k: usize,
+    plans: HashMap<Vec<usize>, SuppressionPlan>,
+    /// Number of sets solved, i.e. memo misses (returned by
+    /// [`zzx_schedule_counted`]).
+    solves: u64,
+}
+
+impl<'t> SuppressionMemo<'t> {
+    fn new(topo: &'t Topology, config: &ZzxConfig) -> Self {
+        SuppressionMemo {
+            topo,
+            alpha: config.alpha,
+            k: config.k,
+            plans: HashMap::new(),
+            solves: 0,
+        }
+    }
+
+    /// The α-optimal plan for `involved`, which must be sorted and free of
+    /// duplicates so that each set has one key.
+    fn plan(&mut self, involved: Vec<usize>) -> &SuppressionPlan {
+        debug_assert!(involved.windows(2).all(|w| w[0] < w[1]));
+        let (topo, alpha, k) = (self.topo, self.alpha, self.k);
+        let solves = &mut self.solves;
+        self.plans.entry(involved).or_insert_with_key(|q| {
+            *solves += 1;
+            alpha_optimal_suppression(topo, q, alpha, k)
+        })
+    }
+}
+
 /// The suppression requirement `R` (paper Sec 6, Setup in Sec 7.3): a cut is
 /// acceptable when `NQ < nq_limit` and `NC ≤ nc_limit`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,6 +176,17 @@ impl ZzxConfig {
     }
 }
 
+/// The work one ZZXSched schedule did, for the caller to record.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ScheduleCounts {
+    /// Qubit-pair distance lookups of the Case-2 heuristic (0 when Case 2
+    /// never ran).
+    pub distance_queries: u64,
+    /// Distinct involved-qubit sets Algorithm 1 solved: each is solved
+    /// once per schedule, however often its layers ask for it.
+    pub suppression_solves: u64,
+}
+
 /// Schedules `circuit` with the ZZ-aware policy (Algorithm 2).
 ///
 /// # Panics
@@ -153,20 +213,20 @@ pub fn zzx_schedule(topo: &Topology, circuit: &NativeCircuit, config: &ZzxConfig
     zzx_schedule_counted(topo, circuit, config).0
 }
 
-/// [`zzx_schedule`] (and panics like it), also returning the number of
-/// qubit-pair distance lookups its Case-2 heuristic made (0 when Case 2
-/// never ran), for the caller to record.
+/// [`zzx_schedule`] (and panics like it), also returning the work it did:
+/// its Case-2 distance lookups and its suppression solves.
 pub fn zzx_schedule_counted(
     topo: &Topology,
     circuit: &NativeCircuit,
     config: &ZzxConfig,
-) -> (SchedulePlan, u64) {
+) -> (SchedulePlan, ScheduleCounts) {
     assert!(
         circuit.qubit_count() <= topo.qubit_count(),
         "circuit does not fit on the device"
     );
     let n = topo.qubit_count();
     let mut oracle = DistanceOracle::new(topo);
+    let mut memo = SuppressionMemo::new(topo, config);
     let mut plan = SchedulePlan::new(n);
     let mut tracker = DependencyTracker::new(circuit);
 
@@ -184,9 +244,9 @@ pub fn zzx_schedule_counted(
 
         // Decide the cut and which ready ops execute.
         let (suppression, selected) = if two_q.is_empty() {
-            schedule_case1(topo, config, &ops)
+            schedule_case1(&mut memo, &ops)
         } else {
-            schedule_case2(topo, config, &ops, &two_q, &mut oracle)
+            schedule_case2(&mut memo, &config.requirement, &ops, &two_q, &mut oracle)
         };
 
         // Identity supplementation (paper: qubits in S not involved in any
@@ -230,16 +290,19 @@ pub fn zzx_schedule_counted(
     }
     debug_assert_eq!(tracker.remaining(), 0, "all ops scheduled");
     debug_assert!(plan.validate().is_ok());
-    (plan, oracle.queries)
+    let counts = ScheduleCounts {
+        distance_queries: oracle.queries,
+        suppression_solves: memo.solves,
+    };
+    (plan, counts)
 }
 
 /// Case 1: only single-qubit gates are schedulable.
 fn schedule_case1(
-    topo: &Topology,
-    config: &ZzxConfig,
+    memo: &mut SuppressionMemo<'_>,
     ops: &[NativeOp],
 ) -> (SuppressionPlan, Vec<usize>) {
-    let sp = alpha_optimal_suppression(topo, &[], config.alpha, config.k);
+    let sp = memo.plan(Vec::new());
     // Orient the cut so S covers more schedulable gates.
     let count = |pulsed: &[bool]| {
         ops.iter()
@@ -251,7 +314,7 @@ fn schedule_case1(
         if count(&flipped.pulsed) > count(&sp.pulsed) {
             flipped
         } else {
-            sp
+            sp.clone()
         }
     };
     let selected: Vec<usize> = (0..ops.len())
@@ -262,8 +325,8 @@ fn schedule_case1(
 
 /// Case 2: two-qubit gates are present (`TwoQSchedule` + `Schedule`).
 fn schedule_case2(
-    topo: &Topology,
-    config: &ZzxConfig,
+    memo: &mut SuppressionMemo<'_>,
+    requirement: &Requirement,
     ops: &[NativeOp],
     two_q: &[usize],
     oracle: &mut DistanceOracle<'_>,
@@ -276,12 +339,12 @@ fn schedule_case2(
     };
 
     // Try scheduling every two-qubit gate simultaneously.
-    let sp_all = alpha_optimal_suppression(topo, &qubits_of(two_q), config.alpha, config.k);
+    let sp_all = memo.plan(qubits_of(two_q));
     let chosen_2q: Vec<usize>;
     let sp: SuppressionPlan;
-    if config.requirement.satisfied_by(&sp_all) || two_q.len() == 1 {
+    if requirement.satisfied_by(sp_all) || two_q.len() == 1 {
         chosen_2q = two_q.to_vec();
-        sp = sp_all;
+        sp = sp_all.clone();
     } else {
         // Distance heuristic: separate the two closest gates, grow greedily
         // by largest distance while the requirement holds.
@@ -321,9 +384,7 @@ fn schedule_case2(
             } else {
                 group_b.iter().chain([&g]).copied().collect()
             };
-            let sp_try =
-                alpha_optimal_suppression(topo, &qubits_of(&target), config.alpha, config.k);
-            if config.requirement.satisfied_by(&sp_try) {
+            if requirement.satisfied_by(memo.plan(qubits_of(&target))) {
                 if to_a {
                     group_a.push(g);
                 } else {
@@ -339,7 +400,7 @@ fn schedule_case2(
         } else {
             group_b
         };
-        sp = alpha_optimal_suppression(topo, &qubits_of(&m), config.alpha, config.k);
+        sp = memo.plan(qubits_of(&m)).clone();
         chosen_2q = m;
     }
 
@@ -490,6 +551,56 @@ mod tests {
         };
         // Gates (0,3) and (4,1) are the closest pair; they must differ.
         assert_ne!(layer_of(0), layer_of(4));
+    }
+
+    #[test]
+    fn single_qubit_layers_solve_the_empty_set_once() {
+        // The doc example: 12 `X90` on the 3×4 grid, two Case-1 layers
+        // that both ask for the unconstrained plan.
+        let topo = Topology::grid(3, 4);
+        let mut c = NativeCircuit::new(12);
+        for q in 0..12 {
+            c.push(NativeOp::X90 { qubit: q });
+        }
+        let (plan, counts) = zzx_schedule_counted(&topo, &c, &ZzxConfig::paper_default(&topo));
+        assert_eq!(plan.layer_count(), 2);
+        assert_eq!(
+            counts,
+            ScheduleCounts {
+                distance_queries: 0,
+                suppression_solves: 1,
+            }
+        );
+    }
+
+    #[test]
+    fn recurring_ready_sets_are_solved_once() {
+        // The three CNOTs of `close_two_qubit_gates_are_separated`, four
+        // times over: R splits every block, so the same ready sets recur.
+        // Every layer asks for at least one plan, so fewer solves than
+        // layers means the repeats were served from the memo.
+        let topo = Topology::grid(3, 3);
+        let mut c = NativeCircuit::new(9);
+        for _ in 0..4 {
+            for (control, target) in [(0, 3), (4, 1), (2, 5)] {
+                c.push(NativeOp::Zx90 { control, target });
+            }
+        }
+        let tight = ZzxConfig {
+            requirement: Requirement {
+                nq_limit: 3,
+                nc_limit: 4,
+            },
+            ..ZzxConfig::paper_default(&topo)
+        };
+        let (plan, counts) = zzx_schedule_counted(&topo, &c, &tight);
+        assert!(counts.distance_queries > 0, "R must force Case-2 splits");
+        assert!(
+            counts.suppression_solves < plan.layer_count() as u64,
+            "{} solves for {} layers",
+            counts.suppression_solves,
+            plan.layer_count()
+        );
     }
 
     #[test]

@@ -22,8 +22,9 @@ use zz_persist::{Decode, DecodeError, Decoder, Encode, Encoder};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Error {
     /// The request was rejected before compilation: the circuit does not
-    /// fit the target device, or a gate angle is NaN or infinite (wraps
-    /// the engine's [`CoOptError`]).
+    /// fit the target device, a gate angle is NaN or infinite, or a
+    /// compile option is out of range (wraps the engine's
+    /// [`CoOptError`]).
     Validate {
         /// The label of the failing job (or `"target"` for failures
         /// while constructing a [`crate::Target`]).
@@ -78,17 +79,17 @@ impl Error {
         }
     }
 
-    /// Wraps an engine-level compile error for `job`: size and angle
-    /// rejections map to [`Error::Validate`], routing failures to
+    /// Wraps an engine-level compile error for `job`: size, angle and
+    /// option rejections map to [`Error::Validate`], routing failures to
     /// [`Error::Route`].
     pub fn from_compile(job: impl Into<String>, source: CoOptError) -> Self {
         match source {
-            CoOptError::CircuitTooLarge { .. } | CoOptError::NonFiniteAngle { .. } => {
-                Error::Validate {
-                    job: job.into(),
-                    source,
-                }
-            }
+            CoOptError::CircuitTooLarge { .. }
+            | CoOptError::NonFiniteAngle { .. }
+            | CoOptError::InvalidOption { .. } => Error::Validate {
+                job: job.into(),
+                source,
+            },
             CoOptError::RouteUnreachable { .. } => Error::Route {
                 job: job.into(),
                 detail: source.to_string(),
@@ -120,8 +121,9 @@ impl std::error::Error for Error {
 
 /// Tags 0–5 in variant order, with tag 2 retired: it carried a
 /// calibration error nothing ever constructed, and is never reused. Tag
-/// 6 is a [`Error::Validate`] naming a gate with a non-finite angle. A
-/// [`Error::Validate`] otherwise wraps a size rejection on the wire; one
+/// 6 is a [`Error::Validate`] naming a gate with a non-finite angle, tag
+/// 7 one naming a compile option out of range. A [`Error::Validate`]
+/// otherwise wraps a size rejection on the wire; one
 /// holding a routing failure goes out as the [`Error::Route`] it is,
 /// with the same detail string [`Error::from_compile`] would give it.
 impl Encode for Error {
@@ -171,6 +173,14 @@ impl Encode for Error {
                 out.str(job);
                 out.usize(*gate);
             }
+            Error::Validate {
+                job,
+                source: CoOptError::InvalidOption { field },
+            } => {
+                out.u8(7);
+                out.str(job);
+                out.str(field);
+            }
         }
     }
 }
@@ -201,6 +211,10 @@ impl Decode for Error {
             6 => Error::Validate {
                 job: r.str()?,
                 source: CoOptError::NonFiniteAngle { gate: r.usize()? },
+            },
+            7 => Error::Validate {
+                job: r.str()?,
+                source: CoOptError::InvalidOption { field: r.str()? },
             },
             _ => return Err(DecodeError::Invalid("service error tag")),
         })

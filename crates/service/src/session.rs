@@ -482,6 +482,7 @@ impl SessionMetrics {
         let registry = Arc::new(Registry::new());
         // Counted by the pipeline; listed at 0 before the first compile.
         registry.counter("sched.distance_queries");
+        registry.counter("sched.suppression_solves");
         registry.counter("sched.schedules");
         SessionMetrics {
             requests: registry.counter("session.requests"),

@@ -225,6 +225,19 @@ fn non_finite_angle_error_bytes_are_pinned() {
     assert_eq!(codec_digest(&response), 0x54bf6ee22d30cc35);
 }
 
+/// The out-of-range option rejection (wire tag 7), pinned apart from the
+/// older error responses so their pins stay as they were.
+#[test]
+fn invalid_option_error_bytes_are_pinned() {
+    let response = Response::Error(Error::Validate {
+        job: "qft-9".to_string(),
+        source: CoOptError::InvalidOption {
+            field: "alpha".to_string(),
+        },
+    });
+    assert_eq!(codec_digest(&response), 0x88255104c7862ee6);
+}
+
 /// The encoded compile requests: default options, and every knob set.
 fn compile_requests() -> [Request; 2] {
     [

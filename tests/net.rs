@@ -10,11 +10,12 @@ use std::time::{Duration, Instant};
 
 use zz_circuit::{bench, Circuit, Gate};
 use zz_core::calib::CalibCache;
-use zz_core::CoOptError;
+use zz_core::{CoOptError, CompileOptions};
 use zz_net::{
     Client, ClientError, CompileEnvelope, Request, Response, Server, ServerConfig, ServerControl,
 };
 use zz_persist::{encode_artifact, ArtifactKind};
+use zz_sched::Requirement;
 use zz_service::{Session, Target};
 use zz_topology::Topology;
 
@@ -167,6 +168,47 @@ fn non_finite_angles_cross_the_wire_typed() {
     let finite = client.compile(angled(0.3)).expect("finite angles compile");
     let fidelity = finite.fidelity.expect("eval seeds were sent");
     assert!((0.0..=1.0).contains(&fidelity), "fidelity {fidelity}");
+    fixture.stop();
+}
+
+/// An out-of-range α, k or `R` comes back as the typed validation error
+/// naming the option.
+#[test]
+fn out_of_range_options_cross_the_wire_typed() {
+    let fixture = Fixture::start(fast_config());
+    let mut client = Client::connect(fixture.addr).expect("connects");
+    let request = |options| {
+        CompileEnvelope::new(bell())
+            .with_options(options)
+            .with_label("knobs")
+    };
+    let unmeetable = Requirement {
+        nq_limit: 0,
+        nc_limit: 3,
+    };
+    let defaults = CompileOptions::default();
+    for (options, field) in [
+        (defaults.with_alpha(f64::NAN), "alpha"),
+        (defaults.with_alpha(f64::NEG_INFINITY), "alpha"),
+        (defaults.with_k(0), "k"),
+        (defaults.with_requirement(unmeetable), "nq_limit"),
+    ] {
+        match client.compile(request(options)) {
+            Err(ClientError::Service(zz_service::Error::Validate { job, source })) => {
+                assert_eq!(job, "knobs");
+                assert_eq!(
+                    source,
+                    CoOptError::InvalidOption {
+                        field: field.to_string()
+                    }
+                );
+            }
+            other => panic!("{field}: expected a typed Validate error, got {other:?}"),
+        }
+    }
+    client
+        .compile(request(defaults.with_alpha(0.0)))
+        .expect("α = 0 compiles");
     fixture.stop();
 }
 

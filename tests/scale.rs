@@ -1,7 +1,8 @@
 //! Integration tests of the compile-path scaling work: large devices
 //! compile through the full service stack, evaluation stays gated at
 //! the 12-device-qubit ceiling, the scale-facing observability counters
-//! (`route.graph_reuse`, `sched.distance_queries`) surface in the
+//! (`route.graph_reuse`, `sched.distance_queries`,
+//! `sched.suppression_solves`) surface in the
 //! session's metrics registry, and the `bench_scale` device ladder's
 //! plans are pinned exactly.
 //!
@@ -127,6 +128,10 @@ fn scale_counters_surface_in_the_session_registry() {
         snapshot.counter("sched.distance_queries").unwrap_or(0) >= 1,
         "ZZXSched must report its lazy distance-oracle traffic"
     );
+    assert!(
+        snapshot.counter("sched.suppression_solves").unwrap_or(0) >= 2,
+        "ZZXSched must report its suppression solves, at least one per schedule"
+    );
     assert_eq!(
         snapshot.counter("sched.schedules"),
         Some(2),
@@ -140,9 +145,10 @@ const ZZX_RUNGS: [&str; 2] = ["grid-4x4", "grid-8x8"];
 /// The `bench_scale` device ladder ([`zz_bench::scale_devices`], each
 /// rung compiling [`zz_bench::brickwork`]), pinned exactly: for every
 /// rung × scheduler, the plan's layer count, its residual-ZZ weight and
-/// the `sched.distance_queries` the compile made. These are
-/// deterministic counts, so any change to routing, scheduling or the
-/// plan metrics shows here as an exact diff.
+/// the `sched.distance_queries` the compile made, and on the ZZXSched
+/// rungs its `sched.suppression_solves`. These are deterministic counts,
+/// so any change to routing, scheduling or the plan metrics shows here as
+/// an exact diff.
 ///
 /// ParSched runs on all six rungs, up to the 1071-qubit heavy-hex
 /// lattice; ZZXSched runs on the two grids a debug build compiles in
@@ -152,6 +158,7 @@ const ZZX_RUNGS: [&str; 2] = ["grid-4x4", "grid-8x8"];
 #[test]
 fn scale_ladder_plans_are_pinned() {
     let mut got = Vec::new();
+    let mut solves = Vec::new();
     for (name, topo) in scale_devices() {
         let circuit = brickwork(topo.qubit_count());
         let target = Target::builder()
@@ -159,18 +166,14 @@ fn scale_ladder_plans_are_pinned() {
             .build()
             .expect("in-memory targets always build");
         let session = Session::with_threads(target, 1);
-        let queries = || {
-            session
-                .metrics()
-                .snapshot()
-                .counter("sched.distance_queries")
-                .unwrap_or(0)
-        };
+        let counter = |name| session.metrics().snapshot().counter(name).unwrap_or(0);
+        let queries = || counter("sched.distance_queries");
         for scheduler in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
             if scheduler == SchedulerKind::ZzxSched && !ZZX_RUNGS.contains(&name.as_str()) {
                 continue;
             }
             let before = queries();
+            let solves_before = counter("sched.suppression_solves");
             let response = session
                 .compile(
                     &CompileRequest::new(circuit.clone())
@@ -184,6 +187,10 @@ fn scale_ladder_plans_are_pinned() {
                 plan.residual_zz_weight,
                 queries() - before
             ));
+            if scheduler == SchedulerKind::ZzxSched {
+                let solved = counter("sched.suppression_solves") - solves_before;
+                solves.push(format!("{name}: {solved} suppression solves"));
+            }
         }
     }
     let expected = [
@@ -197,4 +204,9 @@ fn scale_ladder_plans_are_pinned() {
         "heavy-hex-d21 ParSched: 509 layers, residual-ZZ 12266960.0, 0 distance queries",
     ];
     assert_eq!(got, expected, "the scale ladder moved:\n{}", got.join("\n"));
+    let expected_solves = [
+        "grid-4x4: 40 suppression solves",
+        "grid-8x8: 260 suppression solves",
+    ];
+    assert_eq!(solves, expected_solves, "ZZXSched's solve count moved");
 }

@@ -33,6 +33,7 @@ use zz_core::evaluate::{fidelity_of, EvalConfig};
 use zz_core::options::{DEFAULT_ALPHA, DEFAULT_K};
 use zz_core::pipeline::shape_key;
 use zz_core::{CoOptError, CompileOptions};
+use zz_sched::Requirement;
 use zz_service::{CompileRequest, DiskStatus, Error, EvalSpec, Session, Target};
 use zz_sim::density::Decoherence;
 use zz_topology::Topology;
@@ -217,6 +218,7 @@ fn engine_metrics_surface_in_the_session_registry() {
         "engine.trajectories",
         "engine.kernel_sweeps",
         "sched.distance_queries",
+        "sched.suppression_solves",
         "sched.schedules",
     ] {
         assert_eq!(
@@ -271,6 +273,55 @@ fn non_finite_angles_are_typed_validate_errors() {
             "θ={theta}: {fidelity}"
         );
     }
+}
+
+/// α NaN, infinite or negative, k = 0 and an unmeetable `R` are
+/// rejected before scheduling, naming the option, on the synchronous and
+/// the queued path alike; α = 0 stays valid.
+#[test]
+fn out_of_range_options_are_typed_validate_errors() {
+    let session = Session::new(
+        Target::builder()
+            .topology(Topology::grid(2, 3))
+            .build()
+            .expect("no store"),
+    );
+    let request = |options| {
+        CompileRequest::new(angled(0.3))
+            .with_options(options)
+            .with_label("knobs")
+    };
+    let unmeetable = Requirement {
+        nq_limit: 0,
+        nc_limit: 3,
+    };
+    let defaults = CompileOptions::default();
+    for (options, field) in [
+        (defaults.with_alpha(f64::NAN), "alpha"),
+        (defaults.with_alpha(f64::INFINITY), "alpha"),
+        (defaults.with_alpha(-1.0), "alpha"),
+        (defaults.with_k(0), "k"),
+        (defaults.with_requirement(unmeetable), "nq_limit"),
+    ] {
+        let expected = Error::Validate {
+            job: "knobs".to_string(),
+            source: CoOptError::InvalidOption {
+                field: field.to_string(),
+            },
+        };
+        assert_eq!(session.compile(&request(options)).unwrap_err(), expected);
+        assert_eq!(
+            session.submit(request(options)).wait().unwrap_err(),
+            expected
+        );
+    }
+    assert_eq!(
+        session.metrics().snapshot().counter("sched.schedules"),
+        Some(0)
+    );
+    session
+        .compile(&request(defaults.with_alpha(0.0).with_k(1)))
+        .expect("α = 0 and k = 1 compile");
 }
 
 #[test]
