@@ -14,13 +14,18 @@
 //! pins their plans exactly, so this probe is about wall time, memory
 //! and completion.
 //!
-//! Per device the probe reports route/schedule/total wall time, each
-//! compile's own peak RSS (`VmHWM` from `/proc/self/status`, reset
-//! through `/proc/self/clear_refs` before the compile, where available),
-//! the session's `route.graph_reuse` /
-//! `sched.distance_queries` counters — the observability trail of the
-//! CSR coupling-graph cache and the lazy distance oracle — and the
-//! min/mean/max residual-ZZ weight over the device's scheduler sweep.
+//! Each row — one (device, scheduler) compile, route included — runs in
+//! a child process of this binary (`bench_scale --row <device>
+//! <scheduler>`), one child at a time, in a fresh one-thread session.
+//! The child reads its own peak RSS (`VmHWM` from `/proc/self/status`,
+//! where available) right after the compile, so each row's peak is that
+//! compile's own. The ZZXSched child then compiles a second circuit
+//! shape on the same session and reports the session's
+//! `route.graph_reuse` / `sched.distance_queries` counters — the
+//! observability trail of the CSR coupling-graph cache and the lazy
+//! distance oracle. Per device the probe reports route/schedule/total
+//! wall time, the peaks, those counters and the min/mean/max
+//! residual-ZZ weight over the device's scheduler sweep.
 //!
 //! Results are written as `BENCH_scale.json` (override the path with
 //! the `BENCH_SCALE_OUT` environment variable) so the CI workflow can
@@ -29,6 +34,7 @@
 //! ParSched and ZZXSched.
 
 use std::fmt::Write as _;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use zz_bench::{brickwork, scale_devices};
@@ -36,15 +42,12 @@ use zz_circuit::Gate;
 use zz_core::{CompileOptions, SchedulerKind, Stage};
 use zz_service::{CompileRequest, Session, Target};
 
-/// Resets the process's peak resident set to its current resident set,
-/// so the next [`peak_rss_kb`] covers only what runs after this call.
-/// Returns `false` where procfs is missing or refuses the reset.
-fn reset_peak_rss() -> bool {
-    std::fs::write("/proc/self/clear_refs", "5").is_ok()
-}
+/// The scheduler sweep of every device, in row order; the last one also
+/// collects the device counters.
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::ParSched, SchedulerKind::ZzxSched];
 
-/// Peak resident set (kB) since the last [`reset_peak_rss`], from
-/// `/proc/self/status`; `None` on platforms without procfs.
+/// The process's peak resident set (kB) from `/proc/self/status`;
+/// `None` on platforms without procfs.
 fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
@@ -60,21 +63,6 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-struct Row {
-    device: String,
-    qubits: usize,
-    scheduler: SchedulerKind,
-    gates: usize,
-    route_ms: f64,
-    schedule_ms: f64,
-    total_ms: f64,
-    layers: usize,
-    duration_ns: f64,
-    mean_nc: f64,
-    residual_zz_weight: f64,
-    peak_rss_kb: Option<u64>,
-}
-
 struct DeviceCounters {
     device: String,
     graph_reuse: u64,
@@ -85,107 +73,51 @@ struct DeviceCounters {
     residual_zz: [f64; 3],
 }
 
-fn row_json(row: &Row) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"device\": \"{}\", \"qubits\": {}, \"scheduler\": \"{}\", \"gates\": {}, \
-         \"route_ms\": {:.3}, \"schedule_ms\": {:.3}, \"total_ms\": {:.3}, \
-         \"layers\": {}, \"duration_ns\": {:.1}, \"mean_nc\": {:.3}, \
-         \"residual_zz_weight\": {:.1}, \"peak_rss_kb\": {}}}",
-        row.device,
-        row.qubits,
-        row.scheduler,
-        row.gates,
-        row.route_ms,
-        row.schedule_ms,
-        row.total_ms,
-        row.layers,
-        row.duration_ns,
-        row.mean_nc,
-        row.residual_zz_weight,
-        row.peak_rss_kb
-            .map(|kb| kb.to_string())
-            .unwrap_or_else(|| "null".into()),
+/// The child side of one row: compiles device `device`'s brickwork
+/// circuit under `SCHEDULERS[scheduler]`, then prints the row's summary
+/// line and `<residual-ZZ weight> <graph reuse> <distance queries>
+/// <row JSON>`. `f64`'s `Display` round-trips, so the parent reads the
+/// exact weight; the counters are 0 except on the last scheduler's row.
+fn run_row(device: usize, scheduler: usize) {
+    let (name, topo) = scale_devices().swap_remove(device);
+    let kind = SCHEDULERS[scheduler];
+    let qubits = topo.qubit_count();
+    let circuit = brickwork(qubits);
+    let target = Target::builder()
+        .topology(topo)
+        .build()
+        .expect("in-memory targets always build");
+    let session = Session::with_threads(target, 1);
+    let response = session
+        .submit(
+            CompileRequest::new(circuit.clone())
+                .with_options(CompileOptions::default().with_scheduler(kind))
+                .with_label(format!("{name}/{kind}")),
+        )
+        .wait()
+        .unwrap_or_else(|e| panic!("{name}/{kind} failed to compile: {e}"));
+    let peak_rss_kb = peak_rss_kb().map_or_else(|| "null".to_string(), |kb| kb.to_string());
+    let trace = response.trace.as_ref().expect("tracing is on by default");
+    let (route_ms, schedule_ms) = (
+        ms(trace.stage_wall(Stage::Route)),
+        ms(trace.stage_wall(Stage::Schedule)),
     );
-    out
-}
+    let total_ms = ms(response.compile_time);
+    let summary = response.plan_metrics();
+    println!(
+        "[{name:>14}] {qubits:>4}q {:>8}: route {route_ms:>9.3}ms sched {schedule_ms:>9.3}ms \
+         total {total_ms:>9.3}ms ({} layers, {:.0}ns, residual-ZZ {:.0})",
+        kind.to_string(),
+        summary.layers,
+        summary.duration_ns,
+        summary.residual_zz_weight,
+    );
 
-fn main() {
-    let mut rows: Vec<Row> = Vec::new();
-    let mut counters: Vec<DeviceCounters> = Vec::new();
-
-    for (name, topo) in scale_devices() {
-        let qubits = topo.qubit_count();
-        let circuit = brickwork(qubits);
-        let gates = circuit.gate_count();
-        let target = Target::builder()
-            .topology(topo)
-            .build()
-            .expect("in-memory targets always build");
-        // One session per device: the second distinct circuit shape
-        // exercises the memo's device-graph cache (`route.graph_reuse`).
-        let session = Session::with_threads(target, 1);
-
-        // Submit the scheduler sweep one compile at a time through the
-        // session queue. Each compile runs alone between a peak-RSS reset
-        // and the read, so its row's peak is its own.
-        let first_row = rows.len();
-        for scheduler in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
-            let reset = reset_peak_rss();
-            let outcome = session
-                .submit(
-                    CompileRequest::new(circuit.clone())
-                        .with_options(CompileOptions::default().with_scheduler(scheduler))
-                        .with_label(format!("{name}/{scheduler}")),
-                )
-                .wait();
-            let peak_rss_kb = if reset { peak_rss_kb() } else { None };
-            let response =
-                outcome.unwrap_or_else(|e| panic!("{name}/{scheduler} failed to compile: {e}"));
-            let trace = response.trace.as_ref().expect("tracing is on by default");
-            let summary = response.plan_metrics();
-            let row = Row {
-                device: name.clone(),
-                qubits,
-                scheduler,
-                gates,
-                route_ms: ms(trace.stage_wall(Stage::Route)),
-                schedule_ms: ms(trace.stage_wall(Stage::Schedule)),
-                total_ms: ms(response.compile_time),
-                layers: summary.layers,
-                duration_ns: summary.duration_ns,
-                mean_nc: summary.mean_nc,
-                residual_zz_weight: summary.residual_zz_weight,
-                peak_rss_kb,
-            };
-            println!(
-                "[{:>14}] {:>4}q {:>8}: route {:>9.3}ms sched {:>9.3}ms total {:>9.3}ms \
-                 ({} layers, {:.0}ns, residual-ZZ {:.0})",
-                row.device,
-                row.qubits,
-                row.scheduler.to_string(),
-                row.route_ms,
-                row.schedule_ms,
-                row.total_ms,
-                row.layers,
-                row.duration_ns,
-                row.residual_zz_weight,
-            );
-            rows.push(row);
-        }
-        let weights: Vec<f64> = rows[first_row..]
-            .iter()
-            .map(|r| r.residual_zz_weight)
-            .collect();
-        let residual_zz = [
-            weights.iter().copied().fold(f64::INFINITY, f64::min),
-            weights.iter().sum::<f64>() / weights.len() as f64,
-            weights.iter().copied().fold(f64::NEG_INFINITY, f64::max),
-        ];
-
-        // A second circuit shape on the same device: its route pass must
-        // pull the cached CSR coupling graph instead of rebuilding it.
+    let (mut graph_reuse, mut distance_queries) = (0, 0);
+    if scheduler + 1 == SCHEDULERS.len() {
+        // A second circuit shape on the same session: its route pass
+        // must pull the cached CSR coupling graph instead of rebuilding
+        // it.
         let mut variant = circuit.clone();
         variant.push(Gate::X, &[0]);
         let request = CompileRequest::new(variant)
@@ -194,12 +126,85 @@ fn main() {
         session
             .compile(&request)
             .unwrap_or_else(|e| panic!("{name}/variant failed to compile: {e}"));
-
         let snapshot = session.metrics().snapshot();
+        graph_reuse = snapshot.counter("route.graph_reuse").unwrap_or(0);
+        distance_queries = snapshot.counter("sched.distance_queries").unwrap_or(0);
+    }
+    println!(
+        "{} {graph_reuse} {distance_queries} {{\"device\": \"{name}\", \"qubits\": {qubits}, \
+         \"scheduler\": \"{kind}\", \"gates\": {}, \"route_ms\": {route_ms:.3}, \
+         \"schedule_ms\": {schedule_ms:.3}, \"total_ms\": {total_ms:.3}, \"layers\": {}, \
+         \"duration_ns\": {:.1}, \"mean_nc\": {:.3}, \"residual_zz_weight\": {:.1}, \
+         \"peak_rss_kb\": {peak_rss_kb}}}",
+        summary.residual_zz_weight,
+        circuit.gate_count(),
+        summary.layers,
+        summary.duration_ns,
+        summary.mean_nc,
+        summary.residual_zz_weight,
+    );
+}
+
+/// Runs one row in a child process of this binary, echoes its summary
+/// line and returns its residual-ZZ weight, counters and row JSON.
+fn measure_row(device: usize, scheduler: usize) -> (f64, u64, u64, String) {
+    let output = Command::new(std::env::current_exe().expect("the probe's own executable"))
+        .args(["--row", &device.to_string(), &scheduler.to_string()])
+        .stderr(Stdio::inherit())
+        .output()
+        .expect("the row's child process starts");
+    assert!(
+        output.status.success(),
+        "row ({device}, {scheduler}) failed"
+    );
+    let stdout = String::from_utf8(output.stdout).expect("UTF-8 row output");
+    let (summary, result) = stdout.trim_end().rsplit_once('\n').expect("two row lines");
+    println!("{summary}");
+    let mut fields = result.splitn(4, ' ');
+    let mut next = || fields.next().expect("a complete row line");
+    (
+        next().parse().expect("a residual-ZZ weight"),
+        next().parse().expect("a reuse count"),
+        next().parse().expect("a query count"),
+        next().to_string(),
+    )
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, device, scheduler] = args.as_slice() {
+        if flag == "--row" {
+            let index = |s: &str| s.parse::<usize>().expect("a row index");
+            run_row(index(device), index(scheduler));
+            return;
+        }
+    }
+
+    // Row JSON objects, and the (qubits, scheduler) each one completed.
+    let mut rows: Vec<String> = Vec::new();
+    let mut completed: Vec<(usize, SchedulerKind)> = Vec::new();
+    let mut counters: Vec<DeviceCounters> = Vec::new();
+
+    for (device, (name, topo)) in scale_devices().into_iter().enumerate() {
+        let mut weights = Vec::new();
+        let (mut graph_reuse, mut distance_queries) = (0, 0);
+        for (index, &scheduler) in SCHEDULERS.iter().enumerate() {
+            let (weight, reuse, queries, json) = measure_row(device, index);
+            weights.push(weight);
+            graph_reuse += reuse;
+            distance_queries += queries;
+            rows.push(json);
+            completed.push((topo.qubit_count(), scheduler));
+        }
+        let residual_zz = [
+            weights.iter().copied().fold(f64::INFINITY, f64::min),
+            weights.iter().sum::<f64>() / weights.len() as f64,
+            weights.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        ];
         let device = DeviceCounters {
             device: name.clone(),
-            graph_reuse: snapshot.counter("route.graph_reuse").unwrap_or(0),
-            distance_queries: snapshot.counter("sched.distance_queries").unwrap_or(0),
+            graph_reuse,
+            distance_queries,
             plan_jobs: weights.len(),
             residual_zz,
         };
@@ -226,10 +231,11 @@ fn main() {
 
     // The acceptance gate: a 1000-qubit-class device completed under
     // both schedulers.
-    for scheduler in [SchedulerKind::ParSched, SchedulerKind::ZzxSched] {
+    for scheduler in SCHEDULERS {
         assert!(
-            rows.iter()
-                .any(|r| r.qubits >= 961 && r.scheduler == scheduler),
+            completed
+                .iter()
+                .any(|&(qubits, kind)| qubits >= 961 && kind == scheduler),
             "no ≥961-qubit device completed under {scheduler}"
         );
     }
@@ -239,7 +245,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {}{}",
-            row_json(row),
+            row,
             if i + 1 == rows.len() { "" } else { "," }
         );
     }

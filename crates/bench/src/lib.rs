@@ -88,7 +88,7 @@ pub fn paper_session() -> Session {
 ///
 /// Panics if `n` exceeds the paper's largest device (the harness's
 /// benchmark sizes are static).
-pub fn eval_device(n: usize) -> zz_topology::Topology {
+fn eval_device(n: usize) -> zz_topology::Topology {
     Target::for_qubits(n)
         .expect("paper benchmark sizes fit the evaluation devices")
         .topology()

@@ -114,11 +114,6 @@ impl Gate {
         angles[..count].iter().all(|a| a.is_finite())
     }
 
-    /// Returns `true` for gates that are symmetric in their two qubits.
-    pub fn is_symmetric_two_qubit(self) -> bool {
-        matches!(self, Gate::Cz | Gate::CPhase(_) | Gate::Rzz(_) | Gate::Swap)
-    }
-
     /// Decomposes the gate into a variant tag plus its angle parameters
     /// (padded; only the first `count` entries are meaningful), for
     /// structural hashing ([`crate::Circuit::content_digest`]) without
@@ -210,11 +205,5 @@ mod tests {
         ] {
             assert!(g.matrix().is_unitary(1e-12), "{g} not unitary");
         }
-    }
-
-    #[test]
-    fn symmetric_marker() {
-        assert!(Gate::Cz.is_symmetric_two_qubit());
-        assert!(!Gate::Cnot.is_symmetric_two_qubit());
     }
 }

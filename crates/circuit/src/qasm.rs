@@ -1,9 +1,7 @@
 //! OpenQASM 2.0 export and import.
 //!
 //! Export lets compiled circuits be inspected with standard tooling
-//! (Qiskit, quirk-style visualizers); native circuits export with `rzx`
-//! declared as an opaque gate, since OpenQASM 2.0 has no built-in
-//! cross-resonance primitive. Import ([`from_qasm`]) parses the
+//! (Qiskit, quirk-style visualizers). Import ([`from_qasm`]) parses the
 //! flat-circuit subset of OpenQASM 2.0 that [`to_qasm`] emits — one
 //! quantum register, qelib gate applications with constant angle
 //! expressions (`pi/2`, `-3*pi/4`, numeric literals) — and reports every
@@ -12,7 +10,6 @@
 
 use std::fmt::Write as _;
 
-use crate::native::{NativeCircuit, NativeOp};
 use crate::{Circuit, Gate};
 
 /// Serializes a logical circuit as OpenQASM 2.0.
@@ -56,28 +53,6 @@ pub fn to_qasm(circuit: &Circuit) -> String {
             Gate::CPhase(a) => format!("cu1({a}) q[{}],q[{}];", qs[0], qs[1]),
             Gate::Rzz(a) => format!("rzz({a}) q[{}],q[{}];", qs[0], qs[1]),
             Gate::Swap => format!("swap q[{}],q[{}];", qs[0], qs[1]),
-        };
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out
-}
-
-/// Serializes a native circuit as OpenQASM 2.0 (with `rzx` as an opaque
-/// gate and identity pulses as `id`).
-pub fn native_to_qasm(circuit: &NativeCircuit) -> String {
-    let mut out = String::new();
-    out.push_str("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n");
-    out.push_str("opaque rzx(theta) a,b;\n");
-    let _ = writeln!(out, "qreg q[{}];", circuit.qubit_count());
-    for op in circuit.ops() {
-        let line = match *op {
-            NativeOp::Rz { qubit, theta } => format!("rz({theta}) q[{qubit}];"),
-            NativeOp::X90 { qubit } => format!("sx q[{qubit}]; // X90 up to phase"),
-            NativeOp::Zx90 { control, target } => {
-                format!("rzx(pi/2) q[{control}],q[{target}];")
-            }
-            NativeOp::Id { qubit } => format!("id q[{qubit}];"),
         };
         out.push_str(&line);
         out.push('\n');
@@ -650,7 +625,6 @@ const PI: f64 = std::f64::consts::PI;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::native::compile_to_native;
 
     #[test]
     fn header_and_register_are_present() {
@@ -695,15 +669,6 @@ mod tests {
         let q = to_qasm(&c);
         assert_eq!(q.lines().count(), 3 + c.gate_count());
         assert!(q.contains("cu1(0.5)"));
-    }
-
-    #[test]
-    fn native_circuits_declare_rzx() {
-        let mut c = Circuit::new(2);
-        c.push(Gate::Cnot, &[0, 1]);
-        let q = native_to_qasm(&compile_to_native(&c));
-        assert!(q.contains("opaque rzx"));
-        assert!(q.contains("rzx(pi/2) q[0],q[1];"));
     }
 
     #[test]

@@ -161,12 +161,11 @@ impl CalibCache {
     }
 
     /// The cached residual table for `method`, measuring it (at this
-    /// cache's `λ`) on first use.
+    /// cache's `λ`) on first use: [`residuals_traced`] with no store.
+    ///
+    /// [`residuals_traced`]: Self::residuals_traced
     pub fn residuals(&self, method: PulseMethod) -> ResidualTable {
-        *self.slots[slot_index(method)].get_or_init(|| {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            measure_residuals_at(method, self.lambda())
-        })
+        self.residuals_traced(method, None).0
     }
 
     /// How many pulse-level calibration measurements this cache has run
@@ -178,10 +177,9 @@ impl CalibCache {
     /// The cached residual table for `method`, consulting `store` before
     /// measuring: on a disk hit the table loads without counting as a
     /// calibration run; on a miss the measurement runs and its result is
-    /// persisted for the next process. With no store this measures
-    /// exactly as [`residuals`](Self::residuals) does. Also reports *how*
-    /// the table was obtained — the pipeline's pulse stage records this
-    /// in its [`crate::pipeline::PipelineTrace`]:
+    /// persisted for the next process. Also reports *how* the table was
+    /// obtained — the pipeline's pulse stage records this in its
+    /// [`crate::pipeline::PipelineTrace`]:
     ///
     /// * [`MemoryHit`](crate::pipeline::CacheDisposition::MemoryHit) —
     ///   the slot was already measured (or loaded) in this cache;
@@ -240,18 +238,10 @@ fn slot_index(method: PulseMethod) -> usize {
         .expect("all methods enumerated")
 }
 
-/// On-disk key of a method's residual table at the paper's calibration
-/// strength (epoch 0). Per-device caches key through
-/// [`CalibCache::residual_key`] instead, which folds in their `λ` and
-/// calibration epoch.
-pub fn residual_artifact_key(method: PulseMethod) -> u64 {
-    residual_artifact_key_at(method, calibration_lambda())
-}
-
 /// On-disk key of a method's residual table measured at `lambda`: the
 /// method label mixed with the exact measurement-strength bits, so a
 /// recalibrated device (different `λ`) can never serve stale tables.
-pub fn residual_artifact_key_at(method: PulseMethod, lambda: f64) -> u64 {
+fn residual_artifact_key_at(method: PulseMethod, lambda: f64) -> u64 {
     // The Display name ("Gaussian", "Pert", …) is stable and part of the
     // on-disk format, like the golden-keyed digests.
     let mut bytes = method.to_string().into_bytes();
@@ -346,12 +336,10 @@ mod tests {
         // Epoch 0 at the paper strength must keep the golden-keyed disk
         // layout bit-for-bit: warm stores from earlier releases stay warm.
         let cache = CalibCache::at(calibration_lambda(), 0);
+        let legacy = CalibCache::new();
         for m in PulseMethod::ALL {
-            assert_eq!(cache.residual_key(m), residual_artifact_key(m), "{m}");
+            assert_eq!(cache.residual_key(m), legacy.residual_key(m), "{m}");
         }
-        assert_eq!(CalibCache::new().residual_key(PulseMethod::Pert), {
-            residual_artifact_key(PulseMethod::Pert)
-        });
     }
 
     #[test]

@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use zz_circuit::native::{compile_to_native, NativeCircuit};
-use zz_circuit::{try_route, try_route_with, Circuit};
+use zz_circuit::{try_route_with, Circuit};
 use zz_graph::MultiGraph;
 use zz_obs::Registry;
 use zz_persist::{ArtifactKind, ArtifactStore};
@@ -254,7 +254,7 @@ impl CacheDisposition {
 
     /// The disposition's metric-name segment (`pipeline.route.disk_hit`):
     /// lowercase snake, stable across releases.
-    pub fn metric_label(self) -> &'static str {
+    fn metric_label(self) -> &'static str {
         match self {
             CacheDisposition::NotCached => "uncached",
             CacheDisposition::MemoryHit => "memory_hit",
@@ -447,10 +447,10 @@ impl StageArtifact for Compiled {
 pub struct PassCx<'a> {
     /// The device topology the pipeline compiles onto.
     pub topology: &'a Topology,
-    /// The routing memo, when the pass runs under a manager. [`RoutePass`]
-    /// pulls the device's cached coupling graph from it instead of
-    /// rebuilding the graph per compilation.
-    pub memo: Option<&'a RouteMemo>,
+    /// The manager's routing memo. [`RoutePass`] pulls the device's
+    /// cached coupling graph from it instead of rebuilding the graph per
+    /// compilation.
+    pub memo: &'a RouteMemo,
     /// The metrics registry, when attached (for cache-effectiveness
     /// counters like `route.graph_reuse`).
     pub metrics: Option<&'a Registry>,
@@ -533,21 +533,17 @@ impl Pass for RoutePass {
     }
 
     fn run(&self, input: Logical, cx: &PassCx<'_>) -> Result<Routed, CoOptError> {
-        let circuit = match cx.memo {
-            Some(memo) => {
-                let (graph, reused) = memo.coupling_graph(cx.topology);
-                if reused {
-                    if let Some(metrics) = cx.metrics {
-                        metrics.counter("route.graph_reuse").inc();
-                    }
-                }
-                try_route_with(&input.circuit, cx.topology, &graph)
+        let (graph, reused) = cx.memo.coupling_graph(cx.topology);
+        if reused {
+            if let Some(metrics) = cx.metrics {
+                metrics.counter("route.graph_reuse").inc();
             }
-            None => try_route(&input.circuit, cx.topology),
         }
-        .map_err(|e| CoOptError::RouteUnreachable {
-            from: e.from,
-            to: e.to,
+        let circuit = try_route_with(&input.circuit, cx.topology, &graph).map_err(|e| {
+            CoOptError::RouteUnreachable {
+                from: e.from,
+                to: e.to,
+            }
         })?;
         Ok(Routed {
             source: input.circuit,
@@ -849,7 +845,7 @@ impl PassManager {
     fn cx(&self) -> PassCx<'_> {
         PassCx {
             topology: &self.topology,
-            memo: Some(&self.memo),
+            memo: &self.memo,
             metrics: self.metrics.as_deref(),
         }
     }

@@ -37,6 +37,11 @@ use crate::report::{DeviceReport, FleetReport};
 /// Why a fleet operation failed.
 #[derive(Debug)]
 pub enum FleetError {
+    /// A [`FleetConfig`] field is out of range.
+    InvalidConfig {
+        /// The offending field's name.
+        field: &'static str,
+    },
     /// A device with this name is already registered.
     DuplicateDevice {
         /// The offending name.
@@ -64,6 +69,9 @@ pub enum FleetError {
 impl std::fmt::Display for FleetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            FleetError::InvalidConfig { field } => {
+                write!(f, "fleet config field '{field}' is out of range")
+            }
             FleetError::DuplicateDevice { device } => {
                 write!(f, "device '{device}' is already registered")
             }
@@ -96,12 +104,12 @@ pub struct FleetConfig {
     /// randomizes). Two fleets with equal seeds and job streams make
     /// bit-identical decisions.
     pub seed: u64,
-    /// Per-epoch fractional drift step bound (see
+    /// Per-epoch fractional drift step bound, in `[0, 1)` (see
     /// [`DriftModel::with_step`]).
     pub drift_step: f64,
     /// Fractional deviation of the ground-truth mean λ from the
     /// calibrated one beyond which an epoch invalidates the device's
-    /// calibration and re-characterizes.
+    /// calibration and re-characterizes; not negative.
     pub invalidation_threshold: f64,
     /// Worker threads per backend session. [`Fleet::submit`] compiles
     /// and scores each candidate in turn on the caller thread through
@@ -253,14 +261,31 @@ pub struct Fleet {
 impl Fleet {
     /// An empty fleet with the given configuration; register backends
     /// with [`add_device`](Self::add_device).
-    pub fn new(config: FleetConfig) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`FleetError::InvalidConfig`] naming `drift_step` when it is
+    /// outside `[0, 1)`, or `invalidation_threshold` when it is NaN or
+    /// negative.
+    pub fn new(config: FleetConfig) -> Result<Self, FleetError> {
+        if !(0.0..1.0).contains(&config.drift_step) {
+            return Err(FleetError::InvalidConfig {
+                field: "drift_step",
+            });
+        }
+        let threshold = config.invalidation_threshold;
+        if threshold.is_nan() || threshold < 0.0 {
+            return Err(FleetError::InvalidConfig {
+                field: "invalidation_threshold",
+            });
+        }
         let registry = Arc::new(Registry::new());
         let metrics = FleetMetrics {
             dispatch: registry.counter("fleet.dispatch"),
             invalidations: registry.counter("fleet.drift.invalidations"),
             epoch: registry.gauge("fleet.epoch"),
         };
-        Fleet {
+        Ok(Fleet {
             drift: DriftModel::new(config.seed).with_step(config.drift_step),
             config,
             epoch: 0,
@@ -269,7 +294,7 @@ impl Fleet {
             events: EventLog::from_env(),
             metrics,
             jobs: 0,
-        }
+        })
     }
 
     /// A fleet over the three shipped profiles
@@ -277,10 +302,11 @@ impl Fleet {
     ///
     /// # Errors
     ///
-    /// Returns [`FleetError::Service`] when a backend's store shard or
-    /// target cannot be built.
+    /// Returns [`FleetError::InvalidConfig`] for a config
+    /// [`new`](Self::new) refuses, and [`FleetError::Service`] when a
+    /// backend's store shard or target cannot be built.
     pub fn standard(config: FleetConfig) -> Result<Self, FleetError> {
-        let mut fleet = Fleet::new(config);
+        let mut fleet = Fleet::new(config)?;
         for profile in DeviceProfile::standard_fleet() {
             fleet.add_device(profile)?;
         }
@@ -732,7 +758,7 @@ mod tests {
 
     #[test]
     fn duplicate_names_are_rejected() {
-        let mut fleet = Fleet::new(FleetConfig::default());
+        let mut fleet = Fleet::new(FleetConfig::default()).expect("default config");
         fleet
             .add_device(DeviceProfile::paper_grid())
             .expect("first");
@@ -742,7 +768,7 @@ mod tests {
 
     #[test]
     fn unknown_devices_are_typed_errors() {
-        let fleet = Fleet::new(FleetConfig::default());
+        let fleet = Fleet::new(FleetConfig::default()).expect("default config");
         assert!(matches!(
             fleet.true_lambda("nope"),
             Err(FleetError::UnknownDevice { .. })
@@ -751,7 +777,7 @@ mod tests {
 
     #[test]
     fn an_empty_fleet_has_no_eligible_backend() {
-        let mut fleet = Fleet::new(FleetConfig::default());
+        let mut fleet = Fleet::new(FleetConfig::default()).expect("default config");
         let circuit = zz_circuit::bench::generate(zz_circuit::bench::BenchmarkKind::Qft, 4, 7);
         let err = fleet
             .submit(circuit, CompileOptions::default())

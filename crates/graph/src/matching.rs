@@ -144,7 +144,8 @@ fn greedy_two_opt(n: usize, cost: &impl Fn(usize, usize) -> f64) -> Vec<(usize, 
 }
 
 /// Total cost of a matching under `cost`.
-pub fn matching_cost(pairs: &[(usize, usize)], cost: impl Fn(usize, usize) -> f64) -> f64 {
+#[cfg(test)]
+fn matching_cost(pairs: &[(usize, usize)], cost: impl Fn(usize, usize) -> f64) -> f64 {
     pairs.iter().map(|&(i, j)| cost(i, j)).sum()
 }
 

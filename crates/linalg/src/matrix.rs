@@ -232,21 +232,6 @@ impl Matrix {
         out
     }
 
-    /// `Tr(self† · rhs)` — the Hilbert–Schmidt inner product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn hs_inner(&self, rhs: &Matrix) -> c64 {
-        assert_eq!(self.rows, rhs.rows, "hs_inner shape mismatch");
-        assert_eq!(self.cols, rhs.cols, "hs_inner shape mismatch");
-        self.data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(&a, &b)| a.conj() * b)
-            .sum()
-    }
-
     /// Returns `true` if every entry differs from `other` by at most `tol`
     /// in modulus.
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
@@ -454,12 +439,6 @@ mod tests {
         assert_eq!(z.trace(), c64::ZERO);
         assert!((z.frobenius_norm() - 2f64.sqrt()).abs() < 1e-15);
         assert_eq!(z.max_norm(), 1.0);
-    }
-
-    #[test]
-    fn hs_inner_orthogonality_of_paulis() {
-        assert_eq!(pauli_x().hs_inner(&pauli_y()), c64::ZERO);
-        assert_eq!(pauli_x().hs_inner(&pauli_x()), c64::new(2.0, 0.0));
     }
 
     #[test]

@@ -162,11 +162,6 @@ impl ServerControl {
         self.shared.begin_shutdown();
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.is_shutting_down()
-    }
-
     /// Cumulative compile requests admitted past the backpressure gate
     /// (tests use this to know every submission is in flight before
     /// triggering shutdown).

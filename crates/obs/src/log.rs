@@ -229,15 +229,8 @@ fn json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-#[derive(Debug)]
-enum Sink {
-    Stderr,
-    File(Mutex<File>),
-    Capture(Mutex<Vec<String>>),
-}
-
 /// The emission gate: filters [`Event`]s by [`LogLevel`] and writes the
-/// survivors as NDJSON to stderr, a file, or (in tests) a capture buffer.
+/// survivors as NDJSON to stderr or a file.
 ///
 /// Cheap when off: `emit` on a [`LogLevel::Off`] log is one enum compare
 /// and never renders the event.
@@ -279,22 +272,13 @@ impl EventLog {
         EventLog { level, sink }
     }
 
-    /// A log that collects rendered lines in memory — the test sink
-    /// (read back with [`captured`](Self::captured)).
-    pub fn capture(level: LogLevel) -> EventLog {
-        EventLog {
-            level,
-            sink: Sink::Capture(Mutex::new(Vec::new())),
-        }
-    }
-
     /// The configured level.
     pub fn level(&self) -> LogLevel {
         self.level
     }
 
     /// Whether `event` would be emitted at the configured level.
-    pub fn would_emit(&self, event: &Event) -> bool {
+    fn would_emit(&self, event: &Event) -> bool {
         match self.level {
             LogLevel::Off => false,
             LogLevel::Summary => event.is_summary,
@@ -306,25 +290,55 @@ impl EventLog {
     /// Write failures are swallowed — observability must never take the
     /// service down.
     pub fn emit(&self, event: &Event) {
-        if !self.would_emit(event) {
-            return;
+        if self.would_emit(event) {
+            self.sink.write(event.to_json());
         }
-        let line = event.to_json();
-        match &self.sink {
+    }
+}
+
+// Private from here on; the test-only sink stays below every public
+// item because `tests/api_surface.rs` reads each file only up to its
+// first `cfg(test)` attribute.
+
+/// Where an [`EventLog`] writes its lines.
+#[derive(Debug)]
+enum Sink {
+    Stderr,
+    File(Mutex<File>),
+    #[cfg(test)]
+    Capture(Mutex<Vec<String>>),
+}
+
+impl Sink {
+    fn write(&self, line: String) {
+        match self {
             Sink::Stderr => eprintln!("{line}"),
             Sink::File(file) => {
                 let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
                 let _ = writeln!(file, "{line}");
             }
+            #[cfg(test)]
             Sink::Capture(lines) => {
                 lines.lock().unwrap_or_else(|e| e.into_inner()).push(line);
             }
         }
     }
+}
+
+#[cfg(test)]
+impl EventLog {
+    /// A log that collects rendered lines in memory — the test sink
+    /// (read back with [`captured`](Self::captured)).
+    fn capture(level: LogLevel) -> EventLog {
+        EventLog {
+            level,
+            sink: Sink::Capture(Mutex::new(Vec::new())),
+        }
+    }
 
     /// The lines collected by a [`capture`](Self::capture) sink (empty
     /// for the other sinks).
-    pub fn captured(&self) -> Vec<String> {
+    fn captured(&self) -> Vec<String> {
         match &self.sink {
             Sink::Capture(lines) => lines.lock().unwrap_or_else(|e| e.into_inner()).clone(),
             _ => Vec::new(),

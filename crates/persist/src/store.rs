@@ -115,7 +115,7 @@ impl ArtifactStore {
     }
 
     /// The file an artifact lives at.
-    pub fn path_of(&self, kind: ArtifactKind, key: u64) -> PathBuf {
+    fn path_of(&self, kind: ArtifactKind, key: u64) -> PathBuf {
         self.root
             .join(kind.dir_name())
             .join(format!("{key:016x}.zza"))

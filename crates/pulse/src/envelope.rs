@@ -117,7 +117,8 @@ impl FourierPulse {
     }
 
     /// Exact area: each basis term integrates to `T/2`.
-    pub fn exact_area(&self) -> f64 {
+    #[cfg(test)]
+    fn exact_area(&self) -> f64 {
         self.coeffs.iter().sum::<f64>() * self.duration / 2.0
     }
 }

@@ -6,8 +6,6 @@
 //! every run. The quality tests at the bottom verify the shipped pulses
 //! still implement their gates and suppress first-order ZZ.
 
-use zz_linalg::Matrix;
-
 use crate::dcg;
 use crate::envelope::{Envelope, FourierPulse, GaussianPulse, ZeroPulse};
 use crate::optimize::BASIS;
@@ -304,16 +302,12 @@ fn two_qubit_from(coeffs: &[f64]) -> CalibratedTwoQubitDrive {
     }
 }
 
-/// The gate unitary each drive is calibrated against.
-pub fn x90_target() -> Matrix {
-    zz_quantum::gates::x90()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mhz;
     use crate::systems::{infidelity_1q, residual_zz_rate};
+    use zz_linalg::Matrix;
     use zz_quantum::gates;
 
     #[test]

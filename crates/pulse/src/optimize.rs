@@ -92,7 +92,7 @@ pub fn minimize(loss: impl Fn(&[f64]) -> f64, x0: &[f64], config: &AdamConfig) -
 }
 
 /// Splits a flat single-qubit parameter vector into `(Ωx, Ωy)` envelopes.
-pub fn unpack_1q(params: &[f64], duration: f64) -> (FourierPulse, FourierPulse) {
+fn unpack_1q(params: &[f64], duration: f64) -> (FourierPulse, FourierPulse) {
     assert_eq!(params.len(), 2 * BASIS, "expected {} parameters", 2 * BASIS);
     (
         FourierPulse::new(params[..BASIS].to_vec(), duration),
@@ -102,7 +102,7 @@ pub fn unpack_1q(params: &[f64], duration: f64) -> (FourierPulse, FourierPulse) 
 
 /// Splits a flat two-qubit parameter vector into
 /// `(Ωx_a, Ωy_a, Ωx_b, Ωy_b, Ω_ab)` envelopes.
-pub fn unpack_2q(
+fn unpack_2q(
     params: &[f64],
     duration: f64,
 ) -> (

@@ -11,7 +11,7 @@
 use zz_linalg::Matrix;
 use zz_quantum::fidelity::average_gate_infidelity;
 use zz_quantum::pauli::{Pauli, PauliString};
-use zz_quantum::{embed, gates, transmon};
+use zz_quantum::{embed, transmon};
 
 use crate::envelope::Envelope;
 use crate::propagate::TimeDependentHamiltonian;
@@ -158,7 +158,7 @@ pub fn infidelity_2q(
 
 /// Full evolution of a five-level transmon (anharmonicity `alpha`, rad/ns)
 /// with a two-level spectator under `λ Z̃⊗Z` (10-dim). Used by Figure 18.
-pub fn evolve_transmon_with_spectator(
+fn evolve_transmon_with_spectator(
     drive: &QubitDrive<'_>,
     alpha: f64,
     lambda: f64,
@@ -295,16 +295,12 @@ fn c64_zero() -> zz_linalg::c64 {
     zz_linalg::c64::ZERO
 }
 
-/// Convenience: the `X90` and identity gate targets of the paper.
-pub fn x90_target() -> Matrix {
-    gates::x90()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::envelope::{GaussianPulse, ZeroPulse};
     use crate::mhz;
+    use zz_quantum::gates;
 
     fn gaussian_x90_drive() -> (GaussianPulse, ZeroPulse) {
         (

@@ -78,71 +78,6 @@ pub fn embed(op: &Matrix, targets: &[usize], n: usize) -> Matrix {
     out
 }
 
-/// Partial trace of an n-qubit density matrix over the qubits in `discard`
-/// (workspace bit convention: qubit 0 is the most significant bit).
-///
-/// Returns the reduced density matrix over the remaining qubits, ordered as
-/// in the original register.
-///
-/// # Panics
-///
-/// Panics if `rho` is not `2^n × 2^n`, if a discarded index repeats or is
-/// out of range, or if everything would be discarded.
-///
-/// # Example
-///
-/// ```
-/// use zz_linalg::{c64, Matrix};
-/// use zz_quantum::{partial_trace, states};
-///
-/// // Bell state: tracing out either qubit leaves the maximally mixed state.
-/// let bell = {
-///     let s = states::zero_state(2);
-///     let h = zz_quantum::embed(&zz_quantum::gates::h(), &[0], 2);
-///     let cx = zz_quantum::embed(&zz_quantum::gates::cnot(), &[0, 1], 2);
-///     cx.matmul(&h).mul_vec(&s)
-/// };
-/// let rho = Matrix::from_fn(4, 4, |i, j| bell[i] * bell[j].conj());
-/// let reduced = partial_trace(&rho, &[0], 2);
-/// assert!(reduced.approx_eq(&Matrix::identity(2).scale(c64::real(0.5)), 1e-12));
-/// ```
-pub fn partial_trace(rho: &Matrix, discard: &[usize], n: usize) -> Matrix {
-    assert_eq!(rho.rows(), 1 << n, "density matrix must be 2^n x 2^n");
-    assert!(rho.is_square(), "density matrix must be square");
-    for (i, &d) in discard.iter().enumerate() {
-        assert!(d < n, "discarded qubit {d} out of range");
-        assert!(!discard[..i].contains(&d), "duplicate discarded qubit {d}");
-    }
-    let keep: Vec<usize> = (0..n).filter(|q| !discard.contains(q)).collect();
-    assert!(!keep.is_empty(), "cannot trace out every qubit");
-
-    let bit = |q: usize| n - 1 - q;
-    let k = keep.len();
-    let dim = 1usize << k;
-    let mut out = Matrix::zeros(dim, dim);
-    // For each pair of kept-subspace indices, sum over discarded settings.
-    let spread = |sub: usize, wires: &[usize]| -> usize {
-        let mut full = 0usize;
-        for (i, &q) in wires.iter().enumerate() {
-            if (sub >> (wires.len() - 1 - i)) & 1 == 1 {
-                full |= 1 << bit(q);
-            }
-        }
-        full
-    };
-    for r in 0..dim {
-        for c in 0..dim {
-            let mut acc = c64::ZERO;
-            for e in 0..(1usize << discard.len()) {
-                let env = spread(e, discard);
-                acc += rho[(spread(r, &keep) | env, spread(c, &keep) | env)];
-            }
-            out[(r, c)] = acc;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,40 +126,5 @@ mod tests {
     #[should_panic(expected = "duplicate target")]
     fn rejects_duplicate_targets() {
         let _ = embed(&gates::cnot(), &[1, 1], 3);
-    }
-
-    #[test]
-    fn partial_trace_of_product_state_is_the_factor() {
-        // |ψ⟩ = |+⟩ ⊗ |1⟩: tracing out qubit 1 leaves |+⟩⟨+|.
-        let plus = crate::states::plus();
-        let one = crate::states::ket1();
-        let full = plus.kron(&one);
-        let rho = Matrix::from_fn(4, 4, |i, j| full[i] * full[j].conj());
-        let reduced = partial_trace(&rho, &[1], 2);
-        let expected = Matrix::from_fn(2, 2, |i, j| plus[i] * plus[j].conj());
-        assert!(reduced.approx_eq(&expected, 1e-12));
-    }
-
-    #[test]
-    fn partial_trace_preserves_trace() {
-        let ghz = {
-            let mut amps = vec![zz_linalg::c64::ZERO; 8];
-            amps[0] = zz_linalg::c64::real(std::f64::consts::FRAC_1_SQRT_2);
-            amps[7] = zz_linalg::c64::real(std::f64::consts::FRAC_1_SQRT_2);
-            zz_linalg::Vector::from_vec(amps)
-        };
-        let rho = Matrix::from_fn(8, 8, |i, j| ghz[i] * ghz[j].conj());
-        let reduced = partial_trace(&rho, &[0, 2], 3);
-        assert!((reduced.trace().re - 1.0).abs() < 1e-12);
-        // GHZ reduced to one qubit is maximally mixed.
-        assert!((reduced[(0, 0)].re - 0.5).abs() < 1e-12);
-        assert!(reduced[(0, 1)].abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot trace out every qubit")]
-    fn rejects_total_trace_out() {
-        let rho = Matrix::identity(4);
-        let _ = partial_trace(&rho, &[0, 1], 2);
     }
 }

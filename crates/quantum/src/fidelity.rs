@@ -39,8 +39,10 @@ pub fn average_gate_infidelity(u: &Matrix, v: &Matrix) -> f64 {
     1.0 - average_gate_fidelity(u, v)
 }
 
-/// Process (entanglement) fidelity `|Tr(U†V)|² / d²`.
-pub fn process_fidelity(u: &Matrix, v: &Matrix) -> f64 {
+/// Process (entanglement) fidelity `|Tr(U†V)|² / d²`, the oracle
+/// [`average_gate_fidelity`] is checked against.
+#[cfg(test)]
+fn process_fidelity(u: &Matrix, v: &Matrix) -> f64 {
     assert!(
         u.is_square() && v.is_square(),
         "fidelity requires square matrices"
@@ -48,15 +50,6 @@ pub fn process_fidelity(u: &Matrix, v: &Matrix) -> f64 {
     assert_eq!(u.rows(), v.rows(), "fidelity dimension mismatch");
     let d = u.rows() as f64;
     u.dagger().matmul(v).trace().abs_sq() / (d * d)
-}
-
-/// State fidelity `|⟨ψ|φ⟩|²` between normalized pure states.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn state_fidelity(psi: &Vector, phi: &Vector) -> f64 {
-    psi.fidelity(phi)
 }
 
 /// Fidelity `⟨ψ|ρ|ψ⟩` of a density matrix against a pure target state.
@@ -119,7 +112,7 @@ mod tests {
                 rho[(i, j)] = psi[i] * psi[j].conj();
             }
         }
-        let f1 = state_fidelity(&phi, &psi);
+        let f1 = phi.fidelity(&psi);
         let f2 = state_fidelity_dm(&rho, &phi);
         assert!((f1 - f2).abs() < 1e-14);
     }

@@ -38,4 +38,4 @@ pub mod pauli;
 pub mod states;
 pub mod transmon;
 
-pub use embedding::{embed, partial_trace};
+pub use embedding::embed;

@@ -117,24 +117,6 @@ pub fn computational_block(m: &Matrix, dims: &[usize]) -> Matrix {
     Matrix::from_fn(dim, dim, |r, c| m[(to_full(r), to_full(c))])
 }
 
-/// Leakage population of a state on a `d`-level system ⊗ (2-level spectator):
-/// the total probability outside the computational block.
-///
-/// # Panics
-///
-/// Panics if `state.len() != d * 2`.
-pub fn leakage_probability(state: &zz_linalg::Vector, d: usize) -> f64 {
-    assert_eq!(state.len(), d * 2, "state must live on d-level ⊗ 2-level");
-    let mut leaked = 0.0;
-    for (idx, amp) in state.as_slice().iter().enumerate() {
-        let level = idx / 2; // transmon level (spectator is least significant)
-        if level >= 2 {
-            leaked += amp.abs_sq();
-        }
-    }
-    leaked
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,14 +162,5 @@ mod tests {
         let block = computational_block(&full, &[5, 2]);
         let zz = Pauli::Z.matrix().kron(&Pauli::Z.matrix());
         assert!(block.approx_eq(&zz, 1e-15));
-    }
-
-    #[test]
-    fn leakage_probability_counts_high_levels() {
-        let mut amps = vec![c64::ZERO; 10]; // 5-level ⊗ 2-level
-        amps[0] = c64::real(0.6); // |0⟩|0⟩
-        amps[4] = c64::real(0.8); // |2⟩|0⟩ → leaked
-        let state = zz_linalg::Vector::from_vec(amps);
-        assert!((leakage_probability(&state, 5) - 0.64).abs() < 1e-15);
     }
 }

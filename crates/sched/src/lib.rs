@@ -38,13 +38,11 @@
 pub mod metrics;
 pub mod parsched;
 pub mod plan;
-pub mod render;
 pub mod suppression;
 pub mod zzx;
 
 pub use metrics::{cut_metrics, CutMetrics};
 pub use plan::{GateDurations, Layer, PlanSummary, SchedulePlan};
-pub use render::{render_plan, summarize_plan};
 pub use suppression::{alpha_optimal_suppression, SuppressionPlan};
 pub use zzx::{zzx_schedule, Requirement, ZzxConfig};
 

@@ -142,7 +142,7 @@ impl Requirement {
     }
 
     /// Checks a plan against the requirement.
-    pub fn satisfied_by(&self, plan: &SuppressionPlan) -> bool {
+    fn satisfied_by(&self, plan: &SuppressionPlan) -> bool {
         plan.metrics.nq < self.nq_limit && plan.metrics.nc <= self.nc_limit
     }
 }

@@ -250,76 +250,6 @@ impl BatchedState {
         }
     }
 
-    /// Multiplies the contiguous chunk `(re, im)` by the scalar `f`.
-    #[inline]
-    fn scale_chunk(re: &mut [f64], im: &mut [f64], f: c64) {
-        let (fr, fi) = (f.re, f.im);
-        for (r, q) in re.iter_mut().zip(im.iter_mut()) {
-            let (ar, ai) = (*r, *q);
-            *r = fr * ar - fi * ai;
-            *q = fr * ai + fi * ar;
-        }
-    }
-
-    /// One Rz phase term `(mask, θ/2)`: per block, one contiguous chunk
-    /// of clear-bit rows gets `cis(-θ/2)` and one chunk of set-bit rows
-    /// gets `cis(θ/2)`; two `cis` evaluations for the whole sweep. Mask 0
-    /// names a qubit outside the register, whose bit is always clear:
-    /// every row gets `cis(-θ/2)`.
-    pub fn apply_rz_term(&mut self, mask: usize, half: f64) {
-        let (lo, hi) = (c64::cis(-half), c64::cis(half));
-        if mask == 0 {
-            Self::scale_chunk(&mut self.re, &mut self.im, lo);
-            return;
-        }
-        let chunk = mask * self.lanes;
-        let stride = chunk << 1;
-        let mut off = 0;
-        while off < self.re.len() {
-            let (r_lo, r_hi) = self.re[off..off + stride].split_at_mut(chunk);
-            let (q_lo, q_hi) = self.im[off..off + stride].split_at_mut(chunk);
-            Self::scale_chunk(r_lo, q_lo, lo);
-            Self::scale_chunk(r_hi, q_hi, hi);
-            off += stride;
-        }
-    }
-
-    /// One ZZ phase term `(mask_u, mask_v, φ)`: the four chunk regions
-    /// of each `(outer, mid)` cell (neither bit, low bit, high bit,
-    /// both bits) get the equal-parity or differing-parity factor as a
-    /// whole — two `cis` evaluations and no per-row parity test. A mask
-    /// of 0 is a bit that is always clear, so the term's parity is the
-    /// other bit's: it applies as the Rz term `(other mask, φ)`.
-    pub fn apply_zz_term(&mut self, mu: usize, mv: usize, phi: f64) {
-        if mu == 0 || mv == 0 {
-            self.apply_rz_term(mu | mv, phi);
-            return;
-        }
-        let (same, diff) = (c64::cis(-phi), c64::cis(phi));
-        let lanes = self.lanes;
-        let (lo, hi) = if mu < mv { (mu, mv) } else { (mv, mu) };
-        let chunk = lo * lanes;
-        let dim = self.dim();
-        let mut outer = 0;
-        while outer < dim {
-            let mut mid = outer;
-            while mid < outer + hi {
-                let row = mid * lanes;
-                let top = (mid + hi) * lanes;
-                let (r0, r1) = self.re[row..row + 2 * chunk].split_at_mut(chunk);
-                let (q0, q1) = self.im[row..row + 2 * chunk].split_at_mut(chunk);
-                Self::scale_chunk(r0, q0, same);
-                Self::scale_chunk(r1, q1, diff);
-                let (r2, r3) = self.re[top..top + 2 * chunk].split_at_mut(chunk);
-                let (q2, q3) = self.im[top..top + 2 * chunk].split_at_mut(chunk);
-                Self::scale_chunk(r2, q2, diff);
-                Self::scale_chunk(r3, q3, same);
-                mid += lo << 1;
-            }
-            outer += hi << 1;
-        }
-    }
-
     /// Per-lane excited populations of **every** qubit in one read
     /// sweep: `out[q · lanes + t]` receives `P(qubit q = |1⟩)` for lane
     /// `t` (qubit 0 = most significant bit). Each amplitude's
@@ -532,8 +462,16 @@ mod tests {
         }
         batch.kernel_two(&zx, mask(0), mask(2));
         batch.kernel_two(&zx, mask(3), mask(1));
-        batch.apply_rz_term(mask(1), 0.37);
-        batch.apply_zz_term(mask(0), mask(3), 0.21);
+        // An Rz on qubit 1 and a ZZ phase on (0, 3) as one diagonal.
+        let phases: Vec<c64> = (0..1usize << n)
+            .map(|i| {
+                let rz = if i & mask(1) != 0 { 0.37 } else { -0.37 };
+                let same = (i & mask(0) == 0) == (i & mask(3) == 0);
+                c64::cis(rz) * c64::cis(if same { -0.21 } else { 0.21 })
+            })
+            .collect();
+        let (re, im): (Vec<f64>, Vec<f64>) = phases.iter().map(|d| (d.re, d.im)).unzip();
+        batch.apply_diagonal(&re, &im);
         let diag: Vec<c64> = (0..1usize << n)
             .map(|i| c64::cis(0.01 * i as f64))
             .collect();
@@ -571,7 +509,13 @@ mod tests {
             batch.kernel_single(&h, 1 << (n - 1 - q));
             sv.kernel_single(&h, 1 << (n - 1 - q));
         }
-        batch.apply_rz_term(1, 0.4);
+        // Rz(0.8) on the last qubit, as a diagonal.
+        let (lo, hi) = (c64::cis(-0.4), c64::cis(0.4));
+        let rz: Vec<c64> = (0..1usize << n)
+            .map(|i| if i & 1 != 0 { hi } else { lo })
+            .collect();
+        let (rz_re, rz_im): (Vec<f64>, Vec<f64>) = rz.iter().map(|d| (d.re, d.im)).unzip();
+        batch.apply_diagonal(&rz_re, &rz_im);
         sv.apply_rz(0.8, n - 1);
 
         let mut all = vec![0.0; n * 2];

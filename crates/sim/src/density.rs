@@ -49,11 +49,6 @@ impl DensityMatrix {
         self.rho.trace().re
     }
 
-    /// Purity `Tr(ρ²)`.
-    pub fn purity(&self) -> f64 {
-        self.rho.matmul(&self.rho).trace().re
-    }
-
     /// Applies a unitary on the given qubits: `ρ ← UρU†`.
     ///
     /// # Panics
@@ -236,7 +231,7 @@ mod tests {
         let mut dm = DensityMatrix::zero(2);
         dm.apply_unitary(&gates::h(), &[0]);
         dm.apply_unitary(&gates::cnot(), &[0, 1]);
-        assert!((dm.purity() - 1.0).abs() < 1e-12);
+        // Fidelity 1 to a pure state: ρ is that pure state.
         let bell = {
             let mut sv = StateVector::zero(2);
             sv.apply_single(&gates::h(), 0);

@@ -10,13 +10,11 @@
 //!
 //! * every layer's undriven-coupling ZZ phases and the adjacent virtual
 //!   rotations are **fused into a single diagonal** — one `O(2^n)` pass
-//!   per layer (tabulated as `2^n` phases for registers up to
-//!   [`DIAG_TABLE_MAX_QUBITS`] qubits, evaluated term by term above
-//!   that), and phases keep sliding forward across layers until a gate
-//!   kernel or an amplitude-damping jump pins them. Folding those tables
-//!   is most of an evaluation's cost, so each term is folded only over
-//!   the qubits its table depends on so far, bit-identically to a fold
-//!   over all `2^n` entries,
+//!   per layer through a table of `2^n` phases — and phases keep sliding
+//!   forward across layers until a gate kernel or an amplitude-damping
+//!   jump pins them. Folding those tables is most of an evaluation's
+//!   cost, so each term is folded only over the qubits its table depends
+//!   on so far, bit-identically to a fold over all `2^n` entries,
 //! * gate matrices are resolved to branch-free kernels with precomputed
 //!   bit masks,
 //! * with decoherence, each layer also carries its damping and
@@ -50,7 +48,8 @@
 //! its layer count; running it again folds again. A
 //! [`TrajectoryProgram`] tabulates every diagonal once at compile time
 //! instead, through the same fold, because its fan replays each step once
-//! per batch.
+//! per batch; above [`DIAG_TABLE_MAX_QUBITS`] driven qubits it keeps the
+//! terms too and folds at replay, once per batch.
 //!
 //! The engine publishes no metrics. Each program reports how many
 //! diagonal sweeps its compilation fused away, and the trajectory fan
@@ -95,12 +94,11 @@ use crate::executor::{coupling_residual, driven_couplings, ZzErrorModel};
 use crate::StateVector;
 use zz_pool::parallel_map;
 
-/// Largest replayed (driven) register whose fused layer diagonals are
-/// tabulated as dense `2^k` complex tables. A [`TrajectoryProgram`]
-/// keeps one table per diagonal (16 qubits = 1 MiB per layer); a
-/// [`PlanProgram`] run folds each into the same one buffer. Larger
-/// registers apply the fused phase terms one strided pass per term
-/// instead of one lookup pass per diagonal.
+/// Largest replayed (driven) register whose fused layer diagonals a
+/// [`TrajectoryProgram`] tabulates at compile time, one dense `2^k`
+/// complex table per diagonal (16 qubits = 1 MiB per layer). A larger
+/// one folds each diagonal at replay, like every [`PlanProgram`] run,
+/// into one buffer the replay reuses.
 pub const DIAG_TABLE_MAX_QUBITS: usize = 16;
 
 /// Default trajectory-batch width for [`TrajectoryProgram::mean_fidelity`]:
@@ -170,9 +168,9 @@ struct Diag {
     /// where they differ ([`StateVector::apply_zz_phase`]).
     zz: Vec<(usize, usize, f64)>,
     /// The diagonal tabulated once at compile time, kept only by a
-    /// [`TrajectoryProgram`], whose fan replays every step once per
-    /// batch. Without it, a tabulable diagonal is folded at replay time
-    /// into the replay's one table buffer.
+    /// [`TrajectoryProgram`] up to [`DIAG_TABLE_MAX_QUBITS`], whose fan
+    /// replays every step once per batch. Without it, the diagonal is
+    /// folded at replay time into the replay's one table buffer.
     table: Option<Table>,
 }
 
@@ -227,7 +225,7 @@ impl Diag {
     }
 
     /// Total phase accumulated by basis state `i` — the reference
-    /// semantics both apply paths are pinned against in tests.
+    /// semantics a replay-time fold is pinned against in tests.
     #[cfg(test)]
     fn phase_at(&self, i: usize) -> f64 {
         let mut phase = 0.0;
@@ -241,36 +239,18 @@ impl Diag {
         phase
     }
 
-    /// Applies the diagonal to every lane and returns the number of
-    /// full-statevector sweeps it executed (for the engine counters).
-    /// A tabulable register takes one lookup sweep, through the table
-    /// tabulated at compile time or, without one, through `buffer`,
-    /// folded right before the sweep reads it; above
-    /// [`DIAG_TABLE_MAX_QUBITS`] the terms run one by one.
-    fn apply(&self, batch: &mut BatchedState, buffer: &mut Table) -> u64 {
+    /// Applies the diagonal to every lane in one lookup sweep, through
+    /// the table tabulated at compile time or, without one, through
+    /// `buffer`, folded right before the sweep reads it.
+    fn apply(&self, batch: &mut BatchedState, buffer: &mut Table) {
         let table = match &self.table {
             Some(table) => table,
-            None if batch.qubit_count() <= DIAG_TABLE_MAX_QUBITS => {
+            None => {
                 self.fold(batch.qubit_count(), buffer);
                 buffer
             }
-            None => return self.apply_terms(batch),
         };
         batch.apply_diagonal(&table.re, &table.im);
-        1
-    }
-
-    /// Applies each term as its own strided branch-free pass with only
-    /// two `cis` evaluations per term — no per-amplitude sin/cos — and
-    /// returns the number of passes.
-    fn apply_terms(&self, batch: &mut BatchedState) -> u64 {
-        for &(mask, half) in &self.rz {
-            batch.apply_rz_term(mask, half);
-        }
-        for &(mu, mv, phi) in &self.zz {
-            batch.apply_zz_term(mu, mv, phi);
-        }
-        (self.rz.len() + self.zz.len()) as u64
     }
 }
 
@@ -642,7 +622,8 @@ impl Steps {
     }
 
     /// Tabulates every diagonal once, for a program that replays its
-    /// steps many times (nothing to do above [`DIAG_TABLE_MAX_QUBITS`]).
+    /// steps many times (nothing to do above [`DIAG_TABLE_MAX_QUBITS`],
+    /// where the replay folds each diagonal instead).
     fn tabulate(&mut self) {
         if self.k > DIAG_TABLE_MAX_QUBITS {
             return;
@@ -719,14 +700,16 @@ impl Steps {
         let mut table = Table::default();
         for layer in &self.layers {
             if let Some(diag) = &layer.pre {
-                sweeps += diag.apply(batch, &mut table);
+                diag.apply(batch, &mut table);
+                sweeps += 1;
             }
             for gate in &layer.gates {
                 gate.apply(batch);
                 sweeps += 1;
             }
             if let Some(diag) = &layer.zz {
-                sweeps += diag.apply(batch, &mut table);
+                diag.apply(batch, &mut table);
+                sweeps += 1;
             }
             if layer.gamma == 0.0 && layer.p_flip == 0.0 {
                 continue;
@@ -789,7 +772,8 @@ impl Steps {
             sweeps += 1;
         }
         if let Some(diag) = &self.tail {
-            sweeps += diag.apply(batch, &mut table);
+            diag.apply(batch, &mut table);
+            sweeps += 1;
         }
         sweeps
     }
@@ -859,8 +843,9 @@ pub struct TrajectoryProgram {
 
 impl TrajectoryProgram {
     /// Precompiles the plan under ZZ crosstalk and decoherence, with
-    /// every fused diagonal tabulated once here: the fan replays each
-    /// step once per batch, so the tables are shared by all batches.
+    /// every fused diagonal tabulated once here, up to
+    /// [`DIAG_TABLE_MAX_QUBITS`] driven qubits: the fan replays each step
+    /// once per batch, so the tables are shared by all batches.
     pub fn compile(
         plan: &SchedulePlan,
         topo: &Topology,
@@ -1009,7 +994,7 @@ pub fn trajectory_seed(seed: u64, index: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zz_circuit::native::compile_to_native;
+    use zz_circuit::native::{compile_to_native, NativeCircuit};
     use zz_circuit::{bench, route, Circuit, Gate};
     use zz_sched::{par_schedule, zzx::ZzxConfig, zzx_schedule};
 
@@ -1042,26 +1027,6 @@ mod tests {
         let k = PlanProgram::ideal(&plan).steps.k;
         assert!(k < topo.qubit_count(), "QAOA-4 drives {k} of 9 qubits");
         (topo, plan)
-    }
-
-    #[test]
-    fn diag_table_and_terms_paths_agree() {
-        let n = 4;
-        let rz = vec![(mask_of(n, 1), 0.35), (mask_of(n, 3), -0.8)];
-        let zz = vec![(mask_of(n, 0), mask_of(n, 2), 0.21)];
-        let diag = Diag::build(rz, zz).unwrap();
-
-        let mut a = uniform_superposition(n, 0..n);
-        let mut b = a.clone();
-        assert_eq!(diag.apply(&mut a, &mut Table::default()), 1);
-        assert_eq!(diag.apply_terms(&mut b), 3);
-        let diff: f64 = a
-            .lane_amplitudes(0)
-            .iter()
-            .zip(b.lane_amplitudes(0))
-            .map(|(&x, y)| (x - y).abs())
-            .fold(0.0, f64::max);
-        assert!(diff < 1e-15, "table vs terms diverged by {diff}");
     }
 
     /// Reference table: every entry is the ordered product of its term
@@ -1231,11 +1196,41 @@ mod tests {
         assert!(f > 1.0 - 1e-10, "fidelity {f}");
     }
 
+    /// A one-layer plan that drives every qubit of a 17-qubit line —
+    /// a ZX90 on each pair (0, 1), (2, 3), …, an X90 on the last qubit
+    /// and virtual rotations around them — so it replays above
+    /// [`DIAG_TABLE_MAX_QUBITS`], where every diagonal folds at replay.
+    fn wide_plan() -> (Topology, SchedulePlan) {
+        let n = DIAG_TABLE_MAX_QUBITS + 1;
+        let topo = Topology::line(n);
+        let mut native = NativeCircuit::new(n);
+        for qubit in 0..n {
+            native.push(NativeOp::Rz {
+                qubit,
+                theta: 0.1 * (qubit + 1) as f64,
+            });
+        }
+        for control in (0..n - 1).step_by(2) {
+            native.push(NativeOp::Zx90 {
+                control,
+                target: control + 1,
+            });
+        }
+        native.push(NativeOp::X90 { qubit: n - 1 });
+        native.push(NativeOp::Rz {
+            qubit: 0,
+            theta: 0.7,
+        });
+        let plan = par_schedule(&topo, &native);
+        assert_eq!(PlanProgram::ideal(&plan).steps.k, n);
+        (topo, plan)
+    }
+
     #[test]
     fn trajectory_with_no_decoherence_matches_deterministic_run() {
         let full = Topology::grid(2, 3);
         let full_plan = qaoa_plan(&full);
-        for (topo, plan) in [(full, full_plan), narrow_plan()] {
+        for (topo, plan) in [(full, full_plan), narrow_plan(), wide_plan()] {
             let model = ZzErrorModel::uniform(&topo, crate::khz(200.0)).with_residual(0.05);
             let d = GateDurations::standard();
             // Infinite T1/T2 ⇒ γ = p = 0 ⇒ no random draws at all, and the
@@ -1261,7 +1256,7 @@ mod tests {
 
     /// A deterministic program keeps only its phase terms and folds each
     /// diagonal at replay time; a trajectory program tabulates every
-    /// diagonal once at compile time.
+    /// diagonal once at compile time, up to [`DIAG_TABLE_MAX_QUBITS`].
     #[test]
     fn only_trajectory_programs_hold_tables() {
         let topo = Topology::grid(2, 3);
@@ -1278,6 +1273,11 @@ mod tests {
         assert!(tabulated(&PlanProgram::ideal(&plan).steps)
             .iter()
             .all(|&t| !t));
+        let (wide, wide_plan) = wide_plan();
+        let model = ZzErrorModel::uniform(&wide, crate::khz(200.0));
+        let wide =
+            tabulated(&TrajectoryProgram::compile(&wide_plan, &wide, &model, &deco, &d).steps);
+        assert!(!wide.is_empty() && wide.iter().all(|&t| !t), "{wide:?}");
     }
 
     /// A plan of virtual rotations only drives no qubit: it replays on a
@@ -1321,9 +1321,9 @@ mod tests {
         assert_eq!(f1.to_bits(), f8.to_bits());
     }
 
-    /// Satellite: above [`DIAG_TABLE_MAX_QUBITS`] the per-term fallback
-    /// must agree with the `phase_at` reference semantics — crossing the
-    /// boundary at 17 qubits.
+    /// Above [`DIAG_TABLE_MAX_QUBITS`] no table is kept, and the fold at
+    /// replay must agree with the `phase_at` reference semantics —
+    /// crossing the boundary at 17 qubits.
     #[test]
     fn diag_fallback_matches_phase_at_above_table_limit() {
         let n = DIAG_TABLE_MAX_QUBITS + 1;
@@ -1347,46 +1347,60 @@ mod tests {
             .map(|(i, &a)| a * c64::cis(diag.phase_at(i)))
             .collect();
         let mut buffer = Table::default();
-        assert_eq!(diag.apply(&mut state, &mut buffer), 8);
-        assert!(buffer.re.is_empty(), "17 qubits must use the term fallback");
+        diag.apply(&mut state, &mut buffer);
+        assert_eq!(buffer.re.len(), 1 << n, "17 qubits fold at replay");
         let diff = state
             .lane_amplitudes(0)
             .iter()
             .zip(&expected)
             .map(|(&x, &y)| (x - y).abs())
             .fold(0.0, f64::max);
-        assert!(diff < 1e-12, "fallback vs phase_at diverged by {diff}");
+        assert!(diff < 1e-12, "replay fold vs phase_at diverged by {diff}");
     }
 
     #[test]
     fn mean_fidelity_is_batch_width_and_thread_invariant() {
         let full = Topology::grid(2, 2);
         let full_plan = qaoa_plan(&full);
-        for (topo, plan) in [(full, full_plan), narrow_plan()] {
+        let (narrow, narrow_plan) = narrow_plan();
+        let (wide, wide_plan) = wide_plan();
+        // (device, plan, trajectories, batch widths, thread counts): the
+        // 17-qubit case folds every diagonal once per batch, so it stays
+        // light.
+        let cases = [
+            (full, full_plan, 16, &[1, 3, 8, 16][..], &[1, 2, 8][..]),
+            (narrow, narrow_plan, 16, &[1, 3, 8, 16], &[1, 2, 8]),
+            (wide, wide_plan, 4, &[1, 3], &[1, 2]),
+        ];
+        for (topo, plan, trajectories, widths, thread_counts) in cases {
             let model = ZzErrorModel::uniform(&topo, crate::khz(200.0)).with_residual(0.05);
             let deco = Decoherence::equal_us(50.0);
             let program =
                 TrajectoryProgram::compile(&plan, &topo, &model, &deco, &GateDurations::standard());
             let ideal = PlanProgram::ideal(&plan).run();
-            let (reference, _) = program.mean_fidelity_batched(&ideal, 16, 7, 1, 8);
-            for lanes in [1, 3, 8, 16] {
-                let (_, single) = program.mean_fidelity_batched(&ideal, 16, 7, 1, lanes);
-                for threads in [1, 2, 8] {
-                    let (f, stats) = program.mean_fidelity_batched(&ideal, 16, 7, threads, lanes);
+            let (reference, _) = program.mean_fidelity_batched(&ideal, trajectories, 7, 1, 8);
+            for &lanes in widths {
+                let mut sweeps = None;
+                for &threads in thread_counts {
+                    let (f, stats) =
+                        program.mean_fidelity_batched(&ideal, trajectories, 7, threads, lanes);
                     assert_eq!(
                         reference.to_bits(),
                         f.to_bits(),
                         "lanes={lanes} threads={threads}"
                     );
                     // The fan's counts describe its batches, not its threads.
-                    assert_eq!(stats.trajectories, 16);
-                    assert_eq!(stats.batch_walls.len(), 16usize.div_ceil(lanes));
-                    assert_eq!(stats.kernel_sweeps, single.kernel_sweeps);
+                    assert_eq!(stats.trajectories, trajectories as u64);
+                    assert_eq!(stats.batch_walls.len(), trajectories.div_ceil(lanes));
+                    assert_eq!(
+                        *sweeps.get_or_insert(stats.kernel_sweeps),
+                        stats.kernel_sweeps
+                    );
                     assert_eq!(stats.fused_diags, 0);
                 }
             }
             // The default entry point is the same computation at width 8.
-            let default = program.mean_fidelity(&ideal, 16, 7, 2);
+            let default = program.mean_fidelity(&ideal, trajectories, 7, 2);
             assert_eq!(reference.to_bits(), default.to_bits());
         }
     }

@@ -457,9 +457,8 @@ impl Topology {
     /// BFS distances from qubit `q` to every qubit, computed directly on the
     /// rotation system (no intermediate graph build).
     ///
-    /// This is the at-scale replacement for [`Topology::distance_matrix`]:
-    /// schedulers query distance rows on demand instead of materializing the
-    /// full `O(n²)` matrix up front.
+    /// Schedulers query distance rows on demand instead of materializing
+    /// the full `O(n²)` matrix up front.
     ///
     /// # Panics
     ///
@@ -483,13 +482,14 @@ impl Topology {
         dist
     }
 
-    /// All-pairs BFS distances between qubits.
-    ///
-    /// `O(n²)` memory — fine for paper-scale devices; large-device callers
-    /// should use [`Topology::distances_from`] on demand instead.
-    pub fn distance_matrix(&self) -> Vec<Vec<usize>> {
+    /// All-pairs BFS distances between qubits, through the primal
+    /// [`MultiGraph`] rather than the rotation system — the oracle
+    /// [`Topology::distances_from`] is checked against.
+    #[cfg(test)]
+    fn distance_matrix(&self) -> Vec<Vec<usize>> {
+        let graph = self.to_multigraph();
         (0..self.qubit_count())
-            .map(|q| self.distances_from(q))
+            .map(|q| zz_graph::bfs_distances(&graph, q))
             .collect()
     }
 

@@ -1,8 +1,8 @@
 //! Fleet-level integration tests: dispatch determinism across thread
 //! counts, drift-driven calibration invalidation (no stale disk
 //! artifact is ever reused), per-device shard isolation and per-device
-//! engine and scheduler counters, and typed errors for degenerate
-//! scoring configs and device profiles.
+//! engine and scheduler counters, and typed errors for out-of-range
+//! fleet configs and degenerate scoring configs and device profiles.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -136,7 +136,8 @@ fn run_decohering_stream() -> Vec<String> {
     let mut fleet = Fleet::new(FleetConfig {
         trajectories: 16,
         ..fast_config(1)
-    });
+    })
+    .expect("valid config");
     fleet
         .add_device(DeviceProfile {
             name: "fast-decay".into(),
@@ -457,7 +458,7 @@ fn ground_truth_simulation_is_counted_in_the_device_session() {
         ..fast_config(1)
     };
     let expected = (config.trajectories * config.eval_seeds.len()) as u64;
-    let mut fleet = Fleet::new(config);
+    let mut fleet = Fleet::new(config).expect("valid config");
     fleet
         .add_device(DeviceProfile::paper_grid())
         .expect("the paper grid registers");
@@ -523,7 +524,7 @@ fn degenerate_scoring_configs_are_typed_eval_errors() {
             "trajectories",
         ),
     ] {
-        let mut fleet = Fleet::new(config);
+        let mut fleet = Fleet::new(config).expect("valid config");
         fleet
             .add_device(DeviceProfile::paper_grid())
             .expect("the paper grid registers");
@@ -554,7 +555,7 @@ fn degenerate_scoring_configs_are_typed_eval_errors() {
 fn unphysical_profiles_are_refused_at_registration() {
     let mut profile = DeviceProfile::paper_grid();
     profile.t2_us = 3.0 * profile.t1_us;
-    let mut fleet = Fleet::new(fast_config(1));
+    let mut fleet = Fleet::new(fast_config(1)).expect("valid config");
     assert_eval_error(fleet.add_device(profile), "paper-grid", "t2");
     assert!(fleet.devices().is_empty());
     assert!(matches!(
@@ -564,4 +565,39 @@ fn unphysical_profiles_are_refused_at_registration() {
         ),
         Err(FleetError::NoEligibleBackend { qubits: 9 })
     ));
+}
+
+/// An out-of-range config is refused when the fleet is built, by `new`
+/// and `standard` alike: a drift step outside `[0, 1)` (which the drift
+/// model would panic on) and a NaN or negative invalidation threshold
+/// (which would re-characterize every device at every epoch). The
+/// boundary values are accepted.
+#[test]
+fn out_of_range_configs_are_refused() {
+    for (drift_step, invalidation_threshold, field) in [
+        (1.5, 0.10, "drift_step"),
+        (1.0, 0.10, "drift_step"),
+        (-0.1, 0.10, "drift_step"),
+        (f64::NAN, 0.10, "drift_step"),
+        (0.0, -0.1, "invalidation_threshold"),
+        (0.0, f64::NAN, "invalidation_threshold"),
+    ] {
+        let config = FleetConfig {
+            drift_step,
+            invalidation_threshold,
+            ..fast_config(1)
+        };
+        for result in [Fleet::new(config.clone()), Fleet::standard(config)] {
+            match result {
+                Err(FleetError::InvalidConfig { field: got }) => assert_eq!(got, field),
+                other => panic!("{field}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+    let boundary = FleetConfig {
+        drift_step: 0.0,
+        invalidation_threshold: 0.0,
+        ..fast_config(1)
+    };
+    assert!(Fleet::new(boundary).is_ok());
 }

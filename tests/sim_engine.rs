@@ -194,9 +194,10 @@ fn batched_trajectories_match_reference_across_the_compile_matrix() {
     }
 }
 
-/// A 17-qubit GHZ plan crosses the `DIAG_TABLE_MAX_QUBITS` boundary, so
-/// every fused diagonal runs through the per-term fallback — which must
-/// still match the reference executor amplitude-for-amplitude.
+/// A 17-qubit GHZ plan crosses the `DIAG_TABLE_MAX_QUBITS` boundary, where
+/// no table is kept at compile time — every fused diagonal folds at
+/// replay, as in any `PlanProgram` run — and must still match the
+/// reference executor amplitude-for-amplitude.
 #[test]
 fn seventeen_qubit_ghz_exercises_the_diag_fallback_against_reference() {
     let n = DIAG_TABLE_MAX_QUBITS + 1;
