@@ -12,15 +12,21 @@
 //! *modulates* the phase but cancels nothing systematically), while the
 //! optimized methods reach `r ≪ 1`. The factors feed
 //! [`zz_sim::executor::ZzErrorModel::residuals`].
+//!
+//! Tables live in memory only, in a [`CalibCache`]: a process measures
+//! each method at most once per cache. Nothing here touches the disk; a
+//! store-backed pipeline serves repeated requests as whole compiled
+//! plans, which embed their tables, so a warm start calibrates nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use zz_persist::{fnv1a, ArtifactKind, ArtifactStore};
 use zz_pulse::khz;
 use zz_pulse::library::{id_drive, x90_drive, zx90_drive, PulseMethod};
 use zz_pulse::systems::{residual_zz_rate, residual_zz_rate_2q, GateSide};
 use zz_sim::executor::ResidualTable;
+
+use crate::pipeline::CacheDisposition;
 
 /// The calibration crosstalk strength (the paper's device value).
 pub fn calibration_lambda() -> f64 {
@@ -78,9 +84,9 @@ pub struct CalibCache {
     /// sentinel for the paper's [`calibration_lambda`] (kept so
     /// [`new`](Self::new) stays `const` for the process-wide static).
     lambda: f64,
-    /// Calibration epoch, salted into every on-disk key when nonzero —
-    /// the invalidation hook the fleet layer uses: bumping the epoch
-    /// (with a fresh cache) makes every stale disk artifact unreachable
+    /// Calibration epoch, salted into every compiled-plan key when
+    /// nonzero — the invalidation hook the fleet layer uses: bumping the
+    /// epoch (with a fresh cache) makes every stale plan unreachable
     /// without touching the files of other devices in the same store.
     epoch: u64,
 }
@@ -98,15 +104,14 @@ impl CalibCache {
     }
 
     /// Creates an empty cache that characterizes at the given crosstalk
-    /// strength and calibration epoch. It measures at `λ` and keys its
-    /// residual tables by `λ` and epoch, and it salts every compiled-plan
-    /// key with both ([`salt_compiled_key`](Self::salt_compiled_key)), so
-    /// recalibrating a drifted device can never serve — or be served —
-    /// stale tables or plans. That holds at every `(λ, epoch)`: epoch 0 at
-    /// the paper's [`calibration_lambda`] (the fleet's `paper-grid`
-    /// backend before any drift) measures the same tables as
-    /// [`new`](Self::new) under the same residual keys, but its compiled
-    /// keys are salted where `new()`'s are not.
+    /// strength and calibration epoch. It measures at `λ` and salts every
+    /// compiled-plan key with `λ` and epoch
+    /// ([`salt_compiled_key`](Self::salt_compiled_key)), so recalibrating
+    /// a drifted device can never serve — or be served — stale plans.
+    /// That holds at every `(λ, epoch)`: epoch 0 at the paper's
+    /// [`calibration_lambda`] (the fleet's `paper-grid` backend before any
+    /// drift) measures the same tables as [`new`](Self::new), but its
+    /// compiled keys are salted where `new()`'s are not.
     pub fn at(lambda: f64, epoch: u64) -> Self {
         assert!(lambda > 0.0, "calibration strength must be positive");
         CalibCache {
@@ -125,17 +130,9 @@ impl CalibCache {
         }
     }
 
-    /// The calibration epoch salted into this cache's disk keys.
+    /// The calibration epoch salted into this cache's compiled-plan keys.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The on-disk key of `method`'s residual table *for this cache*:
-    /// the method label mixed with the exact measurement-strength bits
-    /// (a recalibrated `λ` can never serve stale tables), then salted
-    /// with the epoch when one is set.
-    pub fn residual_key(&self, method: PulseMethod) -> u64 {
-        epoch_salted(residual_artifact_key_at(method, self.lambda()), self.epoch)
     }
 
     /// Salts a whole-`Compiled` artifact key with this cache's identity.
@@ -148,10 +145,11 @@ impl CalibCache {
         if self.lambda == 0.0 && self.epoch == 0 {
             return key;
         }
-        epoch_salted(
-            zz_persist::fnv1a_mix(key, self.lambda().to_bits()),
-            self.epoch,
-        )
+        let key = zz_persist::fnv1a_mix(key, self.lambda().to_bits());
+        match self.epoch {
+            0 => key,
+            epoch => zz_persist::fnv1a_mix(key, epoch),
+        }
     }
 
     /// The process-wide shared instance.
@@ -161,11 +159,9 @@ impl CalibCache {
     }
 
     /// The cached residual table for `method`, measuring it (at this
-    /// cache's `λ`) on first use: [`residuals_traced`] with no store.
-    ///
-    /// [`residuals_traced`]: Self::residuals_traced
+    /// cache's `λ`) on first use.
     pub fn residuals(&self, method: PulseMethod) -> ResidualTable {
-        self.residuals_traced(method, None).0
+        self.residuals_traced(method).0
     }
 
     /// How many pulse-level calibration measurements this cache has run
@@ -174,59 +170,21 @@ impl CalibCache {
         self.runs.load(Ordering::Relaxed)
     }
 
-    /// The cached residual table for `method`, consulting `store` before
-    /// measuring: on a disk hit the table loads without counting as a
-    /// calibration run; on a miss the measurement runs and its result is
-    /// persisted for the next process. Also reports *how* the table was
-    /// obtained — the pipeline's pulse stage records this in its
-    /// [`crate::pipeline::PipelineTrace`]:
-    ///
-    /// * [`MemoryHit`](crate::pipeline::CacheDisposition::MemoryHit) —
-    ///   the slot was already measured (or loaded) in this cache;
-    /// * [`DiskHit`](crate::pipeline::CacheDisposition::DiskHit) — the
-    ///   table loaded from the store, no measurement ran;
-    /// * [`Miss`](crate::pipeline::CacheDisposition::Miss) — a store was
-    ///   consulted, missed, and the measurement ran (then published);
-    /// * [`NotCached`](crate::pipeline::CacheDisposition::NotCached) —
-    ///   no store: the measurement ran, in-memory only.
-    pub fn residuals_traced(
-        &self,
-        method: PulseMethod,
-        store: Option<&ArtifactStore>,
-    ) -> (ResidualTable, crate::pipeline::CacheDisposition) {
-        use crate::pipeline::CacheDisposition;
-        // If the closure below never runs, the slot was already filled —
-        // by an earlier call or a concurrent thread: a memory hit.
+    /// The cached residual table for `method`, measuring it on first
+    /// use, and *how* it was obtained — the pipeline's pulse stage
+    /// records this in its [`crate::pipeline::PipelineTrace`]:
+    /// [`MemoryHit`](CacheDisposition::MemoryHit) when the slot was
+    /// already measured (by an earlier call or a concurrent thread),
+    /// [`NotCached`](CacheDisposition::NotCached) when this call measured
+    /// it.
+    pub fn residuals_traced(&self, method: PulseMethod) -> (ResidualTable, CacheDisposition) {
         let mut disposition = CacheDisposition::MemoryHit;
         let table = *self.slots[slot_index(method)].get_or_init(|| {
-            let Some(store) = store else {
-                disposition = CacheDisposition::NotCached;
-                self.runs.fetch_add(1, Ordering::Relaxed);
-                return measure_residuals_at(method, self.lambda());
-            };
-            let key = self.residual_key(method);
-            if let Some(table) = store.get::<ResidualTable>(ArtifactKind::Calibration, key) {
-                disposition = CacheDisposition::DiskHit;
-                return table;
-            }
-            disposition = CacheDisposition::Miss;
+            disposition = CacheDisposition::NotCached;
             self.runs.fetch_add(1, Ordering::Relaxed);
-            let table = measure_residuals_at(method, self.lambda());
-            store.put(ArtifactKind::Calibration, key, &table);
-            table
+            measure_residuals_at(method, self.lambda())
         });
         (table, disposition)
-    }
-}
-
-/// Mixes a calibration epoch into an on-disk key; epoch 0 leaves the key
-/// untouched so the legacy single-device key space (pinned by
-/// `tests/golden_keys.rs`) is unchanged.
-fn epoch_salted(key: u64, epoch: u64) -> u64 {
-    if epoch == 0 {
-        key
-    } else {
-        zz_persist::fnv1a_mix(key, epoch)
     }
 }
 
@@ -236,17 +194,6 @@ fn slot_index(method: PulseMethod) -> usize {
         .iter()
         .position(|&m| m == method)
         .expect("all methods enumerated")
-}
-
-/// On-disk key of a method's residual table measured at `lambda`: the
-/// method label mixed with the exact measurement-strength bits, so a
-/// recalibrated device (different `λ`) can never serve stale tables.
-fn residual_artifact_key_at(method: PulseMethod, lambda: f64) -> u64 {
-    // The Display name ("Gaussian", "Pert", …) is stable and part of the
-    // on-disk format, like the golden-keyed digests.
-    let mut bytes = method.to_string().into_bytes();
-    bytes.extend_from_slice(&lambda.to_bits().to_le_bytes());
-    fnv1a(&bytes)
 }
 
 /// The cached residual table for a method (the process-wide
@@ -332,22 +279,11 @@ mod tests {
     }
 
     #[test]
-    fn default_cache_keys_match_the_legacy_key_space() {
-        // Epoch 0 at the paper strength must keep the golden-keyed disk
-        // layout bit-for-bit: warm stores from earlier releases stay warm.
-        let cache = CalibCache::at(calibration_lambda(), 0);
-        let legacy = CalibCache::new();
-        for m in PulseMethod::ALL {
-            assert_eq!(cache.residual_key(m), legacy.residual_key(m), "{m}");
-        }
-    }
-
-    #[test]
     fn every_cache_built_at_a_strength_salts_compiled_keys() {
         let key = 0x1234_5678_9abc_def0;
         assert_eq!(CalibCache::new().salt_compiled_key(key), key);
-        // Epoch 0 at the paper strength shares `new()`'s residual keys
-        // (above) but not its compiled keys.
+        // Epoch 0 at the paper strength measures `new()`'s tables but
+        // does not share its compiled keys.
         let paper = CalibCache::at(calibration_lambda(), 0);
         assert_ne!(paper.salt_compiled_key(key), key);
         assert_ne!(
@@ -358,17 +294,20 @@ mod tests {
 
     #[test]
     fn epoch_and_lambda_salt_every_disk_key() {
-        let base = CalibCache::new();
-        let bumped = CalibCache::at(calibration_lambda(), 1);
-        let drifted = CalibCache::at(calibration_lambda() * 1.25, 1);
-        for m in PulseMethod::ALL {
-            assert_ne!(base.residual_key(m), bumped.residual_key(m), "{m}");
-            assert_ne!(bumped.residual_key(m), drifted.residual_key(m), "{m}");
-        }
-        // Epochs are distinct from each other, not just from 0.
-        let later = CalibCache::at(calibration_lambda(), 2);
-        for m in PulseMethod::ALL {
-            assert_ne!(bumped.residual_key(m), later.residual_key(m), "{m}");
+        // The compiled-plan key is the only disk key a cache salts: every
+        // strength and every epoch, not just epoch 0, keys apart.
+        let key = 0x1234_5678_9abc_def0;
+        let salted = [
+            CalibCache::new(),
+            CalibCache::at(calibration_lambda(), 1),
+            CalibCache::at(calibration_lambda() * 1.25, 1),
+            CalibCache::at(calibration_lambda(), 2),
+        ]
+        .map(|cache| cache.salt_compiled_key(key));
+        for (i, a) in salted.iter().enumerate() {
+            for b in &salted[i + 1..] {
+                assert_ne!(a, b);
+            }
         }
     }
 

@@ -86,13 +86,25 @@ impl EvalConfig {
     }
 
     /// Why [`fidelity_of`] cannot evaluate under this config, if it
-    /// cannot: no seeds to average over, unphysical decoherence times,
-    /// or no trajectories.
+    /// cannot: a crosstalk mean or std that is NaN, infinite or negative
+    /// (sampling would clamp a NaN strength to 0 and score the plan
+    /// with no crosstalk at all), no seeds to average over, unphysical
+    /// decoherence times, or no trajectories.
     ///
     /// # Errors
     ///
     /// Names the offending field.
     pub fn check(&self) -> Result<(), String> {
+        for (field, value) in [
+            ("lambda_mean", self.lambda_mean),
+            ("lambda_std", self.lambda_std),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(format!(
+                    "evaluation {field} must be finite and non-negative, got {value}"
+                ));
+            }
+        }
         if self.crosstalk_seeds.is_empty() {
             return Err("evaluation has no crosstalk seeds to average over".into());
         }

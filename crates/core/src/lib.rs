@@ -17,12 +17,12 @@
 //!
 //! [`pipeline`] models those stages as typed passes
 //! (`Logical → Routed → Native → Scheduled → Compiled`) with per-pass
-//! instrumentation ([`PipelineTrace`]) and stage-granular caching: a
-//! routing memo shared across runs, a shared calibration cache
+//! instrumentation ([`PipelineTrace`]) and caching: a routing memo
+//! shared across runs, a shared calibration cache
 //! ([`calib::CalibCache`]) and, backed by an on-disk
-//! [`zz_persist::ArtifactStore`], artifacts that persist across
-//! processes ([`persist`] holds the codec glue), so a warm start skips
-//! calibration and routing entirely. The service layer (`zz_service`)
+//! [`zz_persist::ArtifactStore`], whole compiled plans that persist
+//! across processes ([`persist`] holds the codec glue), so a warm start
+//! skips calibration and routing entirely. The service layer (`zz_service`)
 //! wraps one manager per request behind its `Session` front door.
 //!
 //! # Example

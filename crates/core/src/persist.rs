@@ -1,20 +1,17 @@
 //! Persistence glue: the [`Encode`]/[`Decode`] implementations for this
-//! crate's artifact types and the cache-key derivations used by the
-//! on-disk store.
+//! crate's artifact types and the key of the one artifact the pipeline
+//! keeps on disk, the whole compiled plan.
 //!
 //! The codec and store themselves live in [`zz_persist`]; this module only
 //! contributes what the orphan rule requires to live here (impls for
 //! [`Compiled`], [`SchedulerKind`] and [`CompileOptions`], the wire and
-//! coalescing form of a request) plus the key functions that bind
-//! artifacts to the *meaning* of a compilation request:
-//!
-//! * a **native artifact** is keyed by [`crate::pipeline::shape_key`]
-//!   (circuit digest × device shape) — routing depends on nothing else;
-//! * a **compiled artifact** additionally mixes in every scheduling
-//!   parameter of the [`CompileOptions`] ([`compiled_artifact_key`]) —
-//!   pulse method, scheduler, `α`, `k` and the suppression requirement —
-//!   so two jobs share a cached plan exactly when a sequential compile
-//!   would produce identical bits.
+//! coalescing form of a request) plus [`compiled_artifact_key`], which
+//! binds a `compiled/` artifact to the *meaning* of its request: the
+//! routing shape ([`crate::pipeline::shape_key`], circuit digest × device
+//! shape) mixed with every scheduling parameter of the [`CompileOptions`]
+//! — pulse method, scheduler, `α`, `k` and the suppression requirement —
+//! so two jobs share a cached plan exactly when a sequential compile
+//! would produce identical bits.
 //!
 //! The schema version of `zz_persist` stamps every container; key meaning
 //! is additionally pinned by `tests/golden_keys.rs`, which fails whenever
@@ -30,7 +27,7 @@ use zz_topology::Topology;
 use crate::{CompileOptions, Compiled, PulseMethod, SchedulerKind};
 
 /// Revision stamp of the *compilation pipeline's observable output*,
-/// mixed into every disk key that caches pipeline results. Bump it when
+/// mixed into the whole-plan disk key. Bump it when
 /// routing, native translation or scheduling starts producing different
 /// output for the same input (an improved heuristic, a reordered
 /// emission, …) — old cache entries then simply miss, instead of serving
@@ -123,8 +120,7 @@ impl Decode for Compiled {
 /// the values the scheduler ran with. The request fields are
 /// re-verified on every load ([`matches`](Self::matches)), so a 64-bit
 /// key collision — between circuits or between scheduling parameters —
-/// costs a recompile, never a wrong plan (the same guarantee the
-/// `native/` artifacts get from storing their source circuit).
+/// costs a recompile, never a wrong plan.
 #[derive(Debug)]
 pub struct CompiledArtifact {
     /// The logical circuit the plan was compiled from.
@@ -241,14 +237,6 @@ pub fn compiled_artifact_key(shape: u64, options: &CompileOptions) -> u64 {
         }
     }
     h
-}
-
-/// The on-disk key of a routed `native/` artifact: the shape key stamped
-/// with [`PIPELINE_REVISION`], so a routing-algorithm change invalidates
-/// cached translations (the in-memory memo keeps using the bare
-/// [`crate::pipeline::shape_key`] — it never outlives the process).
-pub fn native_artifact_key(shape: u64) -> u64 {
-    fnv1a_mix(shape, PIPELINE_REVISION as u64)
 }
 
 #[cfg(test)]

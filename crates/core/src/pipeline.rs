@@ -1,5 +1,5 @@
 //! The pass-based compilation pipeline: the request and result types,
-//! typed stages, stage-granular caching and instrumentation.
+//! typed stages, their caches and instrumentation.
 //!
 //! The paper's co-optimization is inherently staged — route onto the
 //! device, lower to the native gate set, schedule under a ZZ-suppression
@@ -18,11 +18,12 @@
 //!   durations and calibrated residuals.
 //! * **A [`PassManager`] runs the sequence**, timing every pass and
 //!   recording its cache disposition into a [`PipelineTrace`], and
-//!   manages the stage-granular caches: an in-memory [`RouteMemo`]
-//!   shared across jobs, the on-disk routed/native artifact, and the
-//!   on-disk whole-[`Compiled`] artifact. A parameter sweep that only
-//!   changes α/k therefore replays the cached route+lower stages and
-//!   re-runs only scheduling onward (`tests/pipeline.rs` asserts this).
+//!   manages two caches: the in-memory [`RouteMemo`] shared across a
+//!   session's jobs, which serves route + lower, and the on-disk
+//!   whole-[`Compiled`] artifact, which serves a repeated request in
+//!   any process. A parameter sweep that only changes α/k therefore
+//!   replays the memoized route+lower stages and re-runs only
+//!   scheduling onward (`tests/pipeline.rs` asserts this).
 //!
 //! The service layer's `Session` builds one manager per request; its
 //! output is bit-identical to the pre-pipeline implementation
@@ -68,7 +69,7 @@ use zz_topology::Topology;
 
 use crate::calib::CalibCache;
 use crate::options::CompileOptions;
-use crate::persist::{compiled_artifact_key, native_artifact_key, CompiledArtifact};
+use crate::persist::{compiled_artifact_key, CompiledArtifact};
 
 // ---------------------------------------------------------------------
 // Requests and results
@@ -227,19 +228,24 @@ impl fmt::Display for Stage {
     }
 }
 
-/// How a pass's result was obtained with respect to the stage caches.
+/// How a pass's result was obtained with respect to the caches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CacheDisposition {
-    /// No cache covers this pass (or none is configured): it computed.
+    /// The pass ran (or, for the whole-plan lookup, no store is
+    /// configured). Route, lower and calibration record this whenever
+    /// they run, with or without a store.
     #[default]
     NotCached,
     /// Served from an in-memory cache (the [`RouteMemo`] or an
     /// already-measured calibration slot); the pass did not run.
     MemoryHit,
-    /// Served from the on-disk [`ArtifactStore`]; the pass did not run.
+    /// The whole-[`Compiled`] plan was served from the on-disk
+    /// [`ArtifactStore`]: no stage beyond validation ran. Only
+    /// [`PipelineTrace::compiled_cache`] records it.
     DiskHit,
-    /// A cache was consulted and missed: the pass ran and published its
-    /// result for the next request.
+    /// The whole-plan lookup consulted the store and missed: the plan
+    /// was compiled and published for the next request. Only
+    /// [`PipelineTrace::compiled_cache`] records it.
     Miss,
 }
 
@@ -252,7 +258,7 @@ impl CacheDisposition {
         )
     }
 
-    /// The disposition's metric-name segment (`pipeline.route.disk_hit`):
+    /// The disposition's metric-name segment (`pipeline.compiled.disk_hit`):
     /// lowercase snake, stable across releases.
     fn metric_label(self) -> &'static str {
         match self {
@@ -762,7 +768,8 @@ impl RouteMemo {
 }
 
 /// Combined structural key of a circuit × device shape: the routing-memo
-/// and on-disk native-artifact key. `tests/golden_keys.rs` pins its
+/// key, and the base of the whole-plan disk key
+/// ([`compiled_artifact_key`]). `tests/golden_keys.rs` pins its
 /// output for fixed inputs — if this function (or
 /// [`Circuit::content_digest`]) must change meaning, bump
 /// [`zz_persist::SCHEMA_VERSION`] alongside.
@@ -801,9 +808,9 @@ pub struct PipelineOutcome {
     pub trace: PipelineTrace,
 }
 
-/// Runs the pass sequence with per-pass instrumentation and
-/// stage-granular caching. See the [module docs](self) for the stage
-/// diagram and an example.
+/// Runs the pass sequence with per-pass instrumentation, behind the
+/// route memo and the optional whole-plan store. See the
+/// [module docs](self) for the stage diagram and an example.
 #[derive(Debug)]
 pub struct PassManager {
     topology: Topology,
@@ -904,8 +911,7 @@ impl PassManager {
         // routing, scheduling and calibration outright. The key is
         // salted by the calibration cache's identity (λ + epoch): the
         // compiled plan embeds the residual table, so a recalibrated or
-        // drift-invalidated device must miss here and recompile — only
-        // the calibration-independent route/native artifacts stay warm.
+        // drift-invalidated device must miss here and recompile.
         let mut compiled_key = 0;
         if let Some(store) = self.store.as_deref() {
             compiled_key = self.calib().salt_compiled_key(compiled_artifact_key(
@@ -983,8 +989,8 @@ impl PassManager {
         }
     }
 
-    /// The route + lower stages, behind the two stage caches: the shared
-    /// in-memory [`RouteMemo`] and the on-disk `native/` artifact.
+    /// The route + lower stages, behind the shared in-memory
+    /// [`RouteMemo`].
     fn route_and_lower(
         &self,
         logical: Logical,
@@ -993,82 +999,38 @@ impl PassManager {
         let key = shape_key(&logical.circuit, &self.topology);
         let slot = self.memo.slot(key, &logical.circuit, &self.topology);
 
-        // Fast path: the slot is already filled — a pure-lookup memory
-        // hit, timed without touching the `OnceLock` wait path. Memoized
-        // routing errors replay the same way successes do.
-        let t0 = Instant::now();
-        if let Some(result) = slot.native.get() {
-            let native = Arc::clone(result.as_ref().map_err(Clone::clone)?);
-            trace.passes.extend(hit_traces(
-                CacheDisposition::MemoryHit,
-                t0.elapsed(),
-                logical.circuit.gate_count(),
-                native.ops().len(),
-            ));
-            return Ok(Native {
-                source: logical.circuit,
-                circuit: native,
-            });
-        }
-
         // Filled by the closure when *this* thread does the work; when it
-        // stays `None` a concurrent thread routed this shape while we
-        // blocked on its slot (memory hit).
+        // stays `None` the slot was filled before we looked (a timed
+        // lookup) or a concurrent thread routed this shape while we
+        // blocked on it. Memoized routing errors replay like successes.
+        let t0 = Instant::now();
+        let filled = slot.native.get().is_some();
         let mut computed: Option<Vec<PassTrace>> = None;
         let result = slot.native.get_or_init(|| {
-            let disk_key = native_artifact_key(key);
-            if let Some(store) = self.store.as_deref() {
-                let lookup = Instant::now();
-                if let Some(((source, source_topo), native)) =
-                    store
-                        .get::<((Circuit, Topology), NativeCircuit)>(ArtifactKind::Native, disk_key)
-                {
-                    if source == *logical.circuit && source_topo == self.topology {
-                        let native = Arc::new(native);
-                        computed = Some(hit_traces(
-                            CacheDisposition::DiskHit,
-                            lookup.elapsed(),
-                            logical.circuit.gate_count(),
-                            native.ops().len(),
-                        ));
-                        return Ok(native);
-                    }
-                }
-            }
-            let disposition = match self.store {
-                Some(_) => CacheDisposition::Miss,
-                None => CacheDisposition::NotCached,
-            };
             let mut inner = PipelineTrace::new();
-            // The closure runs the real passes; validation already passed,
-            // but routing can still reject a disconnected coupling graph.
-            let routed = self.apply(&RoutePass, logical.clone(), disposition, &mut inner)?;
+            // Validation already passed, but routing can still reject a
+            // disconnected coupling graph.
+            let routed = self.apply(
+                &RoutePass,
+                logical.clone(),
+                CacheDisposition::NotCached,
+                &mut inner,
+            )?;
             let native = self
-                .apply(&LowerPass, routed, disposition, &mut inner)
+                .apply(&LowerPass, routed, CacheDisposition::NotCached, &mut inner)
                 .expect("lower is infallible");
-            if let Some(store) = self.store.as_deref() {
-                store.put(
-                    ArtifactKind::Native,
-                    disk_key,
-                    &((&*logical.circuit, &self.topology), &*native.circuit),
-                );
-            }
             computed = Some(inner.passes);
             Ok(native.circuit)
         });
+        let lookup = t0.elapsed();
         let native = Arc::clone(result.as_ref().map_err(Clone::clone)?);
 
         let passes = computed.unwrap_or_else(|| {
-            // We blocked while a concurrent worker routed this shape; the
-            // routing wall time is attributed to *that* job's trace, so
-            // this one records a free hit (otherwise `stage_stats` would
-            // double-count the same work once per waiting thread).
-            hit_traces(
-                CacheDisposition::MemoryHit,
-                Duration::ZERO,
-                logical.circuit.gate_count(),
-                native.ops().len(),
-            )
+            // A waiter's routing wall time is attributed to the job that
+            // routed, so it records a free hit (otherwise `stage_stats`
+            // would double-count the same work once per waiting thread).
+            let wall = if filled { lookup } else { Duration::ZERO };
+            hit_traces(wall, logical.circuit.gate_count(), native.ops().len())
         });
         trace.passes.extend(passes);
         Ok(Native {
@@ -1103,12 +1065,12 @@ impl PassManager {
         }
 
         // The pulse stage: durations from the method (DCG pulses are
-        // longer), residuals from the calibration cache, which consults
-        // the on-disk store before paying for a pulse-level measurement.
+        // longer), residuals from the calibration cache, which measures
+        // each method once and serves it from memory after that.
         let in_items = scheduled.items();
         let t0 = Instant::now();
         let method = self.options.method;
-        let (residuals, cache) = self.calib().residuals_traced(method, self.store.as_deref());
+        let (residuals, cache) = self.calib().residuals_traced(method);
         let compiled = Compiled {
             plan: scheduled.plan,
             topology: self.topology.clone(),
@@ -1128,26 +1090,22 @@ impl PassManager {
     }
 }
 
-/// Trace records for a route+lower stage served from a cache: the lookup
-/// time is attributed to the route entry, the lower entry is free.
+/// Trace records for a route+lower stage served from the [`RouteMemo`]:
+/// the lookup time is attributed to the route entry, the lower entry is
+/// free.
 ///
-/// Sizes describe what the cache *served* — the final native translation
+/// Sizes describe what the memo *served* — the final native translation
 /// — because the routed intermediate no longer exists on this path. A
-/// cache-served route entry therefore reports the native op count as its
+/// memo-served route entry therefore reports the native op count as its
 /// output, where an executed one reports the routed gate count; compare
 /// sizes across runs per-disposition, not across cold/warm.
-fn hit_traces(
-    cache: CacheDisposition,
-    lookup: Duration,
-    source_gates: usize,
-    native_ops: usize,
-) -> Vec<PassTrace> {
+fn hit_traces(lookup: Duration, source_gates: usize, native_ops: usize) -> Vec<PassTrace> {
     vec![
         PassTrace {
             stage: Stage::Route,
             name: "route",
             wall: lookup,
-            cache,
+            cache: CacheDisposition::MemoryHit,
             input_items: source_gates,
             output_items: native_ops,
         },
@@ -1155,7 +1113,7 @@ fn hit_traces(
             stage: Stage::Lower,
             name: "lower",
             wall: Duration::ZERO,
-            cache,
+            cache: CacheDisposition::MemoryHit,
             input_items: native_ops,
             output_items: native_ops,
         },
@@ -1200,8 +1158,10 @@ impl PassManagerBuilder {
         self
     }
 
-    /// Backs the route/lower and whole-plan stages with an on-disk
-    /// [`ArtifactStore`] (default: in-memory caching only).
+    /// Backs the whole-plan lookup with an on-disk [`ArtifactStore`]: a
+    /// request this or any earlier process compiled into the store is
+    /// served whole, with no stage beyond validation (default: no store;
+    /// route + lower are still memoized in memory).
     pub fn store(mut self, store: Arc<ArtifactStore>) -> Self {
         self.store = Some(store);
         self

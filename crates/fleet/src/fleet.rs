@@ -7,8 +7,8 @@
 //! compiles a job on every backend that can hold it, scores each
 //! candidate with a predicted fidelity, and dispatches to the best;
 //! [`Fleet::advance_epoch`] drifts every device's ground-truth ZZ
-//! characterization and re-characterizes (invalidating the stale
-//! calibration artifacts) any device that drifted past the configured
+//! characterization and re-characterizes (making its stale compiled
+//! plans unreachable) any device that drifted past the configured
 //! threshold.
 //!
 //! # Determinism
@@ -320,19 +320,19 @@ impl Fleet {
     /// # Errors
     ///
     /// [`FleetError::DuplicateDevice`] when the name is taken,
-    /// [`FleetError::Service`] when the profile's decoherence times fail
-    /// [`Decoherence::check`](zz_sim::density::Decoherence::check) (an
-    /// [`Eval`](zz_service::Error::Eval) error naming the field) or the
-    /// target cannot be built.
+    /// [`FleetError::Service`] when the profile is unphysical (an
+    /// [`Eval`](zz_service::Error::Eval) error naming the field, raised
+    /// before anything is built): a `lambda_mean` that is not finite and
+    /// positive, or a `lambda_std` or decoherence times that
+    /// [`EvalConfig::check`] refuses — or when the target cannot be
+    /// built.
     pub fn add_device(&mut self, profile: DeviceProfile) -> Result<(), FleetError> {
         if self.backends.iter().any(|b| b.profile.name == profile.name) {
             return Err(FleetError::DuplicateDevice {
                 device: profile.name.clone(),
             });
         }
-        profile
-            .decoherence()
-            .check()
+        check_profile(&profile)
             .map_err(|detail| eval_error(&profile.name, profile.name.clone(), detail))?;
         let store = self
             .config
@@ -523,9 +523,10 @@ impl Fleet {
     /// ground-truth λ takes one drift step, and any device whose
     /// calibration now deviates beyond the configured threshold is
     /// re-characterized — its calibration cache is replaced by a fresh
-    /// one at the new λ with epoch-salted disk keys, and its session is
-    /// rebuilt around it, so no compile after this call can reuse a
-    /// stale calibration artifact. Other devices' shards are untouched.
+    /// one at the new λ with epoch-salted compiled-plan keys, and its
+    /// session is rebuilt around it, so no compile after this call can
+    /// reuse a plan carrying the stale calibration. Other devices'
+    /// shards are untouched.
     ///
     /// # Errors
     ///
@@ -702,7 +703,7 @@ impl Fleet {
 }
 
 /// Builds one backend's session: a dedicated calibration cache at
-/// `(lambda, epoch)` — epoch-salting every calibration disk key — and a
+/// `(lambda, epoch)` — salting every compiled-plan key with both — and a
 /// target characterized at that λ over the device's shard.
 fn build_session(
     profile: &DeviceProfile,
@@ -725,6 +726,26 @@ fn build_session(
         source,
     })?;
     Ok((Session::with_threads(target, threads), calib))
+}
+
+/// Why no backend can be built from `profile`, if none can: calibration
+/// measures at `lambda_mean`, which must be finite and positive, and
+/// scoring evaluates at the profile's λ spread and decoherence times,
+/// which must pass [`EvalConfig::check`].
+fn check_profile(profile: &DeviceProfile) -> Result<(), String> {
+    let mean = profile.lambda_mean;
+    if !(mean.is_finite() && mean > 0.0) {
+        return Err(format!(
+            "profile lambda_mean must be finite and positive, got {mean}"
+        ));
+    }
+    EvalConfig {
+        lambda_mean: mean,
+        lambda_std: profile.lambda_std,
+        decoherence: Some((profile.decoherence(), 1, DECOHERENCE_SEED)),
+        ..EvalConfig::paper_default()
+    }
+    .check()
 }
 
 /// An evaluation failure of `job` on `device`, as the typed service error.

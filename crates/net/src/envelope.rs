@@ -178,7 +178,8 @@ pub struct CompiledEnvelope {
     pub label: String,
     /// The compiled plan, bit-identical to an in-process compile.
     pub compiled: Compiled,
-    /// Whether routing was served from the session memo or disk.
+    /// Whether routing was skipped: served from the session's route
+    /// memo, or not needed because the whole plan came from disk.
     pub route_cache_hit: bool,
     /// Disk-store disposition of the whole plan.
     pub disk: DiskStatus,

@@ -296,10 +296,6 @@ impl EventLog {
     }
 }
 
-// Private from here on; the test-only sink stays below every public
-// item because `tests/api_surface.rs` reads each file only up to its
-// first `cfg(test)` attribute.
-
 /// Where an [`EventLog`] writes its lines.
 #[derive(Debug)]
 enum Sink {

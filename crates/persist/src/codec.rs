@@ -38,10 +38,10 @@ pub const HEADER_LEN: usize = 28;
 /// can never be decoded as the wrong type).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ArtifactKind {
-    /// A pulse-method residual table (`ResidualTable`).
-    Calibration,
     /// A routed + native-translated circuit with its source
-    /// (`((Circuit, Topology), NativeCircuit)`).
+    /// (`((Circuit, Topology), NativeCircuit)`). No library code reads or
+    /// writes it; it stays because zzperf's traced replay
+    /// (`zzperf/src/replay.rs`) still writes one to time a store write.
     Native,
     /// A fully compiled plan (`zz_core`'s `Compiled`).
     Compiled,
@@ -59,11 +59,10 @@ pub enum ArtifactKind {
 
 impl ArtifactKind {
     /// Stable on-disk tag of the kind (part of the container header).
-    /// Tag 4 is retired (it named a whole-cache calibration snapshot) and
-    /// is never reused.
+    /// Tags 1 (a per-method residual table) and 4 (a whole-cache
+    /// calibration snapshot) are retired and never reused.
     pub fn tag(self) -> u32 {
         match self {
-            ArtifactKind::Calibration => 1,
             ArtifactKind::Native => 2,
             ArtifactKind::Compiled => 3,
             ArtifactKind::NetRequest => 5,
@@ -75,7 +74,6 @@ impl ArtifactKind {
     /// Subdirectory of the cache root holding this kind of artifact.
     pub fn dir_name(self) -> &'static str {
         match self {
-            ArtifactKind::Calibration => "calib",
             ArtifactKind::Native => "native",
             ArtifactKind::Compiled => "compiled",
             ArtifactKind::NetRequest => "net-request",
@@ -433,9 +431,9 @@ mod tests {
                 Ok(Blob(r.u64()?))
             }
         }
-        let good = encode_artifact(ArtifactKind::Calibration, &Blob(42));
+        let good = encode_artifact(ArtifactKind::Compiled, &Blob(42));
         assert_eq!(
-            decode_artifact::<Blob>(ArtifactKind::Calibration, &good)
+            decode_artifact::<Blob>(ArtifactKind::Compiled, &good)
                 .unwrap()
                 .0,
             42
@@ -445,7 +443,7 @@ mod tests {
         let mut bad = good.clone();
         bad[0] ^= 0xff;
         assert_eq!(
-            decode_artifact::<Blob>(ArtifactKind::Calibration, &bad).unwrap_err(),
+            decode_artifact::<Blob>(ArtifactKind::Compiled, &bad).unwrap_err(),
             DecodeError::BadMagic
         );
 
@@ -453,7 +451,7 @@ mod tests {
         let mut bad = good.clone();
         bad[4..8].copy_from_slice(&(SCHEMA_VERSION + 1).to_le_bytes());
         assert_eq!(
-            decode_artifact::<Blob>(ArtifactKind::Calibration, &bad).unwrap_err(),
+            decode_artifact::<Blob>(ArtifactKind::Compiled, &bad).unwrap_err(),
             DecodeError::VersionMismatch {
                 found: SCHEMA_VERSION + 1
             }
@@ -462,21 +460,21 @@ mod tests {
         // Wrong kind.
         assert_eq!(
             decode_artifact::<Blob>(ArtifactKind::Native, &good).unwrap_err(),
-            DecodeError::KindMismatch { found: 1 }
+            DecodeError::KindMismatch { found: 3 }
         );
 
         // Flipped payload byte.
         let mut bad = good.clone();
         *bad.last_mut().unwrap() ^= 1;
         assert_eq!(
-            decode_artifact::<Blob>(ArtifactKind::Calibration, &bad).unwrap_err(),
+            decode_artifact::<Blob>(ArtifactKind::Compiled, &bad).unwrap_err(),
             DecodeError::ChecksumMismatch
         );
 
         // Truncation anywhere in the file.
         for cut in 0..good.len() {
             assert!(
-                decode_artifact::<Blob>(ArtifactKind::Calibration, &good[..cut]).is_err(),
+                decode_artifact::<Blob>(ArtifactKind::Compiled, &good[..cut]).is_err(),
                 "truncation at {cut} must fail"
             );
         }

@@ -1,10 +1,10 @@
 //! `zz_persist` — versioned artifact codec + on-disk compilation cache.
 //!
 //! The compile pipeline (`zz_core::pipeline`) memoizes routing and
-//! calibration *within one process*; this crate makes those artifacts
-//! durable so a new process — a rerun figure binary, a test, a restarted
-//! service — warm-starts from disk instead of re-running Hamiltonian
-//! simulations and routing. Two layers:
+//! calibration *within one process*; this crate makes whole compiled plans
+//! durable, so a new process — a rerun figure binary, a test, a restarted
+//! service — serves a request it has compiled before from disk instead of
+//! re-running routing, scheduling and Hamiltonian simulations. Two layers:
 //!
 //! * **[`codec`]** — a self-describing binary format (magic bytes, schema
 //!   version, FNV-checksummed payload) with [`Encode`]/[`Decode`]
@@ -17,9 +17,10 @@
 //!   mismatches are cache *misses*, never errors, and an unwritable
 //!   directory degrades to in-memory behavior.
 //!
-//! `zz_core` wires the store through `CalibCache` (snapshot export/import)
-//! and `PassManager` (persistent routed translations + compiled plans);
-//! see `ARCHITECTURE.md` for the cache hierarchy.
+//! `zz_core` wires the store into `PassManager`, which keeps exactly one
+//! kind of artifact on disk: the whole plan of a request, under
+//! `compiled/`. The codec also frames the wire protocol's envelopes and
+//! the metrics snapshots. See `ARCHITECTURE.md` for the cache hierarchy.
 
 #![warn(missing_docs)]
 

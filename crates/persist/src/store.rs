@@ -49,9 +49,9 @@ pub struct StoreStats {
 ///
 /// let dir = std::env::temp_dir().join(format!("zz-doc-{}", std::process::id()));
 /// let store = ArtifactStore::at(&dir);
-/// store.put(ArtifactKind::Calibration, 42, &1.25f64);
-/// assert_eq!(store.get::<f64>(ArtifactKind::Calibration, 42), Some(1.25));
-/// assert_eq!(store.get::<f64>(ArtifactKind::Calibration, 43), None);
+/// store.put(ArtifactKind::Compiled, 42, &1.25f64);
+/// assert_eq!(store.get::<f64>(ArtifactKind::Compiled, 42), Some(1.25));
+/// assert_eq!(store.get::<f64>(ArtifactKind::Compiled, 43), None);
 /// let _ = std::fs::remove_dir_all(&dir);
 /// ```
 #[derive(Debug)]
@@ -224,31 +224,31 @@ mod tests {
     fn absent_truncated_and_corrupt_files_are_misses() {
         let dir = scratch_dir("corrupt");
         let store = ArtifactStore::at(&dir);
-        assert_eq!(store.get::<f64>(ArtifactKind::Calibration, 1), None);
+        assert_eq!(store.get::<f64>(ArtifactKind::Compiled, 1), None);
 
-        store.put(ArtifactKind::Calibration, 1, &2.5f64);
-        let path = store.path_of(ArtifactKind::Calibration, 1);
+        store.put(ArtifactKind::Compiled, 1, &2.5f64);
+        let path = store.path_of(ArtifactKind::Compiled, 1);
 
         // Truncate.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        assert_eq!(store.get::<f64>(ArtifactKind::Calibration, 1), None);
+        assert_eq!(store.get::<f64>(ArtifactKind::Compiled, 1), None);
 
         // Corrupt one payload byte.
         let mut bad = full.clone();
         *bad.last_mut().unwrap() ^= 0x40;
         std::fs::write(&path, &bad).unwrap();
-        assert_eq!(store.get::<f64>(ArtifactKind::Calibration, 1), None);
+        assert_eq!(store.get::<f64>(ArtifactKind::Compiled, 1), None);
 
         // Stale schema version.
         let mut stale = full.clone();
         stale[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&path, &stale).unwrap();
-        assert_eq!(store.get::<f64>(ArtifactKind::Calibration, 1), None);
+        assert_eq!(store.get::<f64>(ArtifactKind::Compiled, 1), None);
 
         // The intact bytes still read back fine.
         std::fs::write(&path, &full).unwrap();
-        assert_eq!(store.get::<f64>(ArtifactKind::Calibration, 1), Some(2.5));
+        assert_eq!(store.get::<f64>(ArtifactKind::Compiled, 1), Some(2.5));
         assert_eq!(store.stats().misses, 4); // absent + 3 damaged reads
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -274,17 +274,17 @@ mod tests {
         let store = ArtifactStore::at(&dir);
         let a = store.shard("dev-a");
         let b = store.shard("dev/b:0"); // sanitized to dev_b_0
-        a.put(ArtifactKind::Calibration, 1, &1.0f64);
-        b.put(ArtifactKind::Calibration, 1, &2.0f64);
-        assert_eq!(a.get::<f64>(ArtifactKind::Calibration, 1), Some(1.0));
-        assert_eq!(b.get::<f64>(ArtifactKind::Calibration, 1), Some(2.0));
+        a.put(ArtifactKind::Compiled, 1, &1.0f64);
+        b.put(ArtifactKind::Compiled, 1, &2.0f64);
+        assert_eq!(a.get::<f64>(ArtifactKind::Compiled, 1), Some(1.0));
+        assert_eq!(b.get::<f64>(ArtifactKind::Compiled, 1), Some(2.0));
         assert!(a.root().starts_with(store.root()));
         assert_ne!(a.root(), b.root());
         assert_eq!(b.root(), store.root().join("dev_b_0"));
         // Damaging shard A leaves shard B fully readable.
         std::fs::remove_dir_all(a.root()).unwrap();
-        assert_eq!(a.get::<f64>(ArtifactKind::Calibration, 1), None);
-        assert_eq!(b.get::<f64>(ArtifactKind::Calibration, 1), Some(2.0));
+        assert_eq!(a.get::<f64>(ArtifactKind::Compiled, 1), None);
+        assert_eq!(b.get::<f64>(ArtifactKind::Compiled, 1), Some(2.0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -292,11 +292,11 @@ mod tests {
     fn kinds_are_namespaced() {
         let dir = scratch_dir("kinds");
         let store = ArtifactStore::at(&dir);
-        store.put(ArtifactKind::Calibration, 5, &1.0f64);
+        store.put(ArtifactKind::Metrics, 5, &1.0f64);
         // Same key, different kind: distinct file, and a header kind check
         // would catch a cross-read even if the paths collided.
         assert_eq!(store.get::<f64>(ArtifactKind::Compiled, 5), None);
-        assert_eq!(store.get::<f64>(ArtifactKind::Calibration, 5), Some(1.0));
+        assert_eq!(store.get::<f64>(ArtifactKind::Metrics, 5), Some(1.0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

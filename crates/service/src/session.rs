@@ -191,8 +191,9 @@ pub struct StageStats {
     pub stage: Stage,
     /// Requests whose pass for this stage actually ran.
     pub executed: usize,
-    /// Requests served from a stage cache (route memo, disk artifact, or
-    /// an already-measured calibration slot).
+    /// Requests served from an in-memory stage cache (the route memo or
+    /// an already-measured calibration slot). A whole-plan disk hit
+    /// counts only as an executed validation: no later stage ran.
     pub cache_hits: usize,
     /// Total wall time spent in this stage across the batch (for cache
     /// hits: the lookup time).
@@ -214,8 +215,9 @@ pub struct CompileResponse {
     /// Per-pass instrumentation (present unless the request disabled
     /// it).
     pub trace: Option<PipelineTrace>,
-    /// Whether routing/native translation was served from the session
-    /// memo or the disk store.
+    /// Whether routing and native translation were skipped: served from
+    /// the session's route memo, or not needed because the disk store
+    /// served the whole plan.
     pub route_cache_hit: bool,
     /// Whether the on-disk store served the whole compiled plan.
     pub disk: DiskStatus,
@@ -318,8 +320,8 @@ pub struct ServiceReport {
     /// Wall-clock time from the start of the run until every result was
     /// available.
     pub wall_time: Duration,
-    /// Requests whose routing was served from the session memo or the
-    /// disk store.
+    /// Requests that did not route: served from the session memo, or
+    /// whole from the disk store.
     pub route_hits: usize,
     /// Requests that had to route.
     pub route_misses: usize,

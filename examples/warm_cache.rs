@@ -5,8 +5,8 @@
 //! sub-grid. Each pass uses a *fresh* [`Session`] and a *fresh*
 //! calibration cache — as a new process would — so the only state they
 //! share is the cache directory. The first pass pays for pulse-level
-//! calibration, routing and scheduling and publishes every artifact; the
-//! second pass serves everything from disk.
+//! calibration, routing and scheduling and publishes each request's
+//! whole compiled plan; the second pass serves every plan from disk.
 //!
 //! ```text
 //! cargo run --release --example warm_cache
@@ -14,7 +14,16 @@
 //!
 //! Set `ZZ_CACHE_DIR` to persist the cache across invocations (the `fig*`
 //! binaries honor the same variable); by default this example uses a
-//! scratch directory and removes it at the end.
+//! scratch directory and removes it at the end. When the directory
+//! already holds `compiled/` plans at start, the first pass must be
+//! served from disk as well — a warm start in a brand-new process. CI
+//! checks it by running the example twice over one directory:
+//!
+//! ```text
+//! dir=$(mktemp -d)
+//! ZZ_CACHE_DIR="$dir" cargo run --release --example warm_cache
+//! ZZ_CACHE_DIR="$dir" cargo run --release --example warm_cache
+//! ```
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -22,6 +31,7 @@ use std::time::Instant;
 use zz_bench::suite_requests;
 use zz_circuit::bench::BenchmarkKind;
 use zz_core::calib::CalibCache;
+use zz_core::Stage;
 use zz_persist::CACHE_DIR_ENV;
 use zz_service::{CompileRequest, PulseMethod, SchedulerKind, ServiceReport, Session, Target};
 use zz_topology::Topology;
@@ -58,6 +68,23 @@ fn run_pass(name: &str, dir: &std::path::Path) -> ServiceReport {
     report
 }
 
+/// Asserts that every request of `pass` was a whole-plan disk hit: no
+/// calibration, no routing, no stage beyond validation.
+fn assert_served_from_disk(report: &ServiceReport, pass: &str) {
+    assert_eq!(
+        report.disk_hits,
+        report.outcomes.len(),
+        "{pass} pass must be all whole-plan disk hits"
+    );
+    assert_eq!(report.calibration_runs, 0, "{pass} pass must not calibrate");
+    assert_eq!(report.route_misses, 0, "{pass} pass must not route");
+    for stats in report.stage_stats() {
+        if stats.stage != Stage::Validate {
+            assert_eq!(stats.executed, 0, "{pass} pass ran stage {}", stats.stage);
+        }
+    }
+}
+
 fn main() {
     let (dir, ephemeral) = match std::env::var(CACHE_DIR_ENV) {
         Ok(d) if !d.is_empty() => (std::path::PathBuf::from(d), false),
@@ -67,12 +94,16 @@ fn main() {
         ),
     };
     println!("artifact store: {}", dir.display());
+    // Plans left by an earlier process make this one's first pass warm.
+    let warm_at_start =
+        std::fs::read_dir(dir.join("compiled")).is_ok_and(|mut plans| plans.next().is_some());
 
-    let cold = run_pass("cold", &dir);
+    let cold = run_pass(if warm_at_start { "first" } else { "cold" }, &dir);
+    if warm_at_start {
+        assert_served_from_disk(&cold, "first (store warm at start)");
+    }
     let warm = run_pass("warm", &dir);
-
-    assert_eq!(warm.calibration_runs, 0, "warm pass must not calibrate");
-    assert_eq!(warm.route_misses, 0, "warm pass must not route");
+    assert_served_from_disk(&warm, "warm");
     for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
         let (c, w) = (
             c.as_ref().expect("cold compiled"),
@@ -83,13 +114,6 @@ fn main() {
             "{} must be bit-identical across passes",
             c.label
         );
-    }
-    // The per-stage traces make the mechanism visible: warm jobs are
-    // whole-plan disk hits, so no stage beyond validation executed.
-    for stats in warm.stage_stats() {
-        if stats.stage != zz_core::Stage::Validate {
-            assert_eq!(stats.executed, 0, "warm pass ran stage {}", stats.stage);
-        }
     }
     let speedup = cold.cpu_time().as_secs_f64() / warm.cpu_time().as_secs_f64().max(1e-9);
     println!("compile-time speedup (cpu): {speedup:.1}x; outputs bit-identical");

@@ -39,15 +39,63 @@ fn strip_line_comments(source: &str) -> String {
         })
 }
 
+/// Drops every `#[cfg(test)]` item: from the attribute through the
+/// item's first top-level `;`, or the `}` closing its first top-level
+/// `{`. A gated variant, field or match arm ends where its enclosing
+/// block does. Scanning resumes after each item, so public items below a
+/// test-only one still count.
+fn strip_test_items(source: &str) -> String {
+    const GATE: &str = "#[cfg(test)]";
+    let mut out = String::new();
+    let mut rest = source;
+    while let Some(at) = rest.find(GATE) {
+        out.push_str(&rest[..at]);
+        rest = &rest[at + GATE.len()..];
+        rest = &rest[gated_item_len(rest)..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Byte length of the item at the start of `source`, as
+/// [`strip_test_items`] delimits it. Char literals like `'{'` are
+/// skipped; braces inside string literals count, so a test-only item
+/// keeps them balanced.
+fn gated_item_len(source: &str) -> usize {
+    let bytes = source.as_bytes();
+    let mut depth = 0i32;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\'' if bytes.get(i + 2) == Some(&b'\'') => i += 2,
+            b'(' | b'[' | b'{' => depth += 1,
+            b';' if depth == 0 => return i + 1,
+            b')' | b']' | b'}' => {
+                depth -= 1;
+                if depth < 0 {
+                    return i;
+                }
+                if depth == 0 && bytes[i] == b'}' {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    bytes.len()
+}
+
 /// Extracts every `pub <kind> …` declaration from one source file,
-/// normalized to single-space whitespace. A declaration runs from its
-/// `pub` keyword to the first top-level `{`, `;` or `=` — enough to pin
-/// names, function signatures and re-export lists.
+/// normalized to single-space whitespace, skipping comments and
+/// test-only items. A declaration runs from its `pub` keyword to the
+/// first top-level `{`, `;` or `=` — enough to pin names, function
+/// signatures and re-export lists.
 fn public_items(source: &str) -> Vec<String> {
     const KINDS: [&str; 8] = [
         "use", "fn", "struct", "enum", "trait", "const", "type", "mod",
     ];
-    let source = strip_line_comments(source);
+    let source = strip_test_items(&strip_line_comments(source));
     let mut items = Vec::new();
     let bytes = source.as_bytes();
     let mut i = 0;
@@ -124,14 +172,7 @@ fn public_surface() -> String {
         for file in &files {
             let name = file.file_name().expect("file name").to_string_lossy();
             let source = std::fs::read_to_string(file).expect("crate source readable");
-            // Unit-test modules declare pub-free fns; the `pub` scan below
-            // is enough, but guard against future `pub` items inside
-            // cfg(test).
-            let source = source
-                .split("#[cfg(test)]")
-                .next()
-                .expect("split returns at least one piece");
-            for item in public_items(source) {
+            for item in public_items(&source) {
                 items.push(format!("{crate_dir}/{name}: {item}"));
             }
         }
@@ -202,6 +243,24 @@ fn extractor_handles_the_declaration_shapes_in_use() {
             "pub use other::{A, B}",
             "pub const N: usize",
         ]
+    );
+
+    // A test-only item hides only itself: the public items below it
+    // still count, and a `pub` item inside a gated module does not.
+    let items = public_items(
+        "#[cfg(test)]\n\
+         fn helper(bytes: [u8; 2]) -> char { if bytes[0] == 0 { '}' } else { '{' } }\n\
+         pub fn kept(x: usize) -> usize { x }\n\
+         enum Sink {\n    Stderr,\n    #[cfg(test)]\n    Capture(Vec<String>),\n}\n\
+         #[cfg(test)]\n\
+         use std::fmt;\n\
+         #[cfg(test)]\n\
+         mod tests {\n    pub fn hidden() {}\n}\n\
+         pub struct AlsoKept;\n",
+    );
+    assert_eq!(
+        items,
+        ["pub fn kept(x: usize) -> usize", "pub struct AlsoKept"]
     );
 }
 

@@ -549,14 +549,42 @@ fn degenerate_scoring_configs_are_typed_eval_errors() {
     }
 }
 
-/// An unphysical profile (`T2 > 2·T1`) is refused at registration, not
-/// by a panic on the next dispatch.
+/// An unphysical profile is refused at registration, not by a panic
+/// while its calibration cache is built or a crosstalk-free score on
+/// the next dispatch: `T2 > 2·T1`, a mean λ that is not finite and
+/// positive, and a λ spread that is NaN, infinite or negative.
 #[test]
 fn unphysical_profiles_are_refused_at_registration() {
-    let mut profile = DeviceProfile::paper_grid();
-    profile.t2_us = 3.0 * profile.t1_us;
+    let paper = DeviceProfile::paper_grid;
+    let mut cases = vec![(
+        DeviceProfile {
+            t2_us: 3.0 * paper().t1_us,
+            ..paper()
+        },
+        "t2",
+    )];
+    for lambda_mean in [0.0, -paper().lambda_mean, f64::NAN, f64::INFINITY] {
+        cases.push((
+            DeviceProfile {
+                lambda_mean,
+                ..paper()
+            },
+            "lambda_mean",
+        ));
+    }
+    for lambda_std in [-paper().lambda_std, f64::NAN, f64::INFINITY] {
+        cases.push((
+            DeviceProfile {
+                lambda_std,
+                ..paper()
+            },
+            "lambda_std",
+        ));
+    }
     let mut fleet = Fleet::new(fast_config(1)).expect("valid config");
-    assert_eval_error(fleet.add_device(profile), "paper-grid", "t2");
+    for (profile, field) in cases {
+        assert_eval_error(fleet.add_device(profile), "paper-grid", field);
+    }
     assert!(fleet.devices().is_empty());
     assert!(matches!(
         fleet.submit(

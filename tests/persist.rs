@@ -136,15 +136,20 @@ fn damaged_cache_files_are_recompiled_silently() {
     let cold = session_at(&dir, Arc::new(CalibCache::new())).run(suite_jobs());
     assert_eq!(cold.error_count(), 0, "{cold}");
 
+    // The store holds whole plans only: one `compiled/` file per
+    // distinct request, and no other kind directory.
+    let kinds: Vec<_> = std::fs::read_dir(&dir)
+        .expect("cold pass must populate the cache")
+        .map(|entry| entry.expect("listable").file_name())
+        .collect();
+    assert_eq!(kinds, ["compiled"], "only whole plans are stored");
+
+    let mut files = walk(&dir);
+    assert_eq!(files.len(), jobs, "one artifact per distinct request");
+
     // Damage every artifact in the cache in a rotating style: truncate,
     // corrupt a payload byte, stamp a stale schema version.
-    let mut damaged = 0usize;
-    let mut files: Vec<PathBuf> = Vec::new();
-    for entry in walk(&dir) {
-        files.push(entry);
-    }
     files.sort();
-    assert!(!files.is_empty(), "cold pass must populate the cache");
     for (i, path) in files.iter().enumerate() {
         let bytes = std::fs::read(path).expect("artifact readable");
         let mangled = match i % 3 {
@@ -162,9 +167,7 @@ fn damaged_cache_files_are_recompiled_silently() {
             }
         };
         std::fs::write(path, mangled).expect("artifact writable");
-        damaged += 1;
     }
-    assert!(damaged >= jobs, "every compiled artifact damaged");
 
     // The warm pass sees only damaged files: every read is a miss, every
     // job recompiles successfully, and the outputs still match the cold

@@ -5,10 +5,12 @@
 //!   `legacy_compile`) for every `(PulseMethod, SchedulerKind)`
 //!   combination, through both entry points: `PassManager::run` and a
 //!   service `Session`.
-//! * **Stage-granular caching** — an α/k-only parameter sweep re-runs
-//!   *zero* route/lower passes: the first job routes, every other job is
-//!   served by the route memo (in-process) or the disk artifact (across
-//!   sessions), while scheduling re-runs for every sweep point.
+//! * **Caching** — an α/k-only parameter sweep in one session re-runs
+//!   *zero* route/lower passes after its first job: every other job is
+//!   served by the route memo, while scheduling re-runs for every sweep
+//!   point. Across sessions over one store only whole plans come from
+//!   disk: a repeated α runs no stage beyond validation, a new α routes
+//!   once.
 //! * **Per-pass units** — route-only and schedule-only runs using the
 //!   typed stage artifacts.
 
@@ -236,7 +238,7 @@ fn alpha_k_sweep_reruns_zero_route_passes_in_process() {
 }
 
 #[test]
-fn alpha_sweep_routes_from_disk_across_compilers() {
+fn alpha_sweep_across_sessions_serves_whole_plans_from_disk() {
     let dir = scratch_dir("alpha-sweep");
     let topo = Topology::grid(2, 3);
     let job = |alpha: f64| {
@@ -244,50 +246,49 @@ fn alpha_sweep_routes_from_disk_across_compilers() {
             .with_options(CompileOptions::default().with_alpha(alpha))
     };
 
-    // The first session pays for routing once.
+    // The first session compiles one α and publishes its plan.
     let cold = session(&topo, Some(&dir)).run(vec![job(0.5)]);
     assert_eq!(cold.error_count(), 0, "{cold}");
     assert!(trace(&cold, 0).executed(Stage::Route), "{cold}");
 
-    // A *new* session (fresh memo, fresh calibration) sweeping *new*
-    // α values: the whole-plan artifacts miss (different α), but the
-    // route/lower stage is served from the disk artifact — zero route
-    // passes run.
-    let warm = session(&topo, Some(&dir)).run(vec![job(0.125), job(0.75)]);
+    // A *new* session (fresh memo, fresh calibration) over the same
+    // store: the α the first session compiled is a whole-plan disk hit,
+    // so no stage beyond validation runs and the plan is bit-identical.
+    let warm = session(&topo, Some(&dir)).run(vec![job(0.5), job(0.125), job(0.75)]);
     assert_eq!(warm.error_count(), 0, "{warm}");
-    let stats = warm.stage_stats();
-    let route = stats.iter().find(|s| s.stage == Stage::Route).unwrap();
-    assert_eq!(route.executed, 0, "{warm}");
+    let replayed = trace(&warm, 0);
+    assert_eq!(replayed.compiled_cache, CacheDisposition::DiskHit, "{warm}");
+    let stages: Vec<Stage> = replayed.passes.iter().map(|p| p.stage).collect();
+    assert_eq!(stages, [Stage::Validate], "{warm}");
     assert_eq!(
-        trace(&warm, 0).pass(Stage::Route).unwrap().cache,
-        CacheDisposition::DiskHit,
-        "{warm}"
+        warm.outcomes[0].as_ref().expect("served").compiled,
+        cold.outcomes[0].as_ref().expect("compiled").compiled,
+        "disk replay must be bit-identical"
     );
-    // The second sweep point hits the memo the first one just filled.
+
+    // New α values miss the store, which holds no routed translation or
+    // calibration table: the first one routes and calibrates, the second
+    // hits the memo it filled, and both schedule.
+    let first_new = trace(&warm, 1);
+    assert_eq!(first_new.compiled_cache, CacheDisposition::Miss, "{warm}");
+    // Executed stages record `NotCached` although a store is attached.
+    for stage in [Stage::Route, Stage::Lower, Stage::Pulse] {
+        assert_eq!(
+            first_new.pass(stage).unwrap().cache,
+            CacheDisposition::NotCached,
+            "{stage}: {warm}"
+        );
+    }
     assert_eq!(
-        trace(&warm, 1).pass(Stage::Route).unwrap().cache,
+        trace(&warm, 2).pass(Stage::Route).unwrap().cache,
         CacheDisposition::MemoryHit,
         "{warm}"
     );
-    let schedule = stats.iter().find(|s| s.stage == Stage::Schedule).unwrap();
-    assert_eq!(schedule.executed, 2, "{warm}");
-
-    // Replaying an *already-swept* α in a third session is a whole-plan
-    // disk hit: no stage beyond validation runs at all.
-    let replay = session(&topo, Some(&dir)).run(vec![job(0.75)]);
-    let replayed = trace(&replay, 0);
-    assert_eq!(
-        replayed.compiled_cache,
-        CacheDisposition::DiskHit,
-        "{replay}"
-    );
-    assert!(!replayed.executed(Stage::Route), "{replay}");
-    assert!(!replayed.executed(Stage::Schedule), "{replay}");
-    assert_eq!(
-        replay.outcomes[0].as_ref().expect("served").compiled,
-        warm.outcomes[1].as_ref().expect("compiled").compiled,
-        "disk replay must be bit-identical"
-    );
+    let stats = warm.stage_stats();
+    let executed = |stage| stats.iter().find(|s| s.stage == stage).unwrap().executed;
+    assert_eq!(executed(Stage::Route), 1, "{warm}");
+    assert_eq!(executed(Stage::Schedule), 2, "{warm}");
+    assert_eq!(warm.calibration_runs, 1, "{warm}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -112,8 +112,9 @@ fn in_queue_evaluation_matches_the_legacy_eval_path() {
 }
 
 /// Degenerate decoherence specs — zero or NaN times, NaN public fields, no
-/// trajectories on a register that needs them — are typed `Error::Eval`s
-/// naming the bad field, on the caller's thread and through the queue.
+/// trajectories on a register that needs them — and unphysical target
+/// crosstalk strengths are typed `Error::Eval`s naming the bad field, on
+/// the caller's thread and through the queue.
 #[test]
 fn degenerate_decoherence_specs_are_typed_eval_errors() {
     let session = Session::with_threads(Target::for_qubits(9).expect("fits"), 1);
@@ -166,6 +167,40 @@ fn degenerate_decoherence_specs_are_typed_eval_errors() {
     });
     let fidelity = session.compile(&request).expect("valid").fidelity;
     assert!(fidelity.is_some_and(|f| f > 0.0 && f <= 1.0 + 1e-9));
+
+    // The crosstalk strength comes from the target: a mean or std that
+    // is NaN, infinite or negative is refused the same way, instead of
+    // being sampled (a NaN strength would clamp to 0 and score the plan
+    // with no crosstalk at all).
+    let (mean, std) = (zz_sim::khz(200.0), zz_sim::khz(50.0));
+    for (lambda_mean, lambda_std, field) in [
+        (f64::NAN, std, "lambda_mean"),
+        (f64::INFINITY, std, "lambda_mean"),
+        (-mean, std, "lambda_mean"),
+        (mean, f64::NAN, "lambda_std"),
+        (mean, f64::INFINITY, "lambda_std"),
+        (mean, -std, "lambda_std"),
+    ] {
+        let target = Target::builder()
+            .topology(Topology::grid(3, 3))
+            .noise(lambda_mean, lambda_std)
+            .build()
+            .expect("no store");
+        let session = Session::with_threads(target, 1);
+        let request = CompileRequest::new(generate(BenchmarkKind::Qaoa, 9, 7))
+            .with_eval(EvalSpec::paper_default().with_seeds(vec![11]))
+            .with_label("crosstalk");
+        let check = |result: Result<_, Error>| match result {
+            Err(Error::Eval { job, detail }) => {
+                assert_eq!(job, "crosstalk");
+                assert!(detail.contains(field), "{field} not named in: {detail}");
+            }
+            other => panic!("expected Eval naming {field}, got {other:?}"),
+        };
+        check(session.compile(&request));
+        check(session.submit(request.clone()).wait());
+        check(session.run([request]).outcomes.remove(0));
+    }
 }
 
 /// A Monte-Carlo in-queue evaluation (9 qubits forces the trajectory
